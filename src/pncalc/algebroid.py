@@ -308,9 +308,16 @@ def rho_function(algebroid, section, func):
         raise InputError("anchor application needs a degree-1 section")
     func = _coerce_base_poly(algebroid.base, func)
     out = Polynomial.zero(algebroid.base.coords)
+    partials = []
+    for a, name in enumerate(algebroid.base.coords):
+        derivative = func.partial(name)
+        if not derivative.is_zero():
+            partials.append((a, derivative))
     for (i,), coeff in section.components.items():
-        for a, name in enumerate(algebroid.base.coords):
-            out = out + coeff * algebroid.anchor[i][a] * func.partial(name)
+        column = algebroid.anchor[i]
+        for a, derivative in partials:
+            if not column[a].is_zero():
+                out = out + coeff * column[a] * derivative
     return out
 
 

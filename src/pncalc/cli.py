@@ -100,11 +100,12 @@ def _concomitant(doc, args, command):
     pi = _first_bivector(doc, command)
     tensor = doc.require("tensor11", command)
     chart = pi.chart
+    npi = pn.n_bivector(pi, tensor)
     residuals = {}
     for i in range(chart.dim):
         for j in range(i + 1, chart.dim):
             value = pn.magri_morosi(
-                pi, tensor, cartan_form(chart, i), cartan_form(chart, j)
+                pi, tensor, cartan_form(chart, i), cartan_form(chart, j), npi=npi
             )
             if not value.is_zero():
                 residuals[f"concomitant({i + 1},{j + 1})"] = str(value)

@@ -52,9 +52,13 @@ class AffineSubmanifold:
 
     Constraints are given as affine-linear polynomials (or strings) that
     vanish on the submanifold; the constant term supplies r_0.
+
+    The rational parametrization used by ``restrict`` is computed on first
+    use and cached on the instance. It depends only on the immutable
+    constraints, so every later restriction reuses it.
     """
 
-    __slots__ = ("chart", "rows", "rhs")
+    __slots__ = ("chart", "rows", "rhs", "_param")
 
     def __init__(self, chart, constraints):
         if not isinstance(chart, Chart):
@@ -87,6 +91,7 @@ class AffineSubmanifold:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "rhs", tuple(rhs))
+        object.__setattr__(self, "_param", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineSubmanifold is immutable")
@@ -108,6 +113,9 @@ class AffineSubmanifold:
         return list(self.rows)
 
     def _parametrization(self):
+        """(parameter chart, coordinate images), built once per instance."""
+        if self._param is not None:
+            return self._param
         n = self.chart.dim
         if not self.rows:
             x0 = [Fraction(0)] * n
@@ -128,7 +136,8 @@ class AffineSubmanifold:
                 if vec[i]:
                     acc = acc + Polynomial.variable(params.coords, params.coords[j]) * vec[i]
             images[name] = acc
-        return params, images
+        object.__setattr__(self, "_param", (params, images))
+        return self._param
 
     def restrict(self, poly):
         """Substitute a rational parametrization: the polynomial on S."""

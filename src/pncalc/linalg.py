@@ -58,14 +58,22 @@ def mat_mul(A, B):
     k2, m = mat_shape(B)
     if k != k2:
         raise InputError(f"cannot multiply {n}x{k} by {k2}x{m}")
+    # Products with a zero factor add nothing, so only the others are formed.
+    # An entry whose products all vanish is A[i][0] * B[0][j], which is
+    # zero of the same kind (Polynomial ring or number) as the full sum.
+    b_live = [[not _entry_is_zero(b) for b in row] for row in B]
     out = []
     for i in range(n):
+        a_row = A[i]
+        live = [t for t in range(k) if not _entry_is_zero(a_row[t])]
         row = []
         for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
+            acc = None
+            for t in live:
+                if b_live[t][j]:
+                    prod = a_row[t] * B[t][j]
+                    acc = prod if acc is None else acc + prod
+            row.append(a_row[0] * B[0][j] if acc is None else acc)
         out.append(tuple(row))
     return tuple(out)
 

@@ -417,11 +417,15 @@ def n_bivector(pi, N):
     return bivector_from_sharp(pi.chart, mat_mul(N.entries, sharp_matrix(pi)))
 
 
-def magri_morosi(pi, N, alpha, beta):
+def magri_morosi(pi, N, alpha, beta, npi=None):
     """Concomitant C(pi,N)(alpha,beta) =
     [alpha,beta]_{Npi} - ([N*alpha,beta]_pi + [alpha,N*beta]_pi - N*[alpha,beta]_pi).
+
+    ``npi`` is n_bivector(pi, N) when the caller already has it; callers
+    looping over form pairs compute it once instead of once per pair.
     """
-    npi = n_bivector(pi, N)
+    if npi is None:
+        npi = n_bivector(pi, N)
     return koszul_bracket(npi, alpha, beta) - (
         koszul_bracket(pi, N.dual_apply(alpha), beta)
         + koszul_bracket(pi, alpha, N.dual_apply(beta))
@@ -438,11 +442,12 @@ def is_pn_pair(pi, N):
     sharp_res = sharp_compat_residual(pi, N)
     concomitant = None
     if mat_is_zero(sharp_res):
+        npi = n_bivector(pi, N)
         concomitant = {}
         for i in range(chart.dim):
             for j in range(i + 1, chart.dim):
                 concomitant[(i, j)] = magri_morosi(
-                    pi, N, coordinate_form(chart, i), coordinate_form(chart, j)
+                    pi, N, coordinate_form(chart, i), coordinate_form(chart, j), npi=npi
                 )
     return PNVerdict(
         poisson_residual=schouten(pi, pi),

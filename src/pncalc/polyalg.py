@@ -12,6 +12,16 @@ equality. Every "vanishes identically" check downstream reduces to
 ``is_zero`` here, which is what keeps all of them exact decisions rather
 than numerical tolerances.
 
+Canonical form: ``variables`` is a tuple of distinct names; ``terms`` maps
+each exponent vector, a tuple of non-bool nonnegative ``int`` of length
+``len(variables)``, to a nonzero ``Fraction``. ``Polynomial(...)`` is the
+validating entry point for outside input and brings any accepted input into
+this form. The arithmetic (``+``, ``-``, ``*``, ``**``, ``partial``,
+``substitute``) combines canonical operands into terms that are canonical by
+construction, so it builds its results with the private
+``Polynomial._trusted``, which stores the given dict as is. Nothing mutates
+a ``terms`` dict after construction.
+
 The text grammar accepted by :func:`parse_polynomial`:
 
     expr     := ['-'] term (('+'|'-') term)*
@@ -29,6 +39,7 @@ its position.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import InputError, ParseError
 
@@ -59,7 +70,9 @@ class Polynomial:
                 raise InputError(
                     f"exponent vector {exps} does not match {len(variables)} variables"
                 )
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if any(
+                isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps
+            ):
                 raise InputError(f"exponents must be nonnegative integers: {exps}")
             coeff = _as_fraction(coeff)
             if coeff == 0:
@@ -72,6 +85,14 @@ class Polynomial:
             clean[exps] = coeff
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, variables, terms):
+        """Wrap terms already in canonical form (see the module doc), unchecked."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -126,19 +147,20 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
+        if isinstance(other, Polynomial):
+            if other.variables == self.variables:
+                return other
+            if other.is_constant():
+                return Polynomial.constant(self.variables, other.constant_value())
+            if self.is_constant():
+                return other  # caller re-dispatches from the promoted side
+            raise InputError(
+                f"variable lists differ: {self.variables} vs {other.variables}"
+            )
         if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.variables, other)
-        if not isinstance(other, Polynomial):
-            return None
-        if other.variables == self.variables:
-            return other
-        if other.is_constant():
-            return Polynomial.constant(self.variables, other.constant_value())
-        if self.is_constant():
-            return other  # caller re-dispatches from the promoted side
-        raise InputError(
-            f"variable lists differ: {self.variables} vs {other.variables}"
-        )
+            terms = {(0,) * len(self.variables): Fraction(other)} if other else {}
+            return Polynomial._trusted(self.variables, terms)
+        return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -146,19 +168,23 @@ class Polynomial:
             return NotImplemented
         if other.variables != self.variables:
             return Polynomial.constant(other.variables, self.constant_value()) + other
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            total = terms.get(exps, Fraction(0)) + coeff
+            total = terms.get(exps, 0) + coeff
             if total == 0:
                 terms.pop(exps, None)
             else:
                 terms[exps] = total
-        return Polynomial(self.variables, terms)
+        return Polynomial._trusted(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(
+        return Polynomial._trusted(
             self.variables, {exps: -c for exps, c in self.terms.items()}
         )
 
@@ -178,15 +204,17 @@ class Polynomial:
         if other.variables != self.variables:
             return Polynomial.constant(other.variables, self.constant_value()) * other
         terms = {}
+        if not (self.terms and other.terms):
+            return Polynomial._trusted(self.variables, terms)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                total = terms.get(exps, Fraction(0)) + c1 * c2
+                exps = tuple(map(add, e1, e2))
+                total = terms.get(exps, 0) + c1 * c2
                 if total == 0:
                     terms.pop(exps, None)
                 else:
                     terms[exps] = total
-        return Polynomial(self.variables, terms)
+        return Polynomial._trusted(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -223,8 +251,8 @@ class Polynomial:
             if exps[i] == 0:
                 continue
             lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            terms[lowered] = terms.get(lowered, Fraction(0)) + coeff * exps[i]
-        return Polynomial(self.variables, terms)
+            terms[lowered] = terms.get(lowered, 0) + coeff * exps[i]
+        return Polynomial._trusted(self.variables, terms)
 
     def substitute(self, target_variables, assignments):
         """Evaluate with each variable replaced by a polynomial over a new ring.

@@ -62,6 +62,17 @@ def test_criterion_9_mutation_sensitivity():
     _announce(suite.criterion_9())
 
 
+def test_sign_sabotage_caught_after_groupoid_caches_fill():
+    # A groupoid check fills the per-submanifold caches first. Criterion 9
+    # must then catch every sign patch, twice, and each sabotaged criterion
+    # must pass again once its patch is lifted: no cached value crosses a patch.
+    _announce(suite.criterion_6())
+    for _ in range(2):
+        _announce(suite.criterion_9())
+        for label, _, criterion in suite.MUTATIONS:
+            assert criterion().ok, f"{label}: a patched result outlived the patch"
+
+
 def test_run_all_shields_exceptions(monkeypatch):
     def boom():
         raise suite.InternalError("synthetic disagreement")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pncalc import cartan, poisson_nijenhuis as pn
 from pncalc.algebroid import (
@@ -28,6 +30,7 @@ from pncalc.algebroid import (
 from pncalc.cartan import Chart, MultiVector
 from pncalc.corpus import R2, R3, random_multivector, so3_bivector
 from pncalc.errors import InputError, PreconditionError
+from pncalc.polyalg import Polynomial
 
 POINT = Chart(())
 
@@ -118,6 +121,33 @@ def test_section_bracket_leibniz():
     lhs = section_bracket(alg, x, f * y)
     rhs = f * section_bracket(alg, x, y) + rho_function(alg, x, f) * y
     assert lhs == rhs
+
+
+base_polys = st.one_of(
+    st.just(R2.zero()),
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.integers(-3, 3).filter(bool),
+        max_size=3,
+    ).map(lambda terms: Polynomial(R2.coords, terms)),
+)
+
+
+@given(
+    st.lists(st.lists(base_polys, min_size=2, max_size=2), min_size=2, max_size=2),
+    st.lists(base_polys, min_size=2, max_size=2),
+    base_polys,
+)
+@settings(max_examples=80, deadline=None)
+def test_rho_function_matches_definition(anchor, comps, func):
+    # rho(X) f = sum_i sum_a X_i rho(e_i)^a d_a f, zero anchor entries included
+    alg = AlgebroidData(R2, 2, ("e1", "e2"), anchor, {})
+    section = AlgebroidSection(alg, 1, {(i,): c for i, c in enumerate(comps)})
+    want = R2.zero()
+    for i in range(2):
+        for a, name in enumerate(R2.coords):
+            want = want + comps[i] * anchor[i][a] * func.partial(name)
+    assert rho_function(alg, section, func) == want
 
 
 def test_differential_point_example():

@@ -160,6 +160,10 @@ class TestTensorCommands:
         code, out = run_cli(capsys, ["concomitant", "--input", write_doc(doc)])
         assert code == 1
         assert "concomitant(1,2)" in out
+        # a failed precondition is a fail report that names the residual
+        code, out = run_cli(capsys, ["concomitant", "--input", write_doc(DIAG_DOC)])
+        assert code == 1
+        assert "sharp_compat" in out
 
     def test_hierarchy_lists_bivectors(self, capsys, write_doc):
         code, out = run_cli(

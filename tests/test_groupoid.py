@@ -64,6 +64,27 @@ class TestAffineSubmanifold:
         assert sub.dim == 2
         assert sub.conormal_basis() == []
 
+    def test_restrict_reuses_the_parametrization(self, monkeypatch):
+        calls = {"rref": 0, "nullspace": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(gd, "rref", counting("rref", gd.rref))
+        monkeypatch.setattr(gd, "nullspace", counting("nullspace", gd.nullspace))
+        sub = AffineSubmanifold(R3, ["x1 - x2", "x3 - 1"])
+        poly = R3.parse("x1*x2 + x3^2")
+        first = sub.restrict(poly)
+        after_first = dict(calls)
+        assert after_first["rref"] and after_first["nullspace"]
+        for _ in range(5):
+            assert sub.restrict(poly) == first
+        assert calls == after_first
+
 
 class TestInvariantCheck:
     def test_identity_preserves_everything(self):

@@ -270,6 +270,8 @@ def test_magri_morosi_is_function_linear():
         f = random_polynomial(rng, R2, 2)
         assert magri_morosi(pi, N, f * a, b) == f * magri_morosi(pi, N, a, b)
         assert magri_morosi(pi, N, a, b) == -magri_morosi(pi, N, b, a)
+        npi = n_bivector(pi, N)
+        assert magri_morosi(pi, N, a, b, npi=npi) == magri_morosi(pi, N, a, b)
 
 
 def test_magri_morosi_refuses_incompatible_sharp():

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pncalc.errors import InputError, ParseError
+from pncalc.linalg import mat, mat_mul
 from pncalc.polyalg import Polynomial, parse_polynomial
 
 VARS = ("x1", "x2", "x3")
@@ -143,3 +145,108 @@ def test_degree_helpers():
     assert p.degree_in(["x1", "x2"]) == 3
     assert p.degree_in(["x3"]) == 1
     assert Polynomial.zero(VARS).total_degree() == -1
+
+
+def test_exponent_validation_checks_type_before_sign():
+    with pytest.raises(InputError, match="nonnegative integers"):
+        Polynomial(("x",), {("a",): 1})
+    with pytest.raises(InputError, match="nonnegative integers"):
+        Polynomial(("x",), {(True,): 1})
+    with pytest.raises(InputError, match="nonnegative integers"):
+        Polynomial(("x",), {(-1,): 1})
+    assert Polynomial(("x",), {(2,): 1}) == parse_polynomial("x^2", ("x",))
+
+
+# -- the trusted construction path of the arithmetic -------------------------
+
+scalars = st.one_of(st.integers(-3, 3), coeffs)
+small_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in VARS)), coeffs, max_size=3
+).map(lambda terms: Polynomial(VARS, terms))
+STEPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "radd": lambda p, c: c + p,
+    "rsub": lambda p, c: c - p,
+    "rmul": lambda p, c: c * p,
+    "neg": lambda p, _: -p,
+    "pow": operator.pow,
+    "partial": Polynomial.partial,
+    "substitute": lambda p, images: p.substitute(VARS, images),
+}
+steps = st.one_of(
+    st.tuples(st.sampled_from(["add", "sub", "mul"]), st.one_of(small_polys, scalars)),
+    st.tuples(st.sampled_from(["radd", "rsub", "rmul"]), scalars),
+    st.tuples(st.just("neg"), st.none()),
+    st.tuples(st.just("pow"), st.integers(0, 2)),
+    st.tuples(st.just("partial"), st.sampled_from(VARS)),
+    st.tuples(
+        st.just("substitute"),
+        st.dictionaries(st.sampled_from(VARS), st.one_of(small_polys, scalars)),
+    ),
+)
+
+
+def assert_canonical(p):
+    assert p == Polynomial(p.variables, p.terms)
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(exps) is tuple and len(exps) == len(p.variables)
+        assert all(type(e) is int for e in exps)
+
+
+@given(small_polys, st.lists(steps, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_results_are_canonical(p, chain):
+    assert_canonical(p)
+    for op, arg in chain:
+        p = STEPS[op](p, arg)
+        assert isinstance(p, Polynomial)
+        assert_canonical(p)
+
+
+def _naive_mat_mul(A, B, zero):
+    return tuple(
+        tuple(
+            sum((A[i][t] * B[t][j] for t in range(len(B))), zero)
+            for j in range(len(B[0]))
+        )
+        for i in range(len(A))
+    )
+
+
+def _matrix(entry, rows, cols):
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+def _matrix_pairs(entries, zero):
+    # Mostly-zero entries, as in the sharp and tensor matrices of a chart.
+    entry = st.one_of(st.just(zero), st.just(zero), entries)
+    sizes = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+    return sizes.flatmap(
+        lambda nkm: st.tuples(
+            _matrix(entry, nkm[0], nkm[1]), _matrix(entry, nkm[1], nkm[2])
+        )
+    )
+
+
+@given(_matrix_pairs(small_polys, Polynomial.zero(VARS)))
+@settings(max_examples=60, deadline=None)
+def test_mat_mul_skipping_zeros_matches_triple_sum_polynomial(pair):
+    A, B = (mat(M) for M in pair)
+    got = mat_mul(A, B)
+    want = _naive_mat_mul(A, B, Polynomial.zero(VARS))
+    assert got == want
+    assert all(e.variables == VARS for row in got for e in row)
+    assert all(type(e) is Polynomial for row in got for e in row)
+
+
+@given(_matrix_pairs(coeffs, Fraction(0)))
+@settings(max_examples=60, deadline=None)
+def test_mat_mul_skipping_zeros_matches_triple_sum_fraction(pair):
+    A, B = (mat(M) for M in pair)
+    got = mat_mul(A, B)
+    assert got == _naive_mat_mul(A, B, Fraction(0))
+    assert all(type(e) is Fraction for row in got for e in row)
