@@ -47,7 +47,7 @@ class Chart:
         return len(self.coords)
 
     def zero(self):
-        return Polynomial.zero(self.coords)
+        return Polynomial._trusted(self.coords, {})
 
     def constant(self, value):
         return Polynomial.constant(self.coords, value)
@@ -155,6 +155,9 @@ class _Graded:
     def component(self, idx):
         """Coefficient at an arbitrary index tuple, sign-adjusted."""
         idx = tuple(idx)
+        poly = self.components.get(idx)
+        if poly is not None:  # idx is a stored, hence sorted, key
+            return poly
         if len(set(idx)) != len(idx):
             return self.chart.zero()
         key, sign = _sort_sign(idx)

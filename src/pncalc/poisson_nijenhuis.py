@@ -207,14 +207,18 @@ def sharp(pi, alpha):
         raise InputError("sharp needs a 1-form")
     if alpha.chart != pi.chart:
         raise InputError("chart mismatch")
-    n = pi.chart.dim
-    comps = [alpha.component((a,)) for a in range(n)]
-    out = []
-    for b in range(n):
-        acc = pi.chart.zero()
-        for a in range(n):
-            acc = acc + comps[a] * pi.component((a, b))
-        out.append(acc)
+    # Component b is sum_a alpha_a pi^{ab}; each stored pi^{ab} (a < b) adds
+    # alpha_a pi^{ab} to component b and alpha_b pi^{ba} = -alpha_b pi^{ab}
+    # to component a.
+    coeffs = alpha.components
+    out = [pi.chart.zero()] * pi.chart.dim
+    for (a, b), p in pi.components.items():
+        alpha_a = coeffs.get((a,))
+        if alpha_a is not None:
+            out[b] = out[b] + alpha_a * p
+        alpha_b = coeffs.get((b,))
+        if alpha_b is not None:
+            out[a] = out[a] - alpha_b * p
     return vector_field(pi.chart, out)
 
 

@@ -22,6 +22,14 @@ construction, so it builds its results with the private
 ``Polynomial._trusted``, which stores the given dict as is. Nothing mutates
 a ``terms`` dict after construction.
 
+Multiplication runs its inner loop on ``int``: ``_numerators`` scales each
+operand's coefficients to integer numerators over that operand's least
+common denominator (``coeff == num / den`` for every term), the products of
+numerators are summed per exponent vector, and each nonzero total ``v``
+becomes one ``Fraction(v, den1 * den2)``, which the constructor reduces to
+lowest terms. A product thus builds one ``Fraction`` per output term
+instead of one ``Fraction`` multiply and add per pair of input terms.
+
 The text grammar accepted by :func:`parse_polynomial`:
 
     expr     := ['-'] term (('+'|'-') term)*
@@ -29,6 +37,9 @@ The text grammar accepted by :func:`parse_polynomial`:
     factor   := base ('^' nonneg-int)?
     base     := rational | identifier | '(' expr ')'
     rational := int ('/' positive-int)?
+
+Parentheses may nest at most ``MAX_NESTING`` deep; deeper input is a
+``ParseError``, so a hostile string cannot exhaust the interpreter stack.
 
 The optional leading minus on the first term is an extension of the minimal
 grammar so that canonical printing round-trips through the parser.
@@ -39,11 +50,39 @@ its position.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .errors import InputError, ParseError
 
 Rational = Fraction
+
+MAX_NESTING = 100
+
+
+def _numerators(terms):
+    """Scale coefficients to ints over their least common denominator.
+
+    Returns ``(den, [(exps, num), ...])`` with ``coeff == num / den`` for
+    every term, in the order of ``terms``.
+    """
+    den = 1
+    for coeff in terms.values():
+        if coeff.denominator != 1:
+            den = lcm(den, coeff.denominator)
+    if den == 1:
+        return 1, [(exps, coeff.numerator) for exps, coeff in terms.items()]
+    return den, [
+        (exps, coeff.numerator * (den // coeff.denominator))
+        for exps, coeff in terms.items()
+    ]
+
+
+def _check_variables(variables):
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise InputError(f"duplicate variable names: {variables}")
+    return variables
 
 
 def _as_fraction(value):
@@ -60,9 +99,7 @@ class Polynomial:
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms=None):
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise InputError(f"duplicate variable names: {variables}")
+        variables = _check_variables(variables)
         clean = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
@@ -101,7 +138,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, variables):
-        return cls(variables, {})
+        return cls._trusted(_check_variables(variables), {})
 
     @classmethod
     def constant(cls, variables, value):
@@ -203,17 +240,21 @@ class Polynomial:
             return NotImplemented
         if other.variables != self.variables:
             return Polynomial.constant(other.variables, self.constant_value()) * other
-        terms = {}
         if not (self.terms and other.terms):
-            return Polynomial._trusted(self.variables, terms)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            return Polynomial._trusted(self.variables, {})
+        den1, nums1 = _numerators(self.terms)
+        den2, nums2 = _numerators(other.terms)
+        acc = {}
+        get = acc.get
+        for e1, n1 in nums1:
+            for e2, n2 in nums2:
                 exps = tuple(map(add, e1, e2))
-                total = terms.get(exps, 0) + c1 * c2
-                if total == 0:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = total
+                acc[exps] = get(exps, 0) + n1 * n2
+        den = den1 * den2
+        if den == 1:
+            terms = {exps: Fraction(v) for exps, v in acc.items() if v}
+        else:
+            terms = {exps: Fraction(v, den) for exps, v in acc.items() if v}
         return Polynomial._trusted(self.variables, terms)
 
     __rmul__ = __mul__
@@ -246,12 +287,16 @@ class Polynomial:
         if name not in self.variables:
             raise InputError(f"unknown variable {name!r} in ring {self.variables}")
         i = self.variables.index(name)
+        # Lowering one exponent is injective, so no two terms collide.
         terms = {}
         for exps, coeff in self.terms.items():
-            if exps[i] == 0:
-                continue
-            lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            terms[lowered] = terms.get(lowered, 0) + coeff * exps[i]
+            e = exps[i]
+            if e:
+                lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
+                if coeff.denominator == 1:
+                    terms[lowered] = Fraction(coeff.numerator * e)
+                else:
+                    terms[lowered] = coeff * e
         return Polynomial._trusted(self.variables, terms)
 
     def substitute(self, target_variables, assignments):
@@ -340,6 +385,7 @@ class _Tokens:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -428,9 +474,15 @@ def _parse_base(toks, variables):
     if ch is None:
         raise ParseError("unexpected end of input", toks.pos)
     if ch == "(":
+        if toks.depth == MAX_NESTING:
+            raise ParseError(
+                f"parentheses nested more than {MAX_NESTING} deep", toks.pos
+            )
         toks.pos += 1
+        toks.depth += 1
         value = _parse_expr(toks, variables)
         toks.expect(")")
+        toks.depth -= 1
         return value
     if ch.isdigit():
         num, _ = toks.take_number()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from pncalc.cartan import (
 from pncalc.corpus import (
     R2,
     R3,
+    R4,
     random_form,
     random_multivector,
     random_polynomial,
@@ -255,3 +257,22 @@ def test_vector_field_helper_roundtrip():
     assert X.components == {(0,): R2.var("x2"), (1,): R2.constant(1)}
     with pytest.raises(InputError):
         vector_field(R2, [R2.zero()])
+
+
+def _inversions(idx):
+    return sum(1 for i in range(len(idx)) for j in range(i + 1, len(idx)) if idx[i] > idx[j])
+
+
+def test_component_matches_definition_on_every_index():
+    rng = random.Random(17)
+    for degree in (1, 2, 3):
+        for cls in (MultiVector, DiffForm):
+            graded = (random_multivector if cls is MultiVector else random_form)(rng, R4, degree)
+            for idx in itertools.product(range(4), repeat=degree):
+                if len(set(idx)) < degree:
+                    want = R4.zero()
+                else:
+                    stored = graded.components.get(tuple(sorted(idx)), R4.zero())
+                    want = -stored if _inversions(idx) % 2 else stored
+                assert graded.component(idx) == want
+                assert graded.component(list(idx)) == want

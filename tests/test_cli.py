@@ -72,6 +72,15 @@ class TestExitCodes:
         assert code == 2
         assert "verdict: error" in out
 
+    def test_deep_nesting_is_two(self, capsys, write_doc):
+        deep = "(" * 3000 + "x1" + ")" * 3000
+        path = write_doc({"chart": {"coordinates": ["x1", "x2"]}, "tensor11": [[deep, "0"], ["0", "1"]]})
+        code, out = run_cli(capsys, ["check-nijenhuis", "--input", path, "--json"])
+        assert code == 2
+        data = json.loads(out)
+        assert data["verdict"] == "error"
+        assert "nested more than 100 deep" in data["residuals"]["error"]
+
     def test_invalid_json_is_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -402,3 +402,28 @@ def test_tensor_guards():
         TensorOneOne.identity(R2).apply(MultiVector.zero(R3, 1))
     with pytest.raises(InputError):
         sharp(MultiVector.zero(R2, 1), coordinate_form(R2, 0))
+
+
+def test_sharp_matches_contraction_definition():
+    # pisharp(alpha)^b = sum_a alpha_a pi^{ab}, with pi^{ba} = -pi^{ab}, pi^{aa} = 0,
+    # read straight from the stored components.
+    rng = random.Random(23)
+    for chart in (R2, R3, R4):
+        zero = chart.zero()
+
+        def entry(pi, a, b):
+            if a == b:
+                return zero
+            if a < b:
+                return pi.components.get((a, b), zero)
+            return -pi.components.get((b, a), zero)
+
+        for _ in range(4):
+            pi = random_multivector(rng, chart, 2)
+            alpha = random_form(rng, chart, 1)
+            got = sharp(pi, alpha)
+            for b in range(chart.dim):
+                want = zero
+                for a in range(chart.dim):
+                    want = want + alpha.components.get((a,), zero) * entry(pi, a, b)
+                assert got.component((b,)) == want

@@ -250,3 +250,110 @@ def test_mat_mul_skipping_zeros_matches_triple_sum_fraction(pair):
     got = mat_mul(A, B)
     assert got == _naive_mat_mul(A, B, Fraction(0))
     assert all(type(e) is Fraction for row in got for e in row)
+
+
+# -- the integer-numerator kernels against plain Fraction oracles ------------
+
+RINGS = ((), ("x1",), ("x1", "x2"), VARS)
+# A few small coefficients with mixed denominators make exact cancellation
+# inside one product frequent; wide fractions exercise the common denominator.
+kernel_coeffs = st.one_of(
+    st.sampled_from([Fraction(c) for c in (1, -1, 2, "1/2", "-1/2", "2/3", "-3/4", "5/6")]),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60).filter(
+        lambda f: f != 0
+    ),
+)
+
+
+def ring_polys(ring):
+    return st.dictionaries(
+        st.tuples(*(st.integers(0, 2) for _ in ring)), kernel_coeffs, max_size=5
+    ).map(lambda terms: Polynomial(ring, terms))
+
+
+any_ring_polys = st.sampled_from(RINGS).flatmap(ring_polys)
+any_ring_pairs = st.sampled_from(RINGS).flatmap(
+    lambda ring: st.tuples(ring_polys(ring), ring_polys(ring))
+)
+
+
+def oracle_mul(p, q):
+    acc = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            acc[exps] = acc.get(exps, Fraction(0)) + c1 * c2
+    return {exps: c for exps, c in acc.items() if c != 0}
+
+
+def oracle_partial(p, i):
+    acc = {}
+    for exps, c in p.terms.items():
+        if exps[i]:
+            lowered = list(exps)
+            lowered[i] -= 1
+            lowered = tuple(lowered)
+            acc[lowered] = acc.get(lowered, Fraction(0)) + c * exps[i]
+    return {exps: c for exps, c in acc.items() if c != 0}
+
+
+def assert_terms(p, want):
+    assert p.terms == want
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+@given(any_ring_pairs)
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_fraction_triple_loop(pair):
+    p, q = pair
+    assert_terms(p * q, oracle_mul(p, q))
+    assert_terms(p * (-q), {e: -c for e, c in oracle_mul(p, q).items()})
+
+
+@given(any_ring_polys, kernel_coeffs)
+@settings(max_examples=100, deadline=None)
+def test_mul_by_scalar_and_constant_matches_oracle(p, c):
+    const = Polynomial.constant(p.variables, c)
+    assert_terms(p * c, oracle_mul(p, const))
+    assert_terms(c * p, oracle_mul(const, p))
+    assert_terms(p * c.numerator, oracle_mul(p, Polynomial.constant(p.variables, c.numerator)))
+
+
+@given(any_ring_polys)
+@settings(max_examples=100, deadline=None)
+def test_partial_matches_fraction_loop(p):
+    for i, name in enumerate(p.variables):
+        assert_terms(p.partial(name), oracle_partial(p, i))
+
+
+def test_mul_cancels_to_zero_and_drops_zero_totals():
+    a = P("1/2*x1 + 1/3*x2")
+    b = P("1/2*x1 - 1/3*x2")
+    assert a * b == P("1/4*x1^2 - 1/9*x2^2")
+    assert (0, 1, 0) not in (P("x1 + x2") * P("x1 - x2")).terms
+    assert (P("x1 - 1") * P("x1 + 1") - P("x1^2")).terms == {(0, 0, 0): Fraction(-1)}
+    assert (P("2/3") * P("3/2")).terms == {(0, 0, 0): Fraction(1)}
+    assert (P("x1") * P("0")).is_zero()
+    assert P("x1") * Fraction(1, 2) * 2 == P("x1")
+    empty = Polynomial.constant((), Fraction(-3, 4))
+    assert (empty * empty).terms == {(): Fraction(9, 16)}
+    assert (empty * Polynomial.zero(())).is_zero()
+
+
+def test_zero_checks_variable_names():
+    assert Polynomial.zero(["x", "y"]).variables == ("x", "y")
+    assert Polynomial.zero(()).is_zero()
+    with pytest.raises(InputError, match="duplicate variable names"):
+        Polynomial.zero(("x", "x"))
+
+
+def test_parse_nesting_is_bounded():
+    assert P("(" * 100 + "x1" + ")" * 100) == P("x1")
+    with pytest.raises(ParseError, match="nested more than 100 deep") as err:
+        P("(" * 101 + "x1" + ")" * 101)
+    assert err.value.position == 100
+    with pytest.raises(ParseError):
+        P("(" * 3000 + "x1" + ")" * 3000)
+    # depth counts open parentheses, not parenthesized groups in sequence
+    flat = " + ".join(["(" * 60 + "x1" + ")" * 60] * 5)
+    assert P(flat) == 5 * P("x1")
