@@ -6,6 +6,13 @@ base, and a structure table c^k_{ij} storing the brackets of basis sections.
 Everything downstream (differential, Gerstenhaber bracket, dual linear
 Poisson structure, bialgebroid checks) is computed from that table exactly.
 
+Multisections are :class:`AlgebroidSection`, the sparse graded container
+``cartan._Graded`` with an :class:`AlgebroidData` as its frame (``rank``
+basis indices, coefficients on the ``base`` chart). Arithmetic, the wedge
+product (``cartan.wedge``) and the Leibniz recursion of the Gerstenhaber
+bracket are the ones multivectors on a chart use; only the degree-1 step,
+:func:`_section_lie`, reads the structure table and the anchor.
+
 Index conventions, fixed throughout:
 
 * basis indices are 0-based internally; printed labels are 1-based;
@@ -27,23 +34,6 @@ from .cartan import Chart, MultiVector
 from . import poisson_nijenhuis as pn
 
 
-def _coerce_base_poly(chart, value):
-    if isinstance(value, Polynomial):
-        if value.variables == chart.coords:
-            return value
-        if value.is_constant():
-            return Polynomial.constant(chart.coords, value.constant_value())
-        raise InputError(
-            "polynomial over %r does not live on the base chart %r"
-            % (value.variables, chart.coords)
-        )
-    if isinstance(value, str):
-        return chart.parse(value)
-    if isinstance(value, (int, Rational)):
-        return Polynomial.constant(chart.coords, value)
-    raise InputError("cannot interpret %r as a base polynomial" % (value,))
-
-
 class AlgebroidData:
     """Base chart, rank, basis names, anchor columns, structure table."""
 
@@ -52,9 +42,8 @@ class AlgebroidData:
     def __init__(self, base, rank, basis, anchor, structure):
         if not isinstance(base, Chart):
             raise InputError("base must be a Chart")
-        rank = int(rank)
-        if rank < 1:
-            raise InputError("rank must be at least 1")
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+            raise InputError("rank must be a positive int, got %r" % (rank,))
         basis = tuple(basis)
         if len(basis) != rank:
             raise InputError("expected %d basis names, got %d" % (rank, len(basis)))
@@ -65,7 +54,7 @@ class AlgebroidData:
         if len(anchor) != rank:
             raise InputError("anchor needs one column per basis section")
         for col in anchor:
-            col = tuple(_coerce_base_poly(base, entry) for entry in col)
+            col = tuple(base.coerce(entry) for entry in col)
             if len(col) != base.dim:
                 raise InputError(
                     "anchor column needs %d components, got %d" % (base.dim, len(col))
@@ -79,7 +68,7 @@ class AlgebroidData:
                     "structure keys must be 0-based pairs (i, j) with i < j; got %r"
                     % (key,)
                 )
-            row = tuple(_coerce_base_poly(base, entry) for entry in value)
+            row = tuple(base.coerce(entry) for entry in value)
             if len(row) != rank:
                 raise InputError(
                     "structure entry %r needs %d components" % (key, rank)
@@ -97,15 +86,9 @@ class AlgebroidData:
 
     def c(self, i, j):
         """Structure constants of [e_i, e_j] as a tuple of base polynomials."""
-        zero = Polynomial.zero(self.base.coords)
-        if i == j:
-            return tuple(zero for _ in range(self.rank))
-        if i < j:
-            return self.structure.get((i, j), tuple(zero for _ in range(self.rank)))
-        row = self.structure.get((j, i))
-        if row is None:
-            return tuple(zero for _ in range(self.rank))
-        return tuple(-p for p in row)
+        if i > j:
+            return tuple(-p for p in self.c(j, i))
+        return self.structure.get((i, j)) or tuple(self.base.zero() for _ in range(self.rank))
 
     def anchor_field(self, i):
         """rho(e_i) as a vector field on the base chart."""
@@ -128,133 +111,21 @@ class AlgebroidData:
         return "AlgebroidData(rank %d over %r)" % (self.rank, self.base.coords)
 
 
-class AlgebroidSection:
-    """Exterior power of sections, components over increasing index tuples.
+class AlgebroidSection(cartan._Graded):
+    """Exterior power of sections: a :class:`cartan._Graded` over an algebroid.
 
-    The same container serves both the bundle and its dual: the differential
+    The algebroid is the frame: components are keyed by increasing tuples of
+    basis indices, and coefficients are polynomials on its base chart. The
+    same container serves both the bundle and its dual: the differential
     reads its argument as a dual-side form, the Gerstenhaber bracket as a
-    primal multisection.  Components are polynomials on the base chart.
+    primal multisection.
     """
 
-    __slots__ = ("algebroid", "degree", "components")
+    __slots__ = ()
 
-    def __init__(self, algebroid, degree, components):
-        if not isinstance(algebroid, AlgebroidData):
-            raise InputError("first argument must be an AlgebroidData")
-        degree = int(degree)
-        if degree < 0:
-            raise InputError("degree must be nonnegative")
-        clean = {}
-        for key, value in dict(components).items():
-            key = tuple(key)
-            if len(key) != degree:
-                raise InputError(
-                    "component key %r has length %d, expected %d"
-                    % (key, len(key), degree)
-                )
-            if any(not (0 <= a < algebroid.rank) for a in key):
-                raise InputError("component key %r out of range" % (key,))
-            if len(set(key)) != len(key):
-                continue
-            sorted_key, sign = cartan._sort_sign(key)
-            poly = _coerce_base_poly(algebroid.base, value)
-            if sign < 0:
-                poly = -poly
-            if sorted_key in clean:
-                poly = clean[sorted_key] + poly
-            if poly.is_zero():
-                clean.pop(sorted_key, None)
-            else:
-                clean[sorted_key] = poly
-        object.__setattr__(self, "algebroid", algebroid)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebroidSection is immutable")
-
-    @classmethod
-    def zero(cls, algebroid, degree):
-        return cls(algebroid, degree, {})
-
-    @classmethod
-    def from_terms(cls, algebroid, degree, terms):
-        acc = {}
-        for key, value in terms:
-            key = tuple(key)
-            if len(set(key)) != len(key):
-                continue
-            sorted_key, sign = cartan._sort_sign(key)
-            poly = _coerce_base_poly(algebroid.base, value)
-            if sign < 0:
-                poly = -poly
-            acc[sorted_key] = acc.get(sorted_key, Polynomial.zero(algebroid.base.coords)) + poly
-        return cls(algebroid, degree, acc)
-
-    def is_zero(self):
-        return not self.components
-
-    def component(self, key):
-        key = tuple(key)
-        if len(set(key)) != len(key):
-            return Polynomial.zero(self.algebroid.base.coords)
-        sorted_key, sign = cartan._sort_sign(key)
-        poly = self.components.get(sorted_key)
-        if poly is None:
-            return Polynomial.zero(self.algebroid.base.coords)
-        return poly if sign > 0 else -poly
-
-    def _check_peer(self, other):
-        if not isinstance(other, AlgebroidSection):
-            raise InputError("expected an AlgebroidSection")
-        if other.algebroid != self.algebroid:
-            raise InputError("sections live on different algebroids")
-
-    def __add__(self, other):
-        self._check_peer(other)
-        if other.degree != self.degree:
-            raise InputError(
-                "cannot add sections of degree %d and %d" % (self.degree, other.degree)
-            )
-        acc = dict(self.components)
-        for key, poly in other.components.items():
-            total = acc.get(key, Polynomial.zero(self.algebroid.base.coords)) + poly
-            if total.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = total
-        return AlgebroidSection(self.algebroid, self.degree, acc)
-
-    def __neg__(self):
-        return AlgebroidSection(
-            self.algebroid,
-            self.degree,
-            {key: -poly for key, poly in self.components.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        poly = _coerce_base_poly(self.algebroid.base, scalar)
-        return AlgebroidSection(
-            self.algebroid,
-            self.degree,
-            {key: coeff * poly for key, coeff in self.components.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebroidSection):
-            return NotImplemented
-        return (
-            self.algebroid == other.algebroid
-            and self.degree == other.degree
-            and self.components == other.components
-        )
-
-    __hash__ = None
+    @property
+    def algebroid(self):
+        return self.frame
 
     def __str__(self):
         if not self.components:
@@ -276,38 +147,15 @@ class AlgebroidSection:
 
 def unit_section(algebroid, index):
     """The basis section e_index (0-based) as a degree-1 section."""
-    if not (0 <= index < algebroid.rank):
-        raise InputError("basis index %d out of range" % index)
     return AlgebroidSection(algebroid, 1, {(index,): 1})
-
-
-def section_wedge(left, right):
-    left._check_peer(right)
-    out = {}
-    base = left.algebroid.base
-    for lkey, lpoly in left.components.items():
-        for rkey, rpoly in right.components.items():
-            key = lkey + rkey
-            if len(set(key)) != len(key):
-                continue
-            sorted_key, sign = cartan._sort_sign(key)
-            poly = lpoly * rpoly
-            if sign < 0:
-                poly = -poly
-            total = out.get(sorted_key, Polynomial.zero(base.coords)) + poly
-            if total.is_zero():
-                out.pop(sorted_key, None)
-            else:
-                out[sorted_key] = total
-    return AlgebroidSection(left.algebroid, left.degree + right.degree, out)
 
 
 def rho_function(algebroid, section, func):
     """Apply the anchored vector field of a degree-1 section to a function."""
     if section.degree != 1:
         raise InputError("anchor application needs a degree-1 section")
-    func = _coerce_base_poly(algebroid.base, func)
-    out = Polynomial.zero(algebroid.base.coords)
+    func = algebroid.base.coerce(func)
+    out = algebroid.base.zero()
     partials = []
     for a, name in enumerate(algebroid.base.coords):
         derivative = func.partial(name)
@@ -325,7 +173,7 @@ def anchor_field_of(algebroid, section):
     """rho applied to a degree-1 section, as a vector field on the base."""
     if section.degree != 1:
         raise InputError("anchor application needs a degree-1 section")
-    comps = [Polynomial.zero(algebroid.base.coords) for _ in range(algebroid.base.dim)]
+    comps = [algebroid.base.zero() for _ in range(algebroid.base.dim)]
     for (i,), coeff in section.components.items():
         for a in range(algebroid.base.dim):
             comps[a] = comps[a] + coeff * algebroid.anchor[i][a]
@@ -334,11 +182,11 @@ def anchor_field_of(algebroid, section):
 
 def section_bracket(algebroid, left, right):
     """Bracket of two degree-1 sections, extended by Leibniz from the table."""
-    left._check_peer(right)
+    left._check_mate(right)
     if left.degree != 1 or right.degree != 1:
         raise InputError("section_bracket needs degree-1 sections")
     rank = algebroid.rank
-    zero = Polynomial.zero(algebroid.base.coords)
+    zero = algebroid.base.zero()
     comps = [zero for _ in range(rank)]
     for (i,), xc in left.components.items():
         for (j,), yc in right.components.items():
@@ -350,9 +198,7 @@ def section_bracket(algebroid, left, right):
     for k in range(rank):
         comps[k] = comps[k] + rho_function(algebroid, left, right.component((k,)))
         comps[k] = comps[k] - rho_function(algebroid, right, left.component((k,)))
-    return AlgebroidSection(
-        algebroid, 1, {(k,): comps[k] for k in range(rank) if not comps[k].is_zero()}
-    )
+    return AlgebroidSection(algebroid, 1, {(k,): comps[k] for k in range(rank)})
 
 
 @dataclass
@@ -421,7 +267,7 @@ def algebroid_differential(algebroid, omega):
     rank = algebroid.rank
     out = {}
     for key in combinations(range(rank), k + 1):
-        val = Polynomial.zero(algebroid.base.coords)
+        val = algebroid.base.zero()
         for m in range(k + 1):
             rest = key[:m] + key[m + 1:]
             term = rho_function(algebroid, unit_section(algebroid, key[m]), omega.component(rest))
@@ -430,18 +276,18 @@ def algebroid_differential(algebroid, omega):
             for l in range(m + 1, k + 1):
                 rest = tuple(key[t] for t in range(k + 1) if t != m and t != l)
                 row = algebroid.c(key[m], key[l])
-                inner = Polynomial.zero(algebroid.base.coords)
+                inner = algebroid.base.zero()
                 for t in range(rank):
                     if not row[t].is_zero():
                         inner = inner + row[t] * omega.component((t,) + rest)
                 val = val - inner if (m + l) % 2 == 1 else val + inner
-        if not val.is_zero():
-            out[key] = val
+        out[key] = val
     return AlgebroidSection(algebroid, k + 1, out)
 
 
-def _section_lie(algebroid, vector, other):
+def _section_lie(vector, other):
     """[X, Q] for a degree-1 X: derivation in coefficients and in each slot."""
+    algebroid = vector.algebroid
     terms = []
     for key, poly in other.components.items():
         terms.append((key, rho_function(algebroid, vector, poly)))
@@ -457,28 +303,13 @@ def gerstenhaber_bracket(algebroid, left, right):
 
     Same normalization as the multivector bracket: degree-1 against degree-0
     is anchor application, two degree-1 sections give the section bracket,
-    higher degrees peel off leading factors by the graded Leibniz rule.
+    higher degrees peel off leading factors by the graded Leibniz rule; the
+    recursion is :func:`cartan._leibniz`, shared with :func:`cartan.schouten`.
     """
-    left._check_peer(right)
+    left._check_mate(right)
     if left.algebroid != algebroid:
         raise InputError("sections do not belong to this algebroid")
-    p, q = left.degree, right.degree
-    if p == 0 and q == 0:
-        return AlgebroidSection.zero(algebroid, 0)
-    if p == 0:
-        flipped = gerstenhaber_bracket(algebroid, right, left)
-        return flipped if q % 2 == 0 else -flipped
-    if p == 1:
-        return _section_lie(algebroid, left, right)
-    out = AlgebroidSection.zero(algebroid, p + q - 1)
-    sign = cartan._leibniz_sign(p, q)
-    for key, poly in left.components.items():
-        head = AlgebroidSection(algebroid, 1, {(key[0],): poly})
-        tail = AlgebroidSection(algebroid, p - 1, {key[1:]: 1})
-        out = out + section_wedge(head, gerstenhaber_bracket(algebroid, tail, right))
-        cross = section_wedge(gerstenhaber_bracket(algebroid, head, right), tail)
-        out = out + cross if sign > 0 else out - cross
-    return out
+    return cartan._leibniz(left, right, _section_lie)
 
 
 def tangent_algebroid(chart):
@@ -626,12 +457,11 @@ def dual_linear_poisson(algebroid, fiber_names=None):
             if not entry.is_zero():
                 comps[(a, n + i)] = -promote(entry)
     for (i, j), row in algebroid.structure.items():
-        val = Polynomial.zero(dual.coords)
+        val = dual.zero()
         for k in range(rank):
             if not row[k].is_zero():
                 val = val + promote(row[k]) * Polynomial.variable(dual.coords, dual.coords[n + k])
-        if not val.is_zero():
-            comps[(n + i, n + j)] = val
+        comps[(n + i, n + j)] = val
     out = MultiVector(dual, 2, comps)
     check = pn.is_poisson(out)
     if not check.ok:
@@ -660,7 +490,7 @@ def linear_poisson_to_algebroid(pi, base, basis):
         raise InputError("bivector chart does not extend the base chart by the fibers")
     fibers = chart.coords[n:]
     bad = {}
-    anchor_cols = [[Polynomial.zero(base.coords) for _ in range(n)] for _ in range(rank)]
+    anchor_cols = [[base.zero() for _ in range(n)] for _ in range(rank)]
     table = {}
     for (a, b), poly in pi.components.items():
         if b < n:
@@ -979,13 +809,12 @@ def pn_bialgebroid_check(pi, tensor, hierarchy_orders=2):
     def promote(poly):
         return poly.substitute(big.coords, {})
 
-    zero_big = Polynomial.zero(big.coords)
-    entries = [[zero_big for _ in range(2 * n)] for _ in range(2 * n)]
+    entries = [[big.zero() for _ in range(2 * n)] for _ in range(2 * n)]
     for a in range(n):
         for b in range(n):
             entries[a][b] = promote(tensor.entries[a][b])
             entries[n + a][n + b] = promote(tensor.entries[a][b])
-            ramp = Polynomial.zero(big.coords)
+            ramp = big.zero()
             for k, name in enumerate(chart.coords):
                 ramp = ramp + Polynomial.variable(big.coords, fiber_names[k]) * promote(
                     tensor.entries[a][b].partial(name)

@@ -1,10 +1,25 @@
 """Multivector fields and differential forms on a coordinate chart.
 
 Both kinds of tensor are stored sparsely: a map from strictly increasing
-index tuples (0-based positions into the chart's coordinate list) to
-polynomial coefficients. All antisymmetry bookkeeping happens once, at
-insertion, in :func:`_normalize`; after that, structural equality of the
-component maps is mathematical equality of the tensors.
+index tuples (0-based positions into the chart's coordinate list, or into a
+frame's basis) to polynomial coefficients. All antisymmetry bookkeeping
+happens once, at insertion, in :func:`_normalize`; after that, structural
+equality of the component maps is mathematical equality of the tensors.
+
+The container, :class:`_Graded`, is parametrized by a *frame*: an object
+with an ``int`` ``rank`` (indices run over ``range(rank)``) and a ``base``
+:class:`Chart` that the coefficients live on. A chart is the tangent frame
+over itself; an ``algebroid.AlgebroidData`` is a frame as it stands. So
+:func:`wedge` and the Leibniz recursion :func:`_leibniz` serve multivectors,
+forms and algebroid multisections alike.
+
+The public constructor and ``from_terms`` validate their input and bring it
+into canonical form: increasing index tuples of length ``degree`` mapped to
+nonzero polynomials over ``frame.base``. ``+``, ``-``, scalar ``*`` and
+:func:`wedge` combine canonical operands of one frame into canonical
+results, so they build them with the private ``_Graded._trusted``, which
+stores the given dict unchecked. Nothing mutates ``components`` after
+construction.
 
 The Schouten bracket ships twice on purpose. :func:`schouten` recurses on
 wedge decompositions through the graded Leibniz rule, while
@@ -46,6 +61,12 @@ class Chart:
     def dim(self):
         return len(self.coords)
 
+    rank = dim  # a chart is the tangent frame over itself
+
+    @property
+    def base(self):
+        return self
+
     def zero(self):
         return Polynomial._trusted(self.coords, {})
 
@@ -57,6 +78,22 @@ class Chart:
 
     def parse(self, text):
         return parse_polynomial(text, self.coords)
+
+    def coerce(self, value):
+        """A polynomial on this chart from an int, Fraction, string or Polynomial."""
+        if isinstance(value, (int, Fraction)):
+            return Polynomial.constant(self.coords, value)
+        if isinstance(value, str):
+            return parse_polynomial(value, self.coords)
+        if not isinstance(value, Polynomial):
+            raise InputError(f"not a polynomial coefficient: {value!r}")
+        if value.variables != self.coords:
+            if value.is_constant():
+                return Polynomial.constant(self.coords, value.constant_value())
+            raise InputError(
+                f"coefficient over {value.variables}, chart has {self.coords}"
+            )
+        return value
 
 
 def _sort_sign(idx):
@@ -72,85 +109,83 @@ def _sort_sign(idx):
     return tuple(lst), sign
 
 
+def _accumulate(comps, key, poly):
+    """Add poly to comps[key], dropping the entry when the sum vanishes."""
+    cur = comps.get(key)
+    if cur is not None:
+        poly = cur + poly
+    if poly.is_zero():
+        comps.pop(key, None)
+    else:
+        comps[key] = poly
+
+
+def _normalize(frame, degree, entries):
+    """Validate (index tuple, coefficient) pairs into canonical components."""
+    base = getattr(frame, "base", None)
+    if not isinstance(base, Chart):
+        raise InputError(f"expected a frame over a Chart, got {frame!r}")
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+        raise InputError(f"degree must be a nonnegative int, got {degree!r}")
+    rank = frame.rank
+    comps = {}
+    for idx, poly in entries:
+        idx = tuple(idx)
+        poly = base.coerce(poly)
+        if len(idx) != degree:
+            raise InputError(
+                f"index tuple {idx} has length {len(idx)}, degree is {degree}"
+            )
+        for i in idx:
+            if not (isinstance(i, int) and 0 <= i < rank):
+                raise InputError(f"index {i} out of range for rank {rank}")
+        if len(set(idx)) != len(idx):
+            continue
+        key, sign = _sort_sign(idx)
+        _accumulate(comps, key, poly if sign > 0 else -poly)
+    return comps
+
+
 class _Graded:
-    """Shared machinery for MultiVector and DiffForm."""
+    """Sparse antisymmetric tensor over a frame; see the module doc."""
 
-    __slots__ = ("chart", "degree", "components")
+    __slots__ = ("frame", "degree", "components")
 
-    def __init__(self, chart, degree, components=None):
-        if not isinstance(chart, Chart):
-            raise InputError(f"expected a Chart, got {chart!r}")
-        if not isinstance(degree, int) or degree < 0:
-            raise InputError(f"degree must be a nonnegative int, got {degree!r}")
-        comps = {}
-        for idx, poly in (components or {}).items():
-            idx = tuple(idx)
-            poly = self._coerce_poly(chart, poly)
-            if len(idx) != degree:
-                raise InputError(
-                    f"index tuple {idx} has length {len(idx)}, degree is {degree}"
-                )
-            for i in idx:
-                if not (isinstance(i, int) and 0 <= i < chart.dim):
-                    raise InputError(f"index {i} out of range for dim {chart.dim}")
-            if len(set(idx)) != len(idx):
-                continue
-            key, sign = _sort_sign(idx)
-            if sign < 0:
-                poly = -poly
-            if key in comps:
-                poly = comps[key] + poly
-            if poly.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = poly
-        object.__setattr__(self, "chart", chart)
+    def __init__(self, frame, degree, components=None):
+        comps = _normalize(frame, degree, (components or {}).items())
+        object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", comps)
+
+    @classmethod
+    def _trusted(cls, frame, degree, components):
+        """Wrap components already in canonical form (see the module doc), unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "frame", frame)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "components", components)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def _coerce_poly(chart, poly):
-        if isinstance(poly, (int, Fraction)):
-            return Polynomial.constant(chart.coords, poly)
-        if isinstance(poly, str):
-            return parse_polynomial(poly, chart.coords)
-        if not isinstance(poly, Polynomial):
-            raise InputError(f"not a polynomial coefficient: {poly!r}")
-        if poly.variables != chart.coords:
-            if poly.is_constant():
-                return Polynomial.constant(chart.coords, poly.constant_value())
-            raise InputError(
-                f"coefficient over {poly.variables}, chart has {chart.coords}"
-            )
-        return poly
+    @property
+    def chart(self):
+        """The chart the coefficients live on, ``frame.base``."""
+        return self.frame.base
 
     @classmethod
-    def zero(cls, chart, degree):
-        return cls(chart, degree, {})
+    def zero(cls, frame, degree):
+        return cls(frame, degree, {})
 
     @classmethod
-    def from_function(cls, chart, poly):
-        return cls(chart, 0, {(): poly})
+    def from_function(cls, frame, poly):
+        return cls(frame, 0, {(): poly})
 
     @classmethod
-    def from_terms(cls, chart, degree, entries):
+    def from_terms(cls, frame, degree, entries):
         """Build from (index tuple, coefficient) pairs, keys in any order."""
-        acc = {}
-        out = cls(chart, degree, {})
-        comps = out.components
-        for idx, poly in entries:
-            tmp = cls(chart, degree, {tuple(idx): poly})
-            for key, val in tmp.components.items():
-                cur = comps.get(key)
-                val = val if cur is None else cur + val
-                if val.is_zero():
-                    comps.pop(key, None)
-                else:
-                    comps[key] = val
-        return out
+        return cls._trusted(frame, degree, _normalize(frame, degree, entries))
 
     def component(self, idx):
         """Coefficient at an arbitrary index tuple, sign-adjusted."""
@@ -174,8 +209,8 @@ class _Graded:
             raise InputError(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}"
             )
-        if other.chart != self.chart:
-            raise InputError("chart mismatch")
+        if other.frame != self.frame:
+            raise InputError("frame mismatch")
 
     def __add__(self, other):
         self._check_mate(other)
@@ -185,26 +220,23 @@ class _Graded:
             )
         comps = dict(self.components)
         for key, val in other.components.items():
-            cur = comps.get(key)
-            val = val if cur is None else cur + val
-            if val.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = val
-        return type(self)(self.chart, self.degree, comps)
+            _accumulate(comps, key, val)
+        return self._trusted(self.frame, self.degree, comps)
 
     def __neg__(self):
-        return type(self)(
-            self.chart, self.degree, {k: -v for k, v in self.components.items()}
+        return self._trusted(
+            self.frame, self.degree, {k: -v for k, v in self.components.items()}
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        poly = self._coerce_poly(self.chart, scalar)
-        return type(self)(
-            self.chart,
+        poly = self.chart.coerce(scalar)
+        if poly.is_zero():
+            return self._trusted(self.frame, self.degree, {})
+        return self._trusted(
+            self.frame,
             self.degree,
             {k: poly * v for k, v in self.components.items()},
         )
@@ -215,7 +247,7 @@ class _Graded:
         if type(other) is not type(self):
             return NotImplemented
         return (
-            self.chart == other.chart
+            self.frame == other.frame
             and self.degree == other.degree
             and self.components == other.components
         )
@@ -292,11 +324,16 @@ def coordinate_form(chart, i):
 def wedge(a, b):
     """Graded exterior product; arguments must be the same kind of tensor."""
     a._check_mate(b)
-    entries = []
+    comps = {}
     for ka, va in a.components.items():
         for kb, vb in b.components.items():
-            entries.append((ka + kb, va * vb))
-    return type(a).from_terms(a.chart, a.degree + b.degree, entries)
+            idx = ka + kb
+            if len(set(idx)) != len(idx):
+                continue
+            key, sign = _sort_sign(idx)
+            poly = va * vb
+            _accumulate(comps, key, poly if sign > 0 else -poly)
+    return a._trusted(a.frame, a.degree + b.degree, comps)
 
 
 def exterior_d(omega):
@@ -405,37 +442,48 @@ def _leibniz_sign(p, q):
     return -1 if ((p - 1) * (q - 1)) % 2 else 1
 
 
+def _leibniz(P, Q, lie):
+    """Graded bracket of two multisections of one frame, by recursion.
+
+    ``lie(X, Q)`` gives the bracket of a degree-1 X with Q; everything else
+    follows from [f, g] = 0 for functions, graded antisymmetry
+    [P,Q] = -(-1)^((p-1)(q-1))[Q,P] and the graded Leibniz rule
+    [P, Q^R] = [P,Q]^R + (-1)^((p-1)q) Q^[P,R]. The recursion peels one
+    degree-1 factor at a time off the first argument.
+    """
+    frame = P.frame
+    p, q = P.degree, Q.degree
+    if p == 0 and q == 0:
+        return P.zero(frame, 0)
+    if p == 0:
+        res = _leibniz(Q, P, lie)
+        return res if q % 2 == 0 else -res
+    if p == 1:
+        return lie(P, Q)
+    out = P.zero(frame, p + q - 1)
+    sign = _leibniz_sign(p, q)
+    one = frame.base.constant(1)
+    for key, poly in P.components.items():
+        X = P._trusted(frame, 1, {key[:1]: poly})
+        rest = P._trusted(frame, p - 1, {key[1:]: one})
+        out = out + wedge(X, _leibniz(rest, Q, lie))
+        cross = wedge(_leibniz(X, Q, lie), rest)
+        out = out + (cross if sign > 0 else -cross)
+    return out
+
+
 def schouten(P, Q):
     """Schouten bracket, recursive evaluator.
 
     Characterized by: [X,Y] is the Lie bracket, [X,f] = X(f), graded
-    antisymmetry [P,Q] = -(-1)^((p-1)(q-1))[Q,P], and the graded Leibniz
-    rule [P, Q^R] = [P,Q]^R + (-1)^((p-1)q) Q^[P,R]. The recursion peels
-    one vector factor at a time off the first argument.
+    antisymmetry and the graded Leibniz rule; see :func:`_leibniz`, which
+    this runs with the vector-field step :func:`_lie_multivector`.
     """
     if not (isinstance(P, MultiVector) and isinstance(Q, MultiVector)):
         raise InputError("schouten acts on multivectors")
     if P.chart != Q.chart:
         raise InputError("chart mismatch")
-    chart = P.chart
-    p, q = P.degree, Q.degree
-    if p == 0 and q == 0:
-        return MultiVector.zero(chart, 0)
-    if p == 0:
-        res = schouten(Q, P)
-        return res if q % 2 == 0 else -res
-    if p == 1:
-        return _lie_multivector(P, Q)
-    out = MultiVector.zero(chart, p + q - 1)
-    sign = _leibniz_sign(p, q)
-    one = chart.constant(1)
-    for key, poly in P.components.items():
-        X = MultiVector(chart, 1, {(key[0],): poly})
-        rest = MultiVector(chart, p - 1, {key[1:]: one})
-        out = out + wedge(X, schouten(rest, Q))
-        cross = wedge(schouten(X, Q), rest)
-        out = out + (cross if sign > 0 else -cross)
-    return out
+    return _leibniz(P, Q, _lie_multivector)
 
 
 def _odd_partial(P, i):

@@ -53,17 +53,19 @@ def _check_poisson(doc, args, command):
     return report_mod.from_verdict(command, pn.is_poisson(_first_bivector(doc, command)))
 
 
-def _check_nijenhuis(doc, args, command):
-    tensor = doc.require("tensor11", command)
-    torsion = pn.nijenhuis_torsion(tensor)
-    residuals = {
+def _torsion_map(doc, command):
+    """Nonzero components of the Nijenhuis torsion of the document's tensor."""
+    torsion = pn.nijenhuis_torsion(doc.require("tensor11", command))
+    return {
         f"torsion({i + 1},{j + 1})": str(value)
         for (i, j), value in sorted(torsion.items())
         if not value.is_zero()
     }
-    if residuals:
-        return Report(command, "fail", residuals)
-    return Report(command, "pass", {})
+
+
+def _check_nijenhuis(doc, args, command):
+    residuals = _torsion_map(doc, command)
+    return Report(command, "fail" if residuals else "pass", residuals)
 
 
 def _check_pn(doc, args, command):
@@ -73,14 +75,7 @@ def _check_pn(doc, args, command):
 
 
 def _torsion(doc, args, command):
-    tensor = doc.require("tensor11", command)
-    torsion = pn.nijenhuis_torsion(tensor)
-    values = {
-        f"torsion({i + 1},{j + 1})": str(value)
-        for (i, j), value in sorted(torsion.items())
-        if not value.is_zero()
-    }
-    return report_mod.from_values(command, values)
+    return report_mod.from_values(command, _torsion_map(doc, command))
 
 
 def _koszul(doc, args, command):

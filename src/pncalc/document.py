@@ -74,6 +74,11 @@ def _reject_duplicates(pairs):
     return out
 
 
+def _is_int(value):
+    # JSON true and false load as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect_object(value, where):
     if not isinstance(value, dict):
         raise InputError(f"{where} must be a JSON object")
@@ -128,7 +133,7 @@ def _parse_graded(cls, data, chart, where):
     data = _expect_object(data, where)
     _check_keys(data, ("degree", "components"), where)
     degree = data.get("degree")
-    if not isinstance(degree, int) or degree < 0:
+    if not _is_int(degree) or degree < 0:
         raise InputError(f"{where}: degree must be a nonnegative integer")
     comps = _parse_components(data.get("components", {}), chart, degree, where)
     return cls(chart, degree, comps)
@@ -160,7 +165,7 @@ def _parse_algebroid(data, chart, where="algebroid"):
     data = _expect_object(data, where)
     _check_keys(data, ("rank", "basis", "anchor", "structure", "section"), where)
     rank = data.get("rank")
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise InputError(f"{where}: rank must be a positive integer")
     basis = data.get("basis")
     if (
@@ -197,7 +202,7 @@ def _parse_algebroid(data, chart, where="algebroid"):
         block = _expect_object(data["section"], f"{where}.section")
         _check_keys(block, ("degree", "components"), f"{where}.section")
         degree = block.get("degree")
-        if not isinstance(degree, int) or degree < 0:
+        if not _is_int(degree) or degree < 0:
             raise InputError(f"{where}.section: degree must be a nonnegative integer")
         comps = {}
         for key, text in _expect_object(

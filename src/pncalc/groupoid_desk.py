@@ -243,7 +243,7 @@ def pair_tensor(groupoid, tensor):
     n = groupoid.base.dim
     total = groupoid.total
     renames = {c: "y_" + c for c in groupoid.base.coords}
-    zero = Polynomial.zero(total.coords)
+    zero = total.zero()
     entries = [[zero] * (2 * n) for _ in range(2 * n)]
     for a in range(n):
         for b in range(n):
@@ -279,13 +279,13 @@ def invariant_check(tensor, sub):
     for i, v in enumerate(sub.tangent_basis()):
         image = []
         for a in range(n):
-            acc = Polynomial.zero(sub.chart.coords)
+            acc = sub.chart.zero()
             for b in range(n):
                 if v[b]:
                     acc = acc + tensor.entries[a][b] * v[b]
             image.append(acc)
         for j, eta in enumerate(sub.conormal_basis()):
-            pairing = Polynomial.zero(sub.chart.coords)
+            pairing = sub.chart.zero()
             for a in range(n):
                 if eta[a]:
                     pairing = pairing + image[a] * eta[a]
@@ -322,7 +322,7 @@ def coisotropic_check(pi, sub):
         form = DiffForm(sub.chart, 1, {(a,): eta[a] for a in range(n) if eta[a]})
         image = pn.sharp(pi, form)
         for j, etap in enumerate(conormals):
-            pairing = Polynomial.zero(sub.chart.coords)
+            pairing = sub.chart.zero()
             for a in range(n):
                 if etap[a]:
                     pairing = pairing + image.component((a,)) * etap[a]
@@ -380,7 +380,7 @@ def coisotropic_invariant_check(pi, tensor, sub):
 def _triple_tensor(groupoid, tensor):
     triple = groupoid.triple_chart()
     m = 2 * groupoid.base.dim
-    zero = Polynomial.zero(triple.coords)
+    zero = triple.zero()
     entries = [[zero] * (3 * m) for _ in range(3 * m)]
     for k in (1, 2, 3):
         renames = groupoid.copy_renames(k)

@@ -37,11 +37,9 @@ from .algebroid import (
     algebroid_differential,
     algebroid_validate,
     gerstenhaber_bracket,
-    section_wedge,
 )
 from .cartan import Chart, MultiVector, coordinate_form, schouten, wedge
 from .errors import InputError, InternalError, PreconditionError
-from .polyalg import Polynomial
 
 
 class JacobiPair:
@@ -207,9 +205,9 @@ def _twisted_bracket(alg, left, right):
     out = gerstenhaber_bracket(alg, left, right)
     a, b = _twist_coeffs(left.degree, right.degree)
     if b and right.degree >= 1:
-        out = out + section_wedge(left, _contract_u(alg, right)) * b
+        out = out + wedge(left, _contract_u(alg, right)) * b
     if a and left.degree >= 1:
-        out = out + section_wedge(_contract_u(alg, left), right) * a
+        out = out + wedge(_contract_u(alg, left), right) * a
     return out
 
 
@@ -367,7 +365,7 @@ def first_jet_algebroid(pair):
     for i in range(n):
         ei = pair.e.component((i,))
         row = [-ei.partial(chart.coords[m]) for m in range(n)]
-        row.append(Polynomial.zero(chart.coords))
+        row.append(chart.zero())
         table[(i, n)] = tuple(row)
     basis = tuple("d" + c for c in chart.coords) + ("one",)
     jet = AlgebroidData(chart, n + 1, basis, cols, table)
@@ -399,7 +397,7 @@ def jacobi_differential(pair, section, jet=None):
     cocycle = AlgebroidSection(
         jet, 1, {(a,): pair.e.component((a,)) for a in range(pair.chart.dim)}
     )
-    out = out + section_wedge(cocycle, omega)
+    out = out + wedge(cocycle, omega)
     ext = _extended_algebroid(pair.chart)
     return _decode(ext, AlgebroidSection(ext, out.degree, out.components))
 

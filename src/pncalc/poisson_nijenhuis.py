@@ -58,7 +58,7 @@ class TensorOneOne:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InputError(f"expected a {n}x{n} matrix")
         rows = tuple(
-            tuple(cartan._Graded._coerce_poly(chart, e) for e in r) for r in rows
+            tuple(chart.coerce(e) for e in r) for r in rows
         )
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "entries", rows)
@@ -158,7 +158,7 @@ class TensorOneOne:
         )
 
     def __mul__(self, scalar):
-        poly = cartan._Graded._coerce_poly(self.chart, scalar)
+        poly = self.chart.coerce(scalar)
         return TensorOneOne(
             self.chart, [[poly * a for a in row] for row in self.entries]
         )

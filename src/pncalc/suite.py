@@ -291,7 +291,7 @@ def _swap_tensor(G, tensor):
         names[c] = Polynomial.variable(G.total.coords, "y_" + c)
         names["y_" + c] = Polynomial.variable(G.total.coords, c)
     m = 2 * n
-    zero = Polynomial.zero(G.total.coords)
+    zero = G.total.zero()
     entries = [[zero] * m for _ in range(m)]
     for a in range(m):
         for b in range(m):

@@ -22,7 +22,6 @@ from pncalc.algebroid import (
     pn_bialgebroid_check,
     rho_function,
     section_bracket,
-    section_wedge,
     tangent_algebroid,
     tangent_deformed_algebroid,
     unit_section,
@@ -61,6 +60,13 @@ def test_construction_guards():
         AlgebroidData(R2, 2, ("e1", "e2"), ((1,), (0,)), {})
 
 
+@pytest.mark.parametrize("rank, names", [(True, 1), (2.7, 2), ("3", 3), (2.0, 2)])
+def test_rank_must_be_an_int(rank, names):
+    basis = ("e1", "e2", "e3")[:names]
+    with pytest.raises(InputError):
+        AlgebroidData(POINT, rank, basis, ((),) * names, {})
+
+
 def test_structure_accessor_antisymmetry():
     alg = so3_point_algebroid()
     assert [str(p) for p in alg.c(0, 1)] == ["0", "0", "1"]
@@ -73,7 +79,7 @@ def test_section_normalization():
     s = AlgebroidSection(alg, 2, {(1, 0): 1})
     assert s.component((0, 1)).constant_value() == -1
     assert AlgebroidSection(alg, 2, {(1, 1): 5}).is_zero()
-    w = section_wedge(unit_section(alg, 0), unit_section(alg, 1))
+    w = cartan.wedge(unit_section(alg, 0), unit_section(alg, 1))
     assert w.component((1, 0)).constant_value() == -1
     other = solvable_rank2()
     with pytest.raises(InputError):
@@ -201,20 +207,38 @@ def test_gerstenhaber_matches_multivector_bracket():
         )
         reference = cartan.schouten(a, b)
         assert ours.components == reference.components
+        # the oracle shares no recursion with either side
+        assert ours.components == cartan.schouten_direct(a, b).components
         matched += 1
     assert matched == 60
+
+
+def test_leibniz_sign_is_read_at_call_time(monkeypatch):
+    # both brackets run the one recursion; a flipped sign must reach each
+    P = MultiVector(R3, 2, {(0, 1): "x3^2", (0, 2): "x1*x2"})
+    Q = so3_bivector()
+    alg = tangent_algebroid(R3)
+    S, T = _section_from_multivector(alg, P), _section_from_multivector(alg, Q)
+    before = cartan.schouten(P, Q), gerstenhaber_bracket(alg, S, T)
+    assert before[0].components == before[1].components
+    original = cartan._leibniz_sign
+    monkeypatch.setattr(cartan, "_leibniz_sign", lambda p, q: -original(p, q))
+    after = cartan.schouten(P, Q), gerstenhaber_bracket(alg, S, T)
+    assert after[0] != before[0]
+    assert after[1] != before[1]
+    assert after[0].components == after[1].components
 
 
 def test_gerstenhaber_point_algebra():
     alg = so3_point_algebroid()
     e1, e2, e3 = (unit_section(alg, i) for i in range(3))
     assert gerstenhaber_bracket(alg, e1, e2) == e3
-    wedge12 = section_wedge(e1, e2)
+    wedge12 = cartan.wedge(e1, e2)
     bracket = gerstenhaber_bracket(alg, wedge12, e3)
     # [e1^e2, e3] = e1^[e2,e3] + [e1,e3]^e2 = e1^e1 - e2^e2 = 0
     assert bracket.is_zero()
     # graded antisymmetry on a (2,2) pair: [P,Q] = -(-1)^{(p-1)(q-1)}[Q,P]
-    wedge23 = section_wedge(e2, e3)
+    wedge23 = cartan.wedge(e2, e3)
     lhs = gerstenhaber_bracket(alg, wedge12, wedge23)
     rhs = gerstenhaber_bracket(alg, wedge23, wedge12)
     assert (lhs + rhs).is_zero()

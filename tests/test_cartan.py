@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from pncalc.cartan import (
     exterior_d,
     interior,
     lie_derivative,
+    one_form,
     pairing,
     schouten,
     schouten_direct,
@@ -30,6 +32,7 @@ from pncalc.corpus import (
     so3_bivector,
 )
 from pncalc.errors import InputError
+from pncalc.polyalg import Polynomial
 
 
 def test_wedge_examples():
@@ -60,6 +63,42 @@ def test_wedge_kind_and_chart_guards():
         wedge(coordinate_vector(R2, 0), coordinate_form(R2, 0))
     with pytest.raises(InputError):
         wedge(coordinate_vector(R2, 0), coordinate_vector(R3, 0))
+
+
+def test_wedge_forms_no_product_for_overlapping_keys(monkeypatch):
+    # dx_i ^ dx_i vanishes, so only the 6 pairs of distinct indices multiply
+    a = one_form(R3, ["x1", "x2 + 1", "2*x3"])
+    original = Polynomial.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert wedge(a, a).is_zero()
+    assert len(calls) == 6
+
+
+def test_unvalidated_results_are_canonical():
+    # +, -, negation, scalar * and wedge build their results unchecked
+    rng = random.Random(29)
+    for _ in range(30):
+        p, q = rng.randint(0, 3), rng.randint(0, 3)
+        A, B = random_form(rng, R3, p), random_form(rng, R3, p)
+        C = random_form(rng, R3, q)
+        f = random_polynomial(rng, R3)
+        for out in (A + B, A - A, -A, A * 0, f * A, A * Fraction(1, 3), wedge(A, C)):
+            assert out == DiffForm(R3, out.degree, out.components)
+            assert all(not v.is_zero() for v in out.components.values())
+
+
+def test_degree_must_be_an_int():
+    for degree in (True, False, 1.0, "1"):
+        with pytest.raises(InputError):
+            MultiVector(R2, degree, {})
+    with pytest.raises(InputError):
+        DiffForm.from_terms(R2, True, [((0,), 1)])
 
 
 def test_exterior_d_examples():

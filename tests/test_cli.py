@@ -81,6 +81,20 @@ class TestExitCodes:
         assert data["verdict"] == "error"
         assert "nested more than 100 deep" in data["residuals"]["error"]
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"rank": True, "basis": ["e1"]},
+            {"rank": 1, "basis": ["e1"], "section": {"degree": False}},
+        ],
+    )
+    def test_boolean_rank_or_degree_is_two(self, capsys, write_doc, block):
+        # JSON true/false are not counts, even though Python's bool is an int
+        path = write_doc({"chart": {"coordinates": []}, "algebroid": block})
+        code, out = run_cli(capsys, ["algebroid", "validate", "--input", path, "--json"])
+        assert code == 2
+        assert json.loads(out)["verdict"] == "error"
+
     def test_invalid_json_is_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -422,6 +436,12 @@ class TestDocumentValidation:
         with pytest.raises(InputError, match="out of range"):
             document.parse_document(
                 {"chart": {"coordinates": ["x1", "x2"]}, "bivector": {"1,3": "1"}}
+            )
+
+    def test_boolean_form_degree_rejected(self):
+        with pytest.raises(InputError, match="degree"):
+            document.parse_document(
+                {"chart": {"coordinates": ["x1"]}, "form": {"degree": True, "components": {"1": "1"}}}
             )
 
     def test_dim_mismatch_rejected(self):

@@ -11,8 +11,12 @@ for byte. After a deliberate change of output, rewrite the file with
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from pncalc import cli
 
@@ -39,6 +43,20 @@ def test_reports_match_golden_bytes():
     assert sorted(got) == sorted(golden)
     differing = [key for key in golden if got[key] != golden[key]]
     assert not differing, f"{len(differing)} reports changed, first: {differing[0]}"
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_golden_bytes_do_not_depend_on_the_hash_seed(seed):
+    # string hashing, hence set order, is fixed per interpreter: use a fresh one
+    here = Path(__file__).resolve().parent
+    package_root = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join([str(package_root), str(here)])
+    code = "import test_golden; test_golden.test_reports_match_golden_bytes()"
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
 
 
 if __name__ == "__main__":
