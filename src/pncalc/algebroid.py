@@ -122,6 +122,7 @@ class AlgebroidSection(cartan._Graded):
     """
 
     __slots__ = ()
+    frame_type = AlgebroidData
 
     @property
     def algebroid(self):
@@ -147,7 +148,17 @@ class AlgebroidSection(cartan._Graded):
 
 def unit_section(algebroid, index):
     """The basis section e_index (0-based) as a degree-1 section."""
-    return AlgebroidSection(algebroid, 1, {(index,): 1})
+    if not isinstance(algebroid, AlgebroidData):
+        raise InputError("expected an AlgebroidData, got %r" % (algebroid,))
+    rank = algebroid.rank
+    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < rank:
+        raise InputError("index %r out of range for rank %d" % (index, rank))
+    return AlgebroidSection._trusted(algebroid, 1, {(index,): algebroid.base.one()})
+
+
+def _view(algebroid, section):
+    """A section's components read over another algebroid of its base and rank."""
+    return AlgebroidSection._trusted(algebroid, section.degree, section.components)
 
 
 def rho_function(algebroid, section, func):
@@ -175,8 +186,9 @@ def anchor_field_of(algebroid, section):
         raise InputError("anchor application needs a degree-1 section")
     comps = [algebroid.base.zero() for _ in range(algebroid.base.dim)]
     for (i,), coeff in section.components.items():
-        for a in range(algebroid.base.dim):
-            comps[a] = comps[a] + coeff * algebroid.anchor[i][a]
+        for a, entry in enumerate(algebroid.anchor[i]):
+            if not entry.is_zero():
+                comps[a] = comps[a] + coeff * entry
     return cartan.vector_field(algebroid.base, comps)
 
 
@@ -195,10 +207,13 @@ def section_bracket(algebroid, left, right):
             for k in range(rank):
                 if not row[k].is_zero():
                     comps[k] = comps[k] + prod * row[k]
-    for k in range(rank):
-        comps[k] = comps[k] + rho_function(algebroid, left, right.component((k,)))
-        comps[k] = comps[k] - rho_function(algebroid, right, left.component((k,)))
-    return AlgebroidSection(algebroid, 1, {(k,): comps[k] for k in range(rank)})
+    for (k,), yc in right.components.items():
+        comps[k] = comps[k] + rho_function(algebroid, left, yc)
+    for (k,), xc in left.components.items():
+        comps[k] = comps[k] - rho_function(algebroid, right, xc)
+    return AlgebroidSection._trusted(
+        algebroid, 1, {(k,): comps[k] for k in range(rank) if not comps[k].is_zero()}
+    )
 
 
 @dataclass
@@ -281,8 +296,9 @@ def algebroid_differential(algebroid, omega):
                     if not row[t].is_zero():
                         inner = inner + row[t] * omega.component((t,) + rest)
                 val = val - inner if (m + l) % 2 == 1 else val + inner
-        out[key] = val
-    return AlgebroidSection(algebroid, k + 1, out)
+        if not val.is_zero():
+            out[key] = val
+    return AlgebroidSection._trusted(algebroid, k + 1, out)
 
 
 def _section_lie(vector, other):
@@ -607,17 +623,17 @@ def compat_check(first, second):
             ec1, ec2 = unit_section(first, c), unit_section(second, c)
             inner1 = section_bracket(first, ea, eb)
             inner2 = section_bracket(second, unit_section(second, a), unit_section(second, b))
-            outer = section_bracket(second, AlgebroidSection(second, 1, inner1.components), ec2)
-            total = total + AlgebroidSection(first, 1, outer.components)
-            outer = section_bracket(first, AlgebroidSection(first, 1, inner2.components), ec1)
+            outer = section_bracket(second, _view(second, inner1), ec2)
+            total = total + _view(first, outer)
+            outer = section_bracket(first, _view(first, inner2), ec1)
             total = total + outer
         mixed_jac[(i, j, k)] = total
     mixed_anchor = {}
     for i, j in combinations(range(rank), 2):
         b1 = section_bracket(first, unit_section(first, i), unit_section(first, j))
         b2 = section_bracket(second, unit_section(second, i), unit_section(second, j))
-        lhs = anchor_field_of(second, AlgebroidSection(second, 1, b1.components))
-        lhs = lhs + anchor_field_of(first, AlgebroidSection(first, 1, b2.components))
+        lhs = anchor_field_of(second, _view(second, b1))
+        lhs = lhs + anchor_field_of(first, _view(first, b2))
         rhs = cartan.vf_bracket(first.anchor_field(i), second.anchor_field(j))
         rhs = rhs + cartan.vf_bracket(second.anchor_field(i), first.anchor_field(j))
         mixed_anchor[(i, j)] = lhs - rhs
@@ -627,20 +643,14 @@ def compat_check(first, second):
         f2 = AlgebroidSection(second, 0, {(): Polynomial.variable(first.base.coords, name)})
         d1f = algebroid_differential(first, f1)
         d2f = algebroid_differential(second, f2)
-        term = algebroid_differential(second, AlgebroidSection(second, 1, d1f.components))
-        term = AlgebroidSection(first, 2, term.components) + algebroid_differential(
-            first, AlgebroidSection(first, 1, d2f.components)
-        )
+        term = algebroid_differential(second, _view(second, d1f))
+        term = _view(first, term) + algebroid_differential(first, _view(first, d2f))
         diff_res[name] = term
     for i in range(rank):
-        e1 = AlgebroidSection(first, 1, {(i,): 1})
-        e2 = AlgebroidSection(second, 1, {(i,): 1})
-        d1e = algebroid_differential(first, e1)
-        d2e = algebroid_differential(second, e2)
-        term = algebroid_differential(second, AlgebroidSection(second, 2, d1e.components))
-        term = AlgebroidSection(first, 3, term.components) + algebroid_differential(
-            first, AlgebroidSection(first, 2, d2e.components)
-        )
+        d1e = algebroid_differential(first, unit_section(first, i))
+        d2e = algebroid_differential(second, unit_section(second, i))
+        term = algebroid_differential(second, _view(second, d1e))
+        term = _view(first, term) + algebroid_differential(first, _view(first, d2e))
         diff_res["eps_%d" % (i + 1)] = term
     pi1 = dual_linear_poisson(first)
     pi2 = dual_linear_poisson(second)
@@ -687,9 +697,7 @@ class BialgebroidVerdict:
 
 def _dual_differential(primary, dual, section):
     """Differential of the dual structure acting on primary-side sections."""
-    view = AlgebroidSection(dual, section.degree, section.components)
-    image = algebroid_differential(dual, view)
-    return AlgebroidSection(primary, image.degree, image.components)
+    return _view(primary, algebroid_differential(dual, _view(dual, section)))
 
 
 def bialgebroid_check(primary, dual):

@@ -9,15 +9,25 @@ equality of the component maps is mathematical equality of the tensors.
 The container, :class:`_Graded`, is parametrized by a *frame*: an object
 with an ``int`` ``rank`` (indices run over ``range(rank)``) and a ``base``
 :class:`Chart` that the coefficients live on. A chart is the tangent frame
-over itself; an ``algebroid.AlgebroidData`` is a frame as it stands. So
-:func:`wedge` and the Leibniz recursion :func:`_leibniz` serve multivectors,
-forms and algebroid multisections alike.
+over itself; an ``algebroid.AlgebroidData`` is a frame as it stands. Each
+subclass names the frame type it accepts in ``frame_type``:
+:class:`MultiVector` and :class:`DiffForm` take a :class:`Chart`,
+``algebroid.AlgebroidSection`` an ``AlgebroidData``. So :func:`wedge` and
+the Leibniz recursion :func:`_leibniz` serve multivectors, forms and
+algebroid multisections alike.
 
-The public constructor and ``from_terms`` validate their input and bring it
-into canonical form: increasing index tuples of length ``degree`` mapped to
-nonzero polynomials over ``frame.base``. ``+``, ``-``, scalar ``*`` and
-:func:`wedge` combine canonical operands of one frame into canonical
-results, so they build them with the private ``_Graded._trusted``, which
+Which builders validate: the public constructor, ``from_terms``,
+:func:`vector_field` and :func:`one_form` take outside input, so they check
+the frame's type, the degree, every index and every coefficient, and bring
+the entries into canonical form (increasing index tuples of length
+``degree`` mapped to nonzero polynomials over ``frame.base``) through
+:func:`_normalize`. Which build unchecked: results pncalc computes itself
+from canonical operands of one frame. ``+``, ``-``, scalar ``*`` and
+:func:`wedge` produce canonical dicts directly; :func:`exterior_d`,
+:func:`interior`, :func:`lie_derivative`, :func:`_lie_multivector` and
+:func:`_odd_partial` produce (index tuple, polynomial) pairs with indices in
+range and polynomials over the base, which :func:`_collect` sorts, signs and
+sums. Both wrap their dicts with the private ``_Graded._trusted``, which
 stores the given dict unchecked. Nothing mutates ``components`` after
 construction.
 
@@ -70,6 +80,9 @@ class Chart:
     def zero(self):
         return Polynomial._trusted(self.coords, {})
 
+    def one(self):
+        return Polynomial._trusted(self.coords, {(0,) * len(self.coords): Fraction(1)})
+
     def constant(self, value):
         return Polynomial.constant(self.coords, value)
 
@@ -120,15 +133,33 @@ def _accumulate(comps, key, poly):
         comps[key] = poly
 
 
-def _normalize(frame, degree, entries):
+def _collect(entries):
+    """Canonical components from (index tuple, polynomial) pairs, unchecked.
+
+    Drops tuples with a repeated index, sorts the others with their
+    permutation sign and sums the coefficients per key, dropping keys whose
+    sum vanishes. Indices must be in range and polynomials over the frame's
+    base; :func:`_normalize` checks that for outside input.
+    """
+    comps = {}
+    for idx, poly in entries:
+        if len(set(idx)) != len(idx):
+            continue
+        key, sign = _sort_sign(idx)
+        _accumulate(comps, key, poly if sign > 0 else -poly)
+    return comps
+
+
+def _normalize(cls, frame, degree, entries):
     """Validate (index tuple, coefficient) pairs into canonical components."""
-    base = getattr(frame, "base", None)
-    if not isinstance(base, Chart):
-        raise InputError(f"expected a frame over a Chart, got {frame!r}")
+    if not isinstance(frame, cls.frame_type):
+        raise InputError(
+            f"{cls.__name__} needs a {cls.frame_type.__name__} frame, got {frame!r}"
+        )
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise InputError(f"degree must be a nonnegative int, got {degree!r}")
-    rank = frame.rank
-    comps = {}
+    base, rank = frame.base, frame.rank
+    checked = []
     for idx, poly in entries:
         idx = tuple(idx)
         poly = base.coerce(poly)
@@ -137,22 +168,20 @@ def _normalize(frame, degree, entries):
                 f"index tuple {idx} has length {len(idx)}, degree is {degree}"
             )
         for i in idx:
-            if not (isinstance(i, int) and 0 <= i < rank):
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < rank:
                 raise InputError(f"index {i} out of range for rank {rank}")
-        if len(set(idx)) != len(idx):
-            continue
-        key, sign = _sort_sign(idx)
-        _accumulate(comps, key, poly if sign > 0 else -poly)
-    return comps
+        checked.append((idx, poly))
+    return _collect(checked)
 
 
 class _Graded:
     """Sparse antisymmetric tensor over a frame; see the module doc."""
 
     __slots__ = ("frame", "degree", "components")
+    frame_type = Chart
 
     def __init__(self, frame, degree, components=None):
-        comps = _normalize(frame, degree, (components or {}).items())
+        comps = _normalize(type(self), frame, degree, (components or {}).items())
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", comps)
@@ -185,7 +214,7 @@ class _Graded:
     @classmethod
     def from_terms(cls, frame, degree, entries):
         """Build from (index tuple, coefficient) pairs, keys in any order."""
-        return cls._trusted(frame, degree, _normalize(frame, degree, entries))
+        return cls._trusted(frame, degree, _normalize(cls, frame, degree, entries))
 
     def component(self, idx):
         """Coefficient at an arbitrary index tuple, sign-adjusted."""
@@ -347,7 +376,7 @@ def exterior_d(omega):
             dpoly = poly.partial(name)
             if not dpoly.is_zero():
                 entries.append(((a,) + key, dpoly))
-    return DiffForm.from_terms(chart, omega.degree + 1, entries)
+    return DiffForm._trusted(chart, omega.degree + 1, _collect(entries))
 
 
 def interior(X, omega):
@@ -370,14 +399,17 @@ def interior(X, omega):
             if pos % 2:
                 coeff = -coeff
             entries.append((key[:pos] + key[pos + 1 :], coeff))
-    return DiffForm.from_terms(omega.chart, omega.degree - 1, entries)
+    return DiffForm._trusted(omega.chart, omega.degree - 1, _collect(entries))
 
 
 def _apply_vf(X, poly):
     """Directional derivative of a polynomial along a vector field."""
+    coords = X.chart.coords
     out = X.chart.zero()
     for (a,), xc in X.components.items():
-        out = out + xc * poly.partial(X.chart.coords[a])
+        dpoly = poly.partial(coords[a])
+        if not dpoly.is_zero():
+            out = out + xc * dpoly
     return out
 
 
@@ -398,17 +430,16 @@ def lie_derivative(X, omega):
     for key, poly in omega.components.items():
         entries.append((key, _apply_vf(X, poly)))
         for pos in range(len(key)):
-            xc = X.components
             # d(X^{key[pos]}) substituted into slot pos
+            comp = X.components.get((key[pos],))
+            if comp is None:
+                continue
             for a, name in enumerate(chart.coords):
-                comp = xc.get((key[pos],))
-                if comp is None:
-                    continue
                 dcomp = comp.partial(name)
                 if dcomp.is_zero():
                     continue
                 entries.append((key[:pos] + (a,) + key[pos + 1 :], poly * dcomp))
-    return DiffForm.from_terms(chart, omega.degree, entries)
+    return DiffForm._trusted(chart, omega.degree, _collect(entries))
 
 
 def _lie_multivector(X, Q):
@@ -424,7 +455,7 @@ def _lie_multivector(X, Q):
                 if dxc.is_zero():
                     continue
                 entries.append((key[:pos] + (a,) + key[pos + 1 :], -(poly * dxc)))
-    return MultiVector.from_terms(chart, Q.degree, entries)
+    return MultiVector._trusted(chart, Q.degree, _collect(entries))
 
 
 def vf_bracket(X, Y):
@@ -462,7 +493,7 @@ def _leibniz(P, Q, lie):
         return lie(P, Q)
     out = P.zero(frame, p + q - 1)
     sign = _leibniz_sign(p, q)
-    one = frame.base.constant(1)
+    one = frame.base.one()
     for key, poly in P.components.items():
         X = P._trusted(frame, 1, {key[:1]: poly})
         rest = P._trusted(frame, p - 1, {key[1:]: one})
@@ -495,7 +526,7 @@ def _odd_partial(P, i):
         pos = key.index(i)
         coeff = poly if pos % 2 == 0 else -poly
         entries.append((key[:pos] + key[pos + 1 :], coeff))
-    return MultiVector.from_terms(P.chart, max(P.degree - 1, 0), entries)
+    return MultiVector._trusted(P.chart, max(P.degree - 1, 0), _collect(entries))
 
 
 def schouten_direct(P, Q):

@@ -275,70 +275,120 @@ HANDLERS = {
 }
 
 
+def _json_option(parser):
+    parser.add_argument("--json", action="store_true", help="print a byte-stable JSON report")
+
+
+def _input_option(parser):
+    parser.add_argument("--input", required=True, metavar="FILE", help="JSON document")
+
+
+def _max_order_option(parser):
+    parser.add_argument(
+        "--max-order", type=int, default=3, metavar="K", help="highest power (default 3)"
+    )
+
+
+_DOCUMENT = (_json_option, _input_option)  # the options of a command reading a document
+
+# The command table, in help order: the argv words naming a leaf command,
+# its help line and the functions adding its options. build_parser() builds
+# the whole tree from it; main() builds only the leaf that argv names.
+COMMANDS = (
+    (("check-poisson",), "does the bracket of the bivector with itself vanish", _DOCUMENT),
+    (("check-nijenhuis",), "does the torsion of the (1,1)-tensor vanish", _DOCUMENT),
+    (("check-pn",), "are the bivector and tensor a compatible pair", _DOCUMENT),
+    (("torsion",), "print the nonzero torsion components of the tensor", _DOCUMENT),
+    (("koszul",), "bracket of two one-forms induced by the bivector", _DOCUMENT),
+    (("concomitant",), "mixed-pair residuals of the bivector and tensor", _DOCUMENT),
+    (
+        ("hierarchy",),
+        "powers of the tensor applied to the bivector, pairwise brackets",
+        _DOCUMENT + (_max_order_option,),
+    ),
+    (("complementary",), "build the tensor induced by a closed two-form", _DOCUMENT),
+    (("holomorphic",), "real/imaginary pair test against an almost complex tensor", _DOCUMENT),
+    (("algebroid", "validate"), "check the algebroid axioms", _DOCUMENT),
+    (("algebroid", "diff"), "apply the differential to the section block", _DOCUMENT),
+    (("algebroid", "dual-poisson"), "fiberwise-linear bivector on the dual chart", _DOCUMENT),
+    (("algebroid", "compat"), "three compatibility certificates for two structures", _DOCUMENT),
+    (("algebroid", "bialgebroid"), "is the dual differential a bracket derivation", _DOCUMENT),
+    (("algebroid", "pn-bialgebroid"), "full staged check for a compatible pair", _DOCUMENT),
+    (("jacobi", "check"), "do both closedness identities hold", _DOCUMENT),
+    (("jacobi", "compat"), "mixed twisted bracket of two pairs", _DOCUMENT),
+    (("jacobi", "jet-algebroid"), "print the extended-frame algebroid of a pair", _DOCUMENT),
+    (
+        ("groupoid", "multiplicative"),
+        "is the tensor invariant on the multiplication graph",
+        _DOCUMENT,
+    ),
+    (("groupoid", "poisson"), "is the multiplication graph coisotropic", _DOCUMENT),
+    (("groupoid", "pn"), "all four groupoid certificates", _DOCUMENT),
+    (("groupoid", "base"), "project the groupoid pair back to the base", _DOCUMENT),
+    (
+        ("groupoid", "coisotropic-invariant"),
+        "joint check on a submanifold (default: the unit diagonal)",
+        _DOCUMENT,
+    ),
+    (("suite",), "run the acceptance battery", (_json_option,)),
+)
+
+_GROUP_HELP = {
+    "algebroid": "anchored bracket structures",
+    "jacobi": "bivector and field pairs",
+    "groupoid": "pair-groupoid desk checks",
+}
+
+_LEAVES = {words: options for words, _, options in COMMANDS}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pncalc",
         description="Exact desk checks for bivectors, tensors, algebroids, and groupoids.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="print a byte-stable JSON report")
-    needs_input = argparse.ArgumentParser(add_help=False)
-    needs_input.add_argument("--input", required=True, metavar="FILE", help="JSON document")
-
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def leaf(name, help_text, extra=None, parent=sub):
-        p = parent.add_parser(name, parents=[common, needs_input], help=help_text)
-        if extra:
-            extra(p)
-        return p
-
-    leaf("check-poisson", "does the bracket of the bivector with itself vanish")
-    leaf("check-nijenhuis", "does the torsion of the (1,1)-tensor vanish")
-    leaf("check-pn", "are the bivector and tensor a compatible pair")
-    leaf("torsion", "print the nonzero torsion components of the tensor")
-    leaf("koszul", "bracket of two one-forms induced by the bivector")
-    leaf("concomitant", "mixed-pair residuals of the bivector and tensor")
-    leaf(
-        "hierarchy",
-        "powers of the tensor applied to the bivector, pairwise brackets",
-        extra=lambda p: p.add_argument(
-            "--max-order", type=int, default=3, metavar="K", help="highest power (default 3)"
-        ),
-    )
-    leaf("complementary", "build the tensor induced by a closed two-form")
-    leaf("holomorphic", "real/imaginary pair test against an almost complex tensor")
-
-    alg = sub.add_parser("algebroid", help="anchored bracket structures")
-    alg_sub = alg.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
-    leaf("validate", "check the algebroid axioms", parent=alg_sub)
-    leaf("diff", "apply the differential to the section block", parent=alg_sub)
-    leaf("dual-poisson", "fiberwise-linear bivector on the dual chart", parent=alg_sub)
-    leaf("compat", "three compatibility certificates for two structures", parent=alg_sub)
-    leaf("bialgebroid", "is the dual differential a bracket derivation", parent=alg_sub)
-    leaf("pn-bialgebroid", "full staged check for a compatible pair", parent=alg_sub)
-
-    jac = sub.add_parser("jacobi", help="bivector and field pairs")
-    jac_sub = jac.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
-    leaf("check", "do both closedness identities hold", parent=jac_sub)
-    leaf("compat", "mixed twisted bracket of two pairs", parent=jac_sub)
-    leaf("jet-algebroid", "print the extended-frame algebroid of a pair", parent=jac_sub)
-
-    grp = sub.add_parser("groupoid", help="pair-groupoid desk checks")
-    grp_sub = grp.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
-    leaf("multiplicative", "is the tensor invariant on the multiplication graph", parent=grp_sub)
-    leaf("poisson", "is the multiplication graph coisotropic", parent=grp_sub)
-    leaf("pn", "all four groupoid certificates", parent=grp_sub)
-    leaf("base", "project the groupoid pair back to the base", parent=grp_sub)
-    leaf(
-        "coisotropic-invariant",
-        "joint check on a submanifold (default: the unit diagonal)",
-        parent=grp_sub,
-    )
-
-    suite_p = sub.add_parser("suite", parents=[common], help="run the acceptance battery")
-    del suite_p
+    group_subs = {}
+    for words, help_text, options in COMMANDS:
+        parent = sub
+        if len(words) == 2:
+            group = words[0]
+            if group not in group_subs:
+                group_parser = sub.add_parser(group, help=_GROUP_HELP[group])
+                group_subs[group] = group_parser.add_subparsers(
+                    dest="subcommand", required=True, metavar="SUBCOMMAND"
+                )
+            parent = group_subs[group]
+        leaf = parent.add_parser(words[-1], help=help_text)
+        for add_option in options:
+            add_option(leaf)
     return parser
+
+
+def _parse_command(argv):
+    """The command name and its parsed options.
+
+    When argv starts with the words of a leaf command and its options parse
+    completely, only that leaf's parser is built. Anything else (help at a
+    group or the top, unknown commands, unrecognized arguments, which the
+    top-level parser reports) goes through the full tree of build_parser(),
+    so help and error output are the same either way.
+    """
+    for size in (1, 2):
+        words = tuple(argv[:size])
+        options = _LEAVES.get(words)
+        if options is not None:
+            leaf = argparse.ArgumentParser(prog=" ".join(("pncalc",) + words))
+            for add_option in options:
+                add_option(leaf)
+            args, unknown = leaf.parse_known_args(argv[size:])
+            if not unknown:
+                return " ".join(words), args
+            break
+    args = build_parser().parse_args(argv)
+    if getattr(args, "subcommand", None):
+        return f"{args.command} {args.subcommand}", args
+    return args.command, args
 
 
 def _emit_suite(reports, as_json):
@@ -361,11 +411,7 @@ def _emit_suite(reports, as_json):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-    if getattr(args, "subcommand", None):
-        command = f"{command} {args.subcommand}"
+    command, args = _parse_command(sys.argv[1:] if argv is None else list(argv))
 
     if command == "suite":
         return _emit_suite(suite_mod.run_all(), args.json)

@@ -278,16 +278,16 @@ def invariant_check(tensor, sub):
     entries = []
     for i, v in enumerate(sub.tangent_basis()):
         image = []
-        for a in range(n):
+        for row in tensor.entries:
             acc = sub.chart.zero()
             for b in range(n):
-                if v[b]:
-                    acc = acc + tensor.entries[a][b] * v[b]
+                if v[b] and not row[b].is_zero():
+                    acc = acc + row[b] * v[b]
             image.append(acc)
         for j, eta in enumerate(sub.conormal_basis()):
             pairing = sub.chart.zero()
             for a in range(n):
-                if eta[a]:
+                if eta[a] and not image[a].is_zero():
                     pairing = pairing + image[a] * eta[a]
             entries.append((i, j, sub.restrict(pairing)))
     return InvariantVerdict(entries=tuple(entries))

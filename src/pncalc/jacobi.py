@@ -166,12 +166,10 @@ def _extended_algebroid(chart):
 def _encode(alg, section):
     """Pair (P, Q) as an index section: Q rides the u slot with a minus."""
     n = alg.base.dim
-    comps = {}
-    for key, poly in section.p.components.items():
-        comps[key] = poly
+    comps = dict(section.p.components)
     for key, poly in section.q.components.items():
-        comps[key + (n,)] = -poly
-    return AlgebroidSection(alg, section.degree, comps)
+        comps[key + (n,)] = -poly  # n is the largest index, so the key stays sorted
+    return AlgebroidSection._trusted(alg, section.degree, comps)
 
 
 def _decode(alg, section):
@@ -390,16 +388,12 @@ def jacobi_differential(pair, section, jet=None):
         raise InputError("section lives on a different chart")
     if jet is None:
         jet = first_jet_algebroid(pair)
-    omega = AlgebroidSection(
-        jet, section.degree, _encode(_extended_algebroid(pair.chart), section).components
-    )
+    # the jet frame and the extended frame share the chart and the index of u
+    omega = _encode(jet, section)
     out = algebroid_differential(jet, omega)
-    cocycle = AlgebroidSection(
-        jet, 1, {(a,): pair.e.component((a,)) for a in range(pair.chart.dim)}
-    )
+    cocycle = AlgebroidSection._trusted(jet, 1, pair.e.components)
     out = out + wedge(cocycle, omega)
-    ext = _extended_algebroid(pair.chart)
-    return _decode(ext, AlgebroidSection(ext, out.degree, out.components))
+    return _decode(jet, out)
 
 
 def homogenized_bivector(pair, name="t_h"):

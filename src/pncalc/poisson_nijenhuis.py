@@ -10,6 +10,15 @@ failure is a checkable witness rather than a bare boolean.
 Sign conventions, fixed once and reused by every downstream module:
 pisharp(alpha) = pi(alpha, .), normalized so pi = d_1^d_2 sends dx1 to +d_2;
 (N* alpha)_j = sum_i alpha_i N^i_j.
+
+Work follows the stored entries: N(X), N* alpha, pisharp(alpha) and
+pi(alpha, beta) loop over the components X, alpha, beta and pi store and
+over the nonzero entries of N, so none of them multiplies by zero. Which
+builders validate: the TensorOneOne constructor coerces every entry, and
+bivector_from_sharp and i_n go through the validating ``from_terms``. Which
+build unchecked: N(X), N* alpha and pisharp(alpha) are degree-1 results
+computed from canonical operands, so they wrap their components with
+``cartan._Graded._trusted`` (see the :mod:`cartan` module doc).
 """
 
 from __future__ import annotations
@@ -22,13 +31,12 @@ from .cartan import (
     Chart,
     DiffForm,
     MultiVector,
+    _accumulate,
     coordinate_form,
     exterior_d,
     interior,
     lie_derivative,
-    one_form,
     schouten,
-    vector_field,
 )
 from .errors import InputError, InternalError, PreconditionError
 from .linalg import (
@@ -93,20 +101,17 @@ class TensorOneOne:
         return cls.diagonal(chart, [poly] * chart.dim)
 
     def apply(self, X):
-        """N(X) for a degree-1 multivector X."""
+        """N(X) for a degree-1 multivector X: N(X)^i = sum_j N^i_j X^j."""
         if not (isinstance(X, MultiVector) and X.degree == 1):
             raise InputError("TensorOneOne.apply needs a degree-1 multivector")
         if X.chart != self.chart:
             raise InputError("chart mismatch")
-        comps = [X.component((j,)) for j in range(self.chart.dim)]
-        return vector_field(
-            self.chart,
-            [
-                sum((self.entries[i][j] * comps[j] for j in range(self.chart.dim)),
-                    self.chart.zero())
-                for i in range(self.chart.dim)
-            ],
-        )
+        out = {}
+        for (j,), xj in X.components.items():
+            for i, row in enumerate(self.entries):
+                if not row[j].is_zero():
+                    _accumulate(out, (i,), row[j] * xj)
+        return MultiVector._trusted(self.chart, 1, out)
 
     def dual_apply(self, alpha):
         """N* on a 1-form: (N*alpha)_j = sum_i alpha_i N^i_j."""
@@ -114,15 +119,12 @@ class TensorOneOne:
             raise InputError("TensorOneOne.dual_apply needs a 1-form")
         if alpha.chart != self.chart:
             raise InputError("chart mismatch")
-        comps = [alpha.component((i,)) for i in range(self.chart.dim)]
-        return one_form(
-            self.chart,
-            [
-                sum((comps[i] * self.entries[i][j] for i in range(self.chart.dim)),
-                    self.chart.zero())
-                for j in range(self.chart.dim)
-            ],
-        )
+        out = {}
+        for (i,), alpha_i in alpha.components.items():
+            for j, entry in enumerate(self.entries[i]):
+                if not entry.is_zero():
+                    _accumulate(out, (j,), alpha_i * entry)
+        return DiffForm._trusted(self.chart, 1, out)
 
     def compose(self, other):
         """Matrix product, self after other."""
@@ -211,15 +213,15 @@ def sharp(pi, alpha):
     # alpha_a pi^{ab} to component b and alpha_b pi^{ba} = -alpha_b pi^{ab}
     # to component a.
     coeffs = alpha.components
-    out = [pi.chart.zero()] * pi.chart.dim
+    out = {}
     for (a, b), p in pi.components.items():
         alpha_a = coeffs.get((a,))
         if alpha_a is not None:
-            out[b] = out[b] + alpha_a * p
+            _accumulate(out, (b,), alpha_a * p)
         alpha_b = coeffs.get((b,))
         if alpha_b is not None:
-            out[a] = out[a] - alpha_b * p
-    return vector_field(pi.chart, out)
+            _accumulate(out, (a,), -(alpha_b * p))
+    return MultiVector._trusted(pi.chart, 1, out)
 
 
 def bivector_from_sharp(chart, S):
@@ -243,12 +245,19 @@ def bivector_from_sharp(chart, S):
 def bivector_eval(pi, alpha, beta):
     """pi(alpha, beta) as a polynomial."""
     _check_bivector(pi)
-    n = pi.chart.dim
-    a_comp = [alpha.component((i,)) for i in range(n)]
-    b_comp = [beta.component((i,)) for i in range(n)]
+    a_comp, b_comp = alpha.components, beta.components
     out = pi.chart.zero()
     for (i, j), poly in pi.components.items():
-        out = out + poly * (a_comp[i] * b_comp[j] - a_comp[j] * b_comp[i])
+        # alpha_i beta_j - alpha_j beta_i, from the entries both forms store
+        a_i, a_j = a_comp.get((i,)), a_comp.get((j,))
+        b_i, b_j = b_comp.get((i,)), b_comp.get((j,))
+        inner = None
+        if a_i is not None and b_j is not None:
+            inner = a_i * b_j
+        if a_j is not None and b_i is not None:
+            inner = -(a_j * b_i) if inner is None else inner - a_j * b_i
+        if inner is not None:
+            out = out + poly * inner
     return out
 
 

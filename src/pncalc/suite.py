@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import time
-from unittest import mock
 
 from . import algebroid as ab
 from . import cartan
@@ -409,12 +408,21 @@ def criterion_8():
 # -- criterion 9: mutation sensitivity ------------------------------------------
 
 
+# unittest.mock is imported inside the three patches below, not at the top:
+# it pulls in asyncio, ssl and concurrent.futures, which every start of the
+# CLI would otherwise pay for.
+
+
 def _flip_leibniz():
+    from unittest import mock
+
     original = cartan._leibniz_sign
     return mock.patch.object(cartan, "_leibniz_sign", lambda p, q: -original(p, q))
 
 
 def _flip_koszul():
+    from unittest import mock
+
     original = pn.koszul_bracket
     return mock.patch.object(
         pn, "koszul_bracket", lambda pi, alpha, beta: original(pi, alpha, beta) * -1
@@ -422,6 +430,8 @@ def _flip_koszul():
 
 
 def _flip_twist():
+    from unittest import mock
+
     original = jc._twist_coeffs
 
     def flipped(p, q):

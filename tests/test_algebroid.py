@@ -86,6 +86,35 @@ def test_section_normalization():
         unit_section(alg, 0) + unit_section(other, 0)
 
 
+def test_section_frame_must_be_an_algebroid():
+    line = Chart(("x1",))
+    with pytest.raises(InputError):
+        AlgebroidSection(line, 1, {(0,): 1})
+    with pytest.raises(InputError):
+        AlgebroidSection.from_terms(line, 1, [((0,), 1)])
+    with pytest.raises(InputError):
+        unit_section(line, 0)
+    alg = so3_point_algebroid()
+    with pytest.raises(InputError):
+        MultiVector(alg, 1, {(0,): 1})
+    for index in (3, -1, True, 1.0):
+        with pytest.raises(InputError):
+            unit_section(alg, index)
+
+
+def test_unvalidated_sections_are_canonical():
+    # unit sections, section brackets and differentials build unchecked
+    for alg in (so3_point_algebroid(), tangent_algebroid(R2), cotangent_algebroid(so3_bivector())):
+        units = [unit_section(alg, i) for i in range(alg.rank)]
+        outs = list(units)
+        outs += [section_bracket(alg, a, b) for a in units for b in units]
+        outs += [algebroid_differential(alg, a) for a in units]
+        outs.append(algebroid_differential(alg, cartan.wedge(units[0], units[1])))
+        for out in outs:
+            assert out == AlgebroidSection(alg, out.degree, out.components)
+            assert all(not v.is_zero() for v in out.components.values())
+
+
 def test_validate_examples():
     assert algebroid_validate(so3_point_algebroid()).ok
     assert algebroid_validate(solvable_rank2()).ok

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from pncalc import cartan
+from pncalc.algebroid import AlgebroidData
 from pncalc.cartan import (
     Chart,
     DiffForm,
@@ -81,16 +83,35 @@ def test_wedge_forms_no_product_for_overlapping_keys(monkeypatch):
 
 
 def test_unvalidated_results_are_canonical():
-    # +, -, negation, scalar * and wedge build their results unchecked
+    # +, -, negation, scalar * and wedge build their results unchecked, and
+    # so do d, the interior product, Lie derivatives, [X, Q] and the
+    # slot-removal derivative
     rng = random.Random(29)
     for _ in range(30):
         p, q = rng.randint(0, 3), rng.randint(0, 3)
         A, B = random_form(rng, R3, p), random_form(rng, R3, p)
         C = random_form(rng, R3, q)
         f = random_polynomial(rng, R3)
-        for out in (A + B, A - A, -A, A * 0, f * A, A * Fraction(1, 3), wedge(A, C)):
-            assert out == DiffForm(R3, out.degree, out.components)
+        X = random_multivector(rng, R3, 1)
+        Q = random_multivector(rng, R3, q)
+        outs = [A + B, A - A, -A, A * 0, f * A, A * Fraction(1, 3), wedge(A, C)]
+        outs += [exterior_d(A), lie_derivative(X, A), cartan._lie_multivector(X, Q)]
+        outs += [cartan._odd_partial(Q, i) for i in range(R3.dim)]
+        if p:
+            outs.append(interior(X, A))
+        for out in outs:
+            assert out == type(out)(R3, out.degree, out.components)
             assert all(not v.is_zero() for v in out.components.values())
+
+
+def test_frame_must_be_a_chart():
+    alg = AlgebroidData(R2, 2, ("e1", "e2"), ((1, 0), (0, 1)), {})
+    for cls in (MultiVector, DiffForm):
+        for frame in (alg, None, ("x1", "x2")):
+            with pytest.raises(InputError):
+                cls(frame, 1, {(0,): 1})
+            with pytest.raises(InputError):
+                cls.from_terms(frame, 1, [((0,), 1)])
 
 
 def test_degree_must_be_an_int():
@@ -99,6 +120,12 @@ def test_degree_must_be_an_int():
             MultiVector(R2, degree, {})
     with pytest.raises(InputError):
         DiffForm.from_terms(R2, True, [((0,), 1)])
+
+
+def test_index_must_be_an_int_in_range():
+    for index in (True, 1.0, "1", 2, -1):
+        with pytest.raises(InputError):
+            MultiVector(R2, 1, {(index,): 1})
 
 
 def test_exterior_d_examples():

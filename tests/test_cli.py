@@ -1,6 +1,10 @@
 """Command line behavior: exit codes, report shape, byte-stable JSON."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,73 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def test_import_leaves_mock_and_asyncio_out():
+    # unittest.mock pulls in asyncio; only the criterion-9 patches need it
+    package_root = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    code = (
+        "import sys, pncalc.cli; "
+        "print(sorted(m for m in ('unittest.mock', 'asyncio') if m in sys.modules))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+def _parse_outcome(capsys, call, argv):
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+_COMMAND_WORDS = [command.split() for command in cli.HANDLERS] + [["suite"]]
+
+
+@pytest.mark.parametrize("words", _COMMAND_WORDS, ids=" ".join)
+def test_leaf_parsing_matches_the_full_parser(capsys, monkeypatch, words):
+    # main() builds only the named leaf's parser; help and errors must be
+    # the bytes the full tree gives
+    monkeypatch.setenv("COLUMNS", "80")
+    variants = [
+        ["-h"],
+        ["--max-order", "x"],
+        ["--bogus"],
+        ["--input", "doc.json", "--bogus"],
+        ["--input", "doc.json", "stray"],
+        ["--json=1"],
+    ]
+    if words != ["suite"]:
+        variants.append([])  # a missing --input
+    for rest in variants:
+        argv = words + rest
+        want = _parse_outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+        assert _parse_outcome(capsys, cli.main, argv) == want, argv
+        assert want[0] in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        [],
+        ["bogus"],
+        ["--json", "check-pn"],
+        ["algebroid"],
+        ["algebroid", "-h"],
+        ["algebroid", "bogus", "--input", "doc.json"],
+        ["jacobi", "validate"],
+        ["groupoid", "--bogus"],
+    ],
+)
+def test_top_level_parsing_matches_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parse_outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+    assert _parse_outcome(capsys, cli.main, argv) == want
 
 
 class TestExitCodes:

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pncalc import cartan
 from pncalc.cartan import (
+    Chart,
     DiffForm,
     MultiVector,
     coordinate_form,
@@ -16,6 +20,7 @@ from pncalc.cartan import (
 from pncalc.corpus import R2, R3, R4, random_form, random_multivector, random_polynomial, so3_bivector
 from pncalc.errors import InputError, PreconditionError
 from pncalc.linalg import mat_is_zero, mat_mul, mat_sub, mat_transpose
+from pncalc.polyalg import Polynomial
 from pncalc.poisson_nijenhuis import (
     TensorOneOne,
     bivector_eval,
@@ -427,3 +432,112 @@ def test_sharp_matches_contraction_definition():
                 for a in range(chart.dim):
                     want = want + alpha.components.get((a,), zero) * entry(pi, a, b)
                 assert got.component((b,)) == want
+
+
+# -- zero-skipping kernels against dense definitions --------------------------
+
+VARS3 = R3.coords
+_dense_terms = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in VARS3)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(lambda c: c != 0),
+    max_size=2,
+)
+# Mostly zero, as in the tensors and forms of a chart.
+_entries = st.one_of(
+    st.just({}), st.just({}), _dense_terms
+).map(lambda terms: Polynomial(VARS3, terms))
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """A 3x3 matrix with mostly zero entries and, often, a zero row and column."""
+    rows = [[draw(_entries) for _ in range(3)] for _ in range(3)]
+    zero_row = draw(st.one_of(st.none(), st.integers(0, 2)))
+    zero_col = draw(st.one_of(st.none(), st.integers(0, 2)))
+    for i in range(3):
+        for j in range(3):
+            if i == zero_row or j == zero_col:
+                rows[i][j] = R3.zero()
+    return rows
+
+
+def _vector(comps):
+    return MultiVector(R3, 1, {(i,): c for i, c in enumerate(comps)})
+
+
+def _form(comps):
+    return DiffForm(R3, 1, {(i,): c for i, c in enumerate(comps)})
+
+
+_triples = st.lists(_entries, min_size=3, max_size=3)
+
+
+@given(_sparse_matrices(), _triples)
+@settings(max_examples=50, deadline=None)
+def test_apply_matches_dense_definition(rows, comps):
+    # N(X)^i = sum_j N^i_j X^j over every j
+    got = TensorOneOne(R3, rows).apply(_vector(comps))
+    want = [sum((rows[i][j] * comps[j] for j in range(3)), R3.zero()) for i in range(3)]
+    assert got == _vector(want)
+    assert all(not v.is_zero() for v in got.components.values())
+
+
+@given(_sparse_matrices(), _triples)
+@settings(max_examples=50, deadline=None)
+def test_dual_apply_matches_dense_definition(rows, comps):
+    # (N* alpha)_j = sum_i alpha_i N^i_j over every i
+    got = TensorOneOne(R3, rows).dual_apply(_form(comps))
+    want = [sum((comps[i] * rows[i][j] for i in range(3)), R3.zero()) for j in range(3)]
+    assert got == _form(want)
+    assert all(not v.is_zero() for v in got.components.values())
+
+
+@given(_triples, _triples, _triples)
+@settings(max_examples=50, deadline=None)
+def test_bivector_eval_matches_dense_definition(pi_comps, a, b):
+    # pi(alpha, beta) = sum_{i,j} pi^{ij} alpha_i beta_j, pi^{ji} = -pi^{ij}
+    pi = MultiVector(R3, 2, dict(zip(((0, 1), (0, 2), (1, 2)), pi_comps)))
+    want = R3.zero()
+    for i in range(3):
+        for j in range(3):
+            want = want + pi.component((i, j)) * a[i] * b[j]
+    assert bivector_eval(pi, _form(a), _form(b)) == want
+
+
+@given(_triples, _entries)
+@settings(max_examples=50, deadline=None)
+def test_apply_vf_matches_dense_definition(comps, f):
+    # X(f) = sum_a X^a d f / d x_a over every a
+    want = sum(
+        (comps[a] * f.partial(name) for a, name in enumerate(VARS3)), R3.zero()
+    )
+    assert cartan._apply_vf(_vector(comps), f) == want
+
+
+def _darboux_nijenhuis_dim6():
+    # pi = sum d_li ^ d_mi, N = diag(f_i(l_i)) on both l_i and m_i: a product
+    # of three Poisson-Nijenhuis planes
+    chart = Chart(("l1", "l2", "l3", "m1", "m2", "m3"))
+    pi = MultiVector(chart, 2, {(i, 3 + i): 1 for i in range(3)})
+    f = [chart.parse(text) for text in ("1 + l1", "2*l2^2 - l2", "l3^2 + 3")]
+    return pi, TensorOneOne.diagonal(chart, f + f)
+
+
+def test_is_pn_pair_multiplies_few_zero_operands(monkeypatch):
+    pi, N = _darboux_nijenhuis_dim6()
+    original = Polynomial.__mul__
+    counts = {"calls": 0, "zero": 0}
+
+    def counting(self, other):
+        counts["calls"] += 1
+        if isinstance(other, Polynomial) and not (self.terms and other.terms):
+            counts["zero"] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert is_pn_pair(pi, N).ok
+    # The 150 left are mat_mul's all-zero entries (30 of 36 in each of the
+    # five 6x6 products of the sharp-compatibility residual and N pi), which
+    # keep the entry kind; the dense loops made 4,572 of 4,830 calls.
+    assert counts["zero"] == 150
+    assert counts["calls"] == 408
