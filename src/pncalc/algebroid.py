@@ -463,20 +463,18 @@ def dual_linear_poisson(algebroid, fiber_names=None):
     n = algebroid.base.dim
     rank = algebroid.rank
 
-    def promote(poly):
-        return poly.substitute(dual.coords, {})
-
     comps = {}
     for i in range(rank):
         for a in range(n):
             entry = algebroid.anchor[i][a]
             if not entry.is_zero():
-                comps[(a, n + i)] = -promote(entry)
+                comps[(a, n + i)] = -entry.embed(dual.coords)
     for (i, j), row in algebroid.structure.items():
         val = dual.zero()
         for k in range(rank):
             if not row[k].is_zero():
-                val = val + promote(row[k]) * Polynomial.variable(dual.coords, dual.coords[n + k])
+                xi_k = Polynomial.variable(dual.coords, dual.coords[n + k])
+                val = val + row[k].embed(dual.coords) * xi_k
         comps[(n + i, n + j)] = val
     out = MultiVector(dual, 2, comps)
     check = pn.is_poisson(out)
@@ -515,7 +513,7 @@ def linear_poisson_to_algebroid(pi, base, basis):
             if poly.degree_in(fibers) > 0:
                 bad["(%d,%d)" % (a + 1, b + 1)] = "base-fiber block must be fiber-free: " + str(poly)
             else:
-                anchor_cols[b - n][a] = -poly.substitute(base.coords, {})
+                anchor_cols[b - n][a] = -poly.embed(base.coords)
         else:
             per_k = [dict() for _ in range(rank)]
             bad_term = False
@@ -814,19 +812,15 @@ def pn_bialgebroid_check(pi, tensor, hierarchy_orders=2):
     lift = dual_linear_poisson(dual, fiber_names)
     big = lift.chart
 
-    def promote(poly):
-        return poly.substitute(big.coords, {})
-
     entries = [[big.zero() for _ in range(2 * n)] for _ in range(2 * n)]
     for a in range(n):
         for b in range(n):
-            entries[a][b] = promote(tensor.entries[a][b])
-            entries[n + a][n + b] = promote(tensor.entries[a][b])
+            entry = tensor.entries[a][b]
+            entries[a][b] = entries[n + a][n + b] = entry.embed(big.coords)
             ramp = big.zero()
             for k, name in enumerate(chart.coords):
-                ramp = ramp + Polynomial.variable(big.coords, fiber_names[k]) * promote(
-                    tensor.entries[a][b].partial(name)
-                )
+                fiber = Polynomial.variable(big.coords, fiber_names[k])
+                ramp = ramp + fiber * entry.partial(name).embed(big.coords)
             entries[n + a][b] = ramp
     lifted_tensor = pn.TensorOneOne(big, entries)
     lift_pair = pn.is_pn_pair(lift, lifted_tensor)

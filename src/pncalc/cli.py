@@ -26,7 +26,6 @@ from . import jacobi as jc
 from . import poisson_nijenhuis as pn
 from . import report as report_mod
 from . import suite as suite_mod
-from .cartan import coordinate_form as cartan_form
 from .errors import InputError, PreconditionError
 from .report import Report
 
@@ -94,16 +93,11 @@ def _koszul(doc, args, command):
 def _concomitant(doc, args, command):
     pi = _first_bivector(doc, command)
     tensor = doc.require("tensor11", command)
-    chart = pi.chart
     npi = pn.n_bivector(pi, tensor)
     residuals = {}
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
-            value = pn.magri_morosi(
-                pi, tensor, cartan_form(chart, i), cartan_form(chart, j), npi=npi
-            )
-            if not value.is_zero():
-                residuals[f"concomitant({i + 1},{j + 1})"] = str(value)
+    for (i, j), value in pn.concomitant_map(pi, tensor, npi).items():
+        if not value.is_zero():
+            residuals[f"concomitant({i + 1},{j + 1})"] = str(value)
     if residuals:
         return Report(command, "fail", residuals)
     return Report(command, "pass", {})

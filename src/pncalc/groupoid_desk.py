@@ -10,8 +10,13 @@ groupoid Poisson when the graph is coisotropic for pi (+) pi (+) (-pi).
 
 Submanifolds are restricted to affine coordinate constraints with rational
 coefficients, so tangent and conormal bases are exact kernels and row
-spaces, and restriction to the submanifold is substitution along a
-rational parametrization.
+spaces, and restriction to the submanifold is ``substitute`` along a
+rational parametrization, whose images are genuine affine polynomials.
+
+Every other change of ring only moves variables: the block lifts of pi and
+N to the pair and triple charts (``_block_bivector``, ``_block_tensor``),
+the source projection and the diagonal restriction to the units. Those are
+``Polynomial.embed``, a trusted map of exponent vectors with no arithmetic.
 """
 
 from __future__ import annotations
@@ -25,26 +30,6 @@ from .cartan import Chart, DiffForm, MultiVector
 from .errors import InputError, InternalError, PreconditionError
 from .linalg import nullspace, rref
 from .polyalg import Polynomial
-
-
-def _coerce(chart, value):
-    if isinstance(value, Polynomial):
-        if value.variables != chart.coords:
-            raise InputError("polynomial lives on a different ring")
-        return value
-    if isinstance(value, str):
-        return chart.parse(value)
-    return Polynomial.constant(chart.coords, value)
-
-
-def _promote(poly, chart, renames=None):
-    images = {}
-    if renames:
-        images = {
-            old: Polynomial.variable(chart.coords, new)
-            for old, new in renames.items()
-        }
-    return poly.substitute(chart.coords, images)
 
 
 class AffineSubmanifold:
@@ -67,7 +52,7 @@ class AffineSubmanifold:
         rows = []
         rhs = []
         for raw in constraints:
-            poly = _coerce(chart, raw)
+            poly = chart.coerce(raw)
             row = [Fraction(0)] * n
             constant = Fraction(0)
             for exps, coeff in poly.terms.items():
@@ -141,7 +126,7 @@ class AffineSubmanifold:
 
     def restrict(self, poly):
         """Substitute a rational parametrization: the polynomial on S."""
-        poly = _coerce(self.chart, poly)
+        poly = self.chart.coerce(poly)
         params, images = self._parametrization()
         return poly.substitute(params.coords, images)
 
@@ -197,9 +182,13 @@ class PairGroupoid:
             raise InputError("coordinate names collide across the triple product")
         return Chart(coords)
 
-    def copy_renames(self, k):
-        """Renaming of total-chart coordinates into copy k of the triple."""
-        return {c: c + "_%d" % k for c in self.total.coords}
+    def pair_copies(self):
+        """Renamings of base coordinates into the source and target blocks."""
+        return ({}, {c: "y_" + c for c in self.base.coords})
+
+    def triple_copies(self):
+        """Renamings of total-chart coordinates into copies 1, 2, 3 of the triple."""
+        return tuple({c: c + "_%d" % k for c in self.total.coords} for k in (1, 2, 3))
 
     def multiplication_graph(self):
         """Gr(m) = {((x,y),(y,z),(x,z))} inside the triple product."""
@@ -218,20 +207,43 @@ class PairGroupoid:
         return AffineSubmanifold(triple, rows)
 
 
+def _block_bivector(chart, pi, blocks):
+    """pi copied into consecutive diagonal blocks of ``chart``.
+
+    ``blocks`` holds one (renames, sign) per block: the renames move pi's
+    coordinates to the block's, and the sign is that of the block's copy.
+    """
+    m = pi.chart.dim
+    comps = {}
+    for k, (renames, sign) in enumerate(blocks):
+        for (a, b), poly in pi.components.items():
+            moved = poly.embed(chart.coords, renames)
+            comps[(k * m + a, k * m + b)] = moved if sign > 0 else -moved
+    return MultiVector(chart, 2, comps)
+
+
+def _block_tensor(chart, tensor, blocks):
+    """The tensor copied into consecutive diagonal blocks, one per renames."""
+    m = tensor.chart.dim
+    size = len(blocks) * m
+    zero = chart.zero()
+    entries = [[zero] * size for _ in range(size)]
+    for k, renames in enumerate(blocks):
+        for a, row in enumerate(tensor.entries):
+            for b, poly in enumerate(row):
+                if not poly.is_zero():
+                    entries[k * m + a][k * m + b] = poly.embed(chart.coords, renames)
+    return pn.TensorOneOne(chart, entries)
+
+
 def pair_bivector(groupoid, pi):
     """pi (-) pi: the source block carries pi, the target block -pi."""
     if not isinstance(pi, MultiVector) or pi.degree != 2:
         raise InputError("expected a degree-2 multivector on the base")
     if pi.chart != groupoid.base:
         raise InputError("bivector lives on a different chart")
-    n = groupoid.base.dim
-    total = groupoid.total
-    renames = {c: "y_" + c for c in groupoid.base.coords}
-    comps = {}
-    for (a, b), poly in pi.components.items():
-        comps[(a, b)] = _promote(poly, total)
-        comps[(n + a, n + b)] = -_promote(poly, total, renames)
-    return MultiVector(total, 2, comps)
+    blocks = tuple(zip(groupoid.pair_copies(), (1, -1)))
+    return _block_bivector(groupoid.total, pi, blocks)
 
 
 def pair_tensor(groupoid, tensor):
@@ -240,16 +252,7 @@ def pair_tensor(groupoid, tensor):
         raise InputError("expected a (1,1)-tensor on the base")
     if tensor.chart != groupoid.base:
         raise InputError("tensor lives on a different chart")
-    n = groupoid.base.dim
-    total = groupoid.total
-    renames = {c: "y_" + c for c in groupoid.base.coords}
-    zero = total.zero()
-    entries = [[zero] * (2 * n) for _ in range(2 * n)]
-    for a in range(n):
-        for b in range(n):
-            entries[a][b] = _promote(tensor.entries[a][b], total)
-            entries[n + a][n + b] = _promote(tensor.entries[a][b], total, renames)
-    return pn.TensorOneOne(total, entries)
+    return _block_tensor(groupoid.total, tensor, groupoid.pair_copies())
 
 
 @dataclass(frozen=True)
@@ -377,32 +380,10 @@ def coisotropic_invariant_check(pi, tensor, sub):
     )
 
 
-def _triple_tensor(groupoid, tensor):
-    triple = groupoid.triple_chart()
-    m = 2 * groupoid.base.dim
-    zero = triple.zero()
-    entries = [[zero] * (3 * m) for _ in range(3 * m)]
-    for k in (1, 2, 3):
-        renames = groupoid.copy_renames(k)
-        off = (k - 1) * m
-        for a in range(m):
-            for b in range(m):
-                entries[off + a][off + b] = _promote(
-                    tensor.entries[a][b], triple, renames
-                )
-    return pn.TensorOneOne(triple, entries)
-
-
-def _triple_bivector(groupoid, pi):
-    triple = groupoid.triple_chart()
-    m = 2 * groupoid.base.dim
-    comps = {}
-    for k, sign in ((1, 1), (2, 1), (3, -1)):
-        renames = groupoid.copy_renames(k)
-        off = (k - 1) * m
-        for (a, b), poly in pi.components.items():
-            comps[(off + a, off + b)] = _promote(poly, triple, renames) * sign
-    return MultiVector(triple, 2, comps)
+def _graph_bivector(groupoid, pi):
+    """pi (+) pi (+) (-pi) on the triple product."""
+    blocks = tuple(zip(groupoid.triple_copies(), (1, 1, -1)))
+    return _block_bivector(groupoid.triple_chart(), pi, blocks)
 
 
 def multiplicativity_check_tensor(groupoid, tensor):
@@ -411,7 +392,8 @@ def multiplicativity_check_tensor(groupoid, tensor):
         raise InputError("expected a PairGroupoid")
     if not isinstance(tensor, pn.TensorOneOne) or tensor.chart != groupoid.total:
         raise InputError("expected a (1,1)-tensor on the total chart")
-    return invariant_check(_triple_tensor(groupoid, tensor), groupoid.multiplication_graph())
+    lift = _block_tensor(groupoid.triple_chart(), tensor, groupoid.triple_copies())
+    return invariant_check(lift, groupoid.multiplication_graph())
 
 
 def poisson_groupoid_check(groupoid, pi):
@@ -425,7 +407,7 @@ def poisson_groupoid_check(groupoid, pi):
         raise PreconditionError(
             "bivector is not Poisson", {"schouten": str(verdict.residual)}
         )
-    return coisotropic_check(_triple_bivector(groupoid, pi), groupoid.multiplication_graph())
+    return coisotropic_check(_graph_bivector(groupoid, pi), groupoid.multiplication_graph())
 
 
 @dataclass(frozen=True)
@@ -466,10 +448,11 @@ def pn_groupoid_check(groupoid, pi, tensor):
     if not isinstance(tensor, pn.TensorOneOne) or tensor.chart != groupoid.total:
         raise InputError("expected a (1,1)-tensor on the total chart")
     graph = groupoid.multiplication_graph()
+    triple_tensor = _block_tensor(groupoid.triple_chart(), tensor, groupoid.triple_copies())
     return PNGroupoidVerdict(
         pair_verdict=pn.is_pn_pair(pi, tensor),
-        graph_coisotropy=coisotropic_check(_triple_bivector(groupoid, pi), graph),
-        tensor_graph=invariant_check(_triple_tensor(groupoid, tensor), graph),
+        graph_coisotropy=coisotropic_check(_graph_bivector(groupoid, pi), graph),
+        tensor_graph=invariant_check(triple_tensor, graph),
         unit_space=coisotropic_invariant_check(pi, tensor, groupoid.unit_diagonal()),
     )
 
@@ -527,6 +510,7 @@ def base_structure(groupoid, pi, tensor):
             composite.residuals(),
         )
     base = groupoid.base
+    total = groupoid.total.coords
     n = base.dim
     allowed = set(base.coords)
     comps = {}
@@ -537,30 +521,25 @@ def base_structure(groupoid, pi, tensor):
                     "pushforward along the source is ill-defined",
                     {"component (%d,%d)" % (a + 1, b + 1): str(poly)},
                 )
-            comps[(a, b)] = poly.substitute(base.coords, {})
+            comps[(a, b)] = poly.embed(base.coords)
     base_pi = MultiVector(base, 2, comps)
 
-    diag = {
-        "y_" + c: Polynomial.variable(groupoid.total.coords, c)
-        for c in base.coords
-    }
+    diag = {"y_" + c: c for c in base.coords}
     entries = []
     for a in range(n):
         row = []
         for b in range(n):
-            on_diag = tensor.entries[a][b].substitute(groupoid.total.coords, diag)
+            on_diag = tensor.entries[a][b].embed(total, diag)
             if not _uses_only(on_diag, allowed):
                 raise InternalError("diagonal restriction left a target coordinate")
-            row.append(on_diag.substitute(base.coords, {}))
+            row.append(on_diag.embed(base.coords))
         entries.append(row)
     base_tensor = pn.TensorOneOne(base, entries)
 
     related = []
     for a in range(n):
         for i in range(n):
-            diff = tensor.entries[a][i] - _promote(
-                base_tensor.entries[a][i], groupoid.total
-            )
+            diff = tensor.entries[a][i] - base_tensor.entries[a][i].embed(total)
             related.append(("s-related x-block (%d,%d)" % (a + 1, i + 1), diff))
         for i in range(n, 2 * n):
             related.append(
@@ -571,9 +550,8 @@ def base_structure(groupoid, pi, tensor):
     deformed_total = pn.n_bivector(pi, tensor)
     deformed_base = pn.n_bivector(base_pi, base_tensor)
     for a, b in combinations(range(n), 2):
-        diff = deformed_total.component((a, b)) - _promote(
-            deformed_base.component((a, b)), groupoid.total
-        )
+        lifted = deformed_base.component((a, b)).embed(total)
+        diff = deformed_total.component((a, b)) - lifted
         pushforward.append(("pushforward N.pi (%d,%d)" % (a + 1, b + 1), diff))
 
     return BaseStructure(

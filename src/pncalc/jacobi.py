@@ -413,11 +413,7 @@ def homogenized_bivector(pair, name="t_h"):
     t = big.parse(name)
     comps = {}
     for (a, b), poly in pair.pi.components.items():
-        comps[(a, b)] = _promote(poly, big) * t
+        comps[(a, b)] = poly.embed(big.coords) * t
     for (a,), poly in pair.e.components.items():
-        comps[(a, n)] = -_promote(poly, big) * t * t
+        comps[(a, n)] = -poly.embed(big.coords) * t * t
     return MultiVector(big, 2, comps)
-
-
-def _promote(poly, big):
-    return poly.substitute(big.coords, {})

@@ -37,20 +37,10 @@ def mat_identity(chart, n):
     )
 
 
-def mat_add(A, B):
-    if mat_shape(A) != mat_shape(B):
-        raise InputError(f"matrix shape mismatch: {mat_shape(A)} vs {mat_shape(B)}")
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_sub(A, B):
     if mat_shape(A) != mat_shape(B):
         raise InputError(f"matrix shape mismatch: {mat_shape(A)} vs {mat_shape(B)}")
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_scale(c, A):
-    return tuple(tuple(c * a for a in row) for row in A)
 
 
 def mat_mul(A, B):
@@ -59,8 +49,9 @@ def mat_mul(A, B):
     if k != k2:
         raise InputError(f"cannot multiply {n}x{k} by {k2}x{m}")
     # Products with a zero factor add nothing, so only the others are formed.
-    # An entry whose products all vanish is A[i][0] * B[0][j], which is
-    # zero of the same kind (Polynomial ring or number) as the full sum.
+    # An entry whose products all vanish takes the zero factor of its first
+    # product, A[i][0] or B[0][j]: a zero of the same kind (Polynomial ring
+    # or number) as the full sum.
     b_live = [[not _entry_is_zero(b) for b in row] for row in B]
     out = []
     for i in range(n):
@@ -73,7 +64,9 @@ def mat_mul(A, B):
                 if b_live[t][j]:
                     prod = a_row[t] * B[t][j]
                     acc = prod if acc is None else acc + prod
-            row.append(a_row[0] * B[0][j] if acc is None else acc)
+            if acc is None:
+                acc = a_row[0] if b_live[0][j] else B[0][j]
+            row.append(acc)
         out.append(tuple(row))
     return tuple(out)
 
@@ -91,20 +84,6 @@ def _entry_is_zero(a):
     if isinstance(a, Polynomial):
         return a.is_zero()
     return a == 0
-
-
-def mat_apply_vector(A, v):
-    """Matrix times column vector, returned as a tuple."""
-    n, m = mat_shape(A)
-    if len(v) != m:
-        raise InputError(f"vector length {len(v)} does not match {n}x{m} matrix")
-    out = []
-    for i in range(n):
-        acc = A[i][0] * v[0]
-        for t in range(1, m):
-            acc = acc + A[i][t] * v[t]
-        out.append(acc)
-    return tuple(out)
 
 
 def rref(rows):

@@ -264,10 +264,6 @@ def bivector_eval(pi, alpha, beta):
 # -- verdict containers ------------------------------------------------------
 
 
-def _residual_map(pairs):
-    return {k: str(v) for k, v in pairs if not v.is_zero()}
-
-
 @dataclass(frozen=True)
 class PoissonVerdict:
     residual: MultiVector
@@ -446,22 +442,30 @@ def magri_morosi(pi, N, alpha, beta, npi=None):
     )
 
 
+def concomitant_map(pi, N, npi):
+    """C(pi,N)(dx_i, dx_j) for every coordinate pair i < j, keyed (i, j).
+
+    ``npi`` is n_bivector(pi, N), which the caller has already formed.
+    """
+    chart = pi.chart
+    out = {}
+    for i in range(chart.dim):
+        for j in range(i + 1, chart.dim):
+            out[(i, j)] = magri_morosi(
+                pi, N, coordinate_form(chart, i), coordinate_form(chart, j), npi=npi
+            )
+    return out
+
+
 def is_pn_pair(pi, N):
     """Full Poisson-Nijenhuis verdict with all four residual families."""
     _check_bivector(pi)
     if not isinstance(N, TensorOneOne) or N.chart != pi.chart:
         raise InputError("expected a (1,1)-tensor on the bivector's chart")
-    chart = pi.chart
     sharp_res = sharp_compat_residual(pi, N)
     concomitant = None
     if mat_is_zero(sharp_res):
-        npi = n_bivector(pi, N)
-        concomitant = {}
-        for i in range(chart.dim):
-            for j in range(i + 1, chart.dim):
-                concomitant[(i, j)] = magri_morosi(
-                    pi, N, coordinate_form(chart, i), coordinate_form(chart, j), npi=npi
-                )
+        concomitant = concomitant_map(pi, N, n_bivector(pi, N))
     return PNVerdict(
         poisson_residual=schouten(pi, pi),
         torsion_residual=nijenhuis_torsion(N),

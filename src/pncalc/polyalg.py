@@ -17,10 +17,16 @@ each exponent vector, a tuple of non-bool nonnegative ``int`` of length
 ``len(variables)``, to a nonzero ``Fraction``. ``Polynomial(...)`` is the
 validating entry point for outside input and brings any accepted input into
 this form. The arithmetic (``+``, ``-``, ``*``, ``**``, ``partial``,
-``substitute``) combines canonical operands into terms that are canonical by
-construction, so it builds its results with the private
+``embed``, ``substitute``) combines canonical operands into terms that are
+canonical by construction, so it builds its results with the private
 ``Polynomial._trusted``, which stores the given dict as is. Nothing mutates
 a ``terms`` dict after construction.
+
+Moving a polynomial to another ring by variable name (an embedding, a
+projection, a rename, or a diagonal restriction that sends two variables to
+one) is ``embed``, a map of exponent vectors. ``substitute`` is for genuine
+polynomial images, such as an affine parametrization or evaluation at a
+point.
 
 Multiplication runs its inner loop on ``int``: ``_numerators`` scales each
 operand's coefficients to integer numerators over that operand's least
@@ -298,6 +304,38 @@ class Polynomial:
                 else:
                     terms[lowered] = coeff * e
         return Polynomial._trusted(self.variables, terms)
+
+    def embed(self, variables, renames=None):
+        """The same polynomial over another ring, moved by variable name.
+
+        Each variable goes to ``renames[v]``, or else to the target variable
+        of the same name; a variable with neither must not occur. This is a
+        map of exponent slots with no arithmetic: exponents and coefficients
+        add, and may cancel, only where two variables share a target.
+        """
+        variables = _check_variables(variables)
+        index = {v: i for i, v in enumerate(variables)}
+        renames = renames or {}
+        slots = []
+        for pos, v in enumerate(self.variables):
+            i = index.get(renames.get(v, v))
+            if i is not None:
+                slots.append((pos, i))
+            elif any(exps[pos] for exps in self.terms):
+                raise InputError(f"variable {v!r} has no image in ring {variables}")
+        terms = {}
+        for exps, coeff in self.terms.items():
+            moved = [0] * len(variables)
+            for pos, i in slots:
+                moved[i] += exps[pos]
+            moved = tuple(moved)
+            if moved in terms:
+                coeff = terms[moved] + coeff
+                if coeff == 0:
+                    del terms[moved]
+                    continue
+            terms[moved] = coeff
+        return Polynomial._trusted(variables, terms)
 
     def substitute(self, target_variables, assignments):
         """Evaluate with each variable replaced by a polynomial over a new ring.

@@ -337,7 +337,7 @@ def criterion_6():
     x_lift = MultiVector(
         G.total,
         2,
-        {key: poly.substitute(G.total.coords, {}) for key, poly in pi.components.items()},
+        {key: poly.embed(G.total.coords) for key, poly in pi.components.items()},
     )
     wrong_sign = x_lift * 2 - piG
     sign_check = gd.poisson_groupoid_check(G, wrong_sign)

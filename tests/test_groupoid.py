@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pncalc import groupoid_desk as gd, poisson_nijenhuis as pn
+from pncalc import corpus, groupoid_desk as gd, poisson_nijenhuis as pn
 from pncalc.cartan import Chart, MultiVector
 from pncalc.corpus import R2, R3, random_polynomial, so3_bivector
 from pncalc.errors import InputError, PreconditionError
@@ -387,3 +387,31 @@ class TestBaseStructure:
         result = base_structure(G, pair_bivector(G, pi), pair_tensor(G, tensor))
         assert result.ok
         assert result.pi == pi
+
+
+def test_only_restriction_substitutes(monkeypatch):
+    # Lifts, projections and the diagonal restriction move variables with
+    # Polynomial.embed; substitute is left to the affine parametrization.
+    _, pi, tensor = corpus.pn_pairs()[1]
+    assert pi.chart.dim == 2
+    G = PairGroupoid(pi.chart)
+    counts = {"substitute": 0, "restrict": 0}
+
+    def counting(name, original):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        Polynomial, "substitute", counting("substitute", Polynomial.substitute)
+    )
+    monkeypatch.setattr(
+        AffineSubmanifold, "restrict", counting("restrict", AffineSubmanifold.restrict)
+    )
+    piG, NG = pair_bivector(G, pi), pair_tensor(G, tensor)
+    assert pn_groupoid_check(G, piG, NG).ok
+    assert base_structure(G, piG, NG).ok
+    assert counts["restrict"] > 0
+    assert counts["substitute"] == counts["restrict"]

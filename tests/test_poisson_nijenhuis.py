@@ -536,8 +536,8 @@ def test_is_pn_pair_multiplies_few_zero_operands(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     assert is_pn_pair(pi, N).ok
-    # The 150 left are mat_mul's all-zero entries (30 of 36 in each of the
-    # five 6x6 products of the sharp-compatibility residual and N pi), which
-    # keep the entry kind; the dense loops made 4,572 of 4,830 calls.
-    assert counts["zero"] == 150
-    assert counts["calls"] == 408
+    # No product has a zero operand: mat_mul's all-zero entries (30 of 36 in
+    # each of the five 6x6 products of the sharp-compatibility residual and
+    # N pi) reuse their zero factor instead of multiplying by it.
+    assert counts["zero"] == 0
+    assert counts["calls"] == 258

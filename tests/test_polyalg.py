@@ -174,6 +174,7 @@ STEPS = {
     "pow": operator.pow,
     "partial": Polynomial.partial,
     "substitute": lambda p, images: p.substitute(VARS, images),
+    "embed": lambda p, renames: p.embed(VARS, renames),
 }
 steps = st.one_of(
     st.tuples(st.sampled_from(["add", "sub", "mul"]), st.one_of(small_polys, scalars)),
@@ -184,6 +185,10 @@ steps = st.one_of(
     st.tuples(
         st.just("substitute"),
         st.dictionaries(st.sampled_from(VARS), st.one_of(small_polys, scalars)),
+    ),
+    st.tuples(
+        st.just("embed"),
+        st.dictionaries(st.sampled_from(VARS), st.sampled_from(VARS)),
     ),
 )
 
@@ -357,3 +362,92 @@ def test_parse_nesting_is_bounded():
     # depth counts open parentheses, not parenthesized groups in sequence
     flat = " + ".join(["(" * 60 + "x1" + ")" * 60] * 5)
     assert P(flat) == 5 * P("x1")
+
+
+# -- embed, with substitute by variable images as the oracle -----------------
+
+PAIR = ("x1", "x2", "y_x1", "y_x2")
+SWAP = {"x1": "y_x1", "y_x1": "x1", "x2": "y_x2", "y_x2": "x2"}
+pair_exponents = st.tuples(*(st.integers(0, 2) for _ in PAIR))
+source_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0), st.just(0))
+
+
+def pair_polys(exponents=pair_exponents):
+    return st.dictionaries(exponents, kernel_coeffs, max_size=5).map(
+        lambda terms: Polynomial(PAIR, terms)
+    )
+
+
+def _oracle_embed(p, variables, renames):
+    images = {v: Polynomial.variable(variables, w) for v, w in renames.items()}
+    return p.substitute(variables, images)
+
+
+EMBED_CASES = st.one_of(
+    # a larger ring, variables reordered, nothing renamed
+    st.tuples(
+        pair_polys(), st.permutations(PAIR + ("u", "v")).map(tuple), st.just({})
+    ),
+    # permutation renames within the ring, among them the x <-> y_x swap
+    st.tuples(
+        pair_polys(),
+        st.just(PAIR),
+        st.one_of(
+            st.just(SWAP),
+            st.permutations(PAIR).map(lambda image: dict(zip(PAIR, image))),
+        ),
+    ),
+    # merging renames: y_x -> x, as on the diagonal, into either ring order
+    st.tuples(
+        pair_polys(),
+        st.sampled_from([PAIR, PAIR[::-1], ("x1", "x2"), ("x2", "x1")]),
+        st.dictionaries(st.sampled_from(PAIR[2:]), st.sampled_from(PAIR[:2]), min_size=1),
+    ).filter(lambda case: len(case[1]) == 4 or len(case[2]) == 2),
+    # projections: the dropped y variables do not occur
+    st.tuples(
+        pair_polys(source_exponents),
+        st.sampled_from([("x1", "x2"), ("x2", "x1"), ("x2", "u", "x1")]),
+        st.just({}),
+    ),
+)
+
+
+@given(EMBED_CASES)
+@settings(max_examples=200, deadline=None)
+def test_embed_matches_substitute(case):
+    p, variables, renames = case
+    got = p.embed(variables, renames)
+    assert got == _oracle_embed(p, variables, renames)
+    assert got.variables == variables
+    assert_canonical(got)
+
+
+@given(pair_polys(), st.lists(st.sampled_from(PAIR + ("u",)), unique=True).map(tuple))
+@settings(max_examples=100, deadline=None)
+def test_embed_refuses_what_substitute_refuses(p, variables):
+    try:
+        want = p.substitute(variables, {})
+    except InputError:
+        with pytest.raises(InputError, match="has no image"):
+            p.embed(variables)
+    else:
+        assert p.embed(variables) == want
+
+
+def test_embed_examples():
+    x = parse_polynomial("x1 - y_x1", PAIR)
+    assert x.embed(PAIR, {"y_x1": "x1"}).is_zero()
+    assert x.embed(("x1", "x2"), {"y_x1": "x1"}).terms == {}
+    q = parse_polynomial("x1^2*y_x2 - 3*y_x1 + 1/2", PAIR)
+    assert q.embed(PAIR, SWAP) == parse_polynomial("y_x1^2*x2 - 3*x1 + 1/2", PAIR)
+    assert q.embed(PAIR, SWAP).embed(PAIR, SWAP) == q
+    assert str(q.embed(PAIR, {"y_x1": "x1", "y_x2": "x1"})) == "x1^3 - 3*x1 + 1/2"
+    assert parse_polynomial("x2", PAIR).embed(("x2",)) == parse_polynomial("x2", ("x2",))
+    with pytest.raises(InputError, match="'y_x1' has no image"):
+        q.embed(("x1", "x2", "y_x2"))
+    with pytest.raises(InputError, match="'x1' has no image"):
+        q.embed(PAIR, {"x1": "u"})
+    with pytest.raises(InputError, match="duplicate variable names"):
+        q.embed(("x1", "x2", "y_x1", "x1"))
+    with pytest.raises(InputError, match="duplicate variable names"):
+        Polynomial.zero(PAIR).embed(("u", "u"))
