@@ -78,10 +78,10 @@ class Chart:
         return self
 
     def zero(self):
-        return Polynomial._trusted(self.coords, {})
+        return Polynomial._trusted(self.coords, {}, 1)
 
     def one(self):
-        return Polynomial._trusted(self.coords, {(0,) * len(self.coords): Fraction(1)})
+        return Polynomial._trusted(self.coords, {(0,) * len(self.coords): 1}, 1)
 
     def constant(self, value):
         return Polynomial.constant(self.coords, value)
@@ -297,7 +297,7 @@ class _Graded:
             basis = "^".join(self._basis_name(i) for i in key)
             if poly == 1:
                 parts.append(basis)
-            elif len(poly.terms) == 1 and str(poly)[0] != "-":
+            elif len(poly.exponents()) == 1 and str(poly)[0] != "-":
                 parts.append(f"{poly}*{basis}")
             else:
                 parts.append(f"({poly})*{basis}")

@@ -4,7 +4,8 @@ Every command reads one JSON document (see :mod:`pncalc.document`),
 runs one check or construction, and prints one report. Exit codes match
 the report verdict: 0 when the check passes, 1 when the mathematics
 fails (including violated preconditions), 2 when the input cannot be
-parsed. ``--json`` switches the report to a byte-stable JSON rendering.
+parsed, 3 when two internal certificates disagree (a bug in pncalc, never
+the input). ``--json`` switches the report to a byte-stable JSON rendering.
 
 Checks report residuals; constructions (torsion, koszul, algebroid
 diff, dual-poisson, jet-algebroid, base projection) reuse the residual
@@ -26,7 +27,7 @@ from . import jacobi as jc
 from . import poisson_nijenhuis as pn
 from . import report as report_mod
 from . import suite as suite_mod
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .report import Report
 
 
@@ -415,7 +416,7 @@ def main(argv=None):
     try:
         doc = document.load_document(args.input)
         rep = handler(doc, args, command)
-    except (PreconditionError, InputError) as exc:
+    except (PreconditionError, InputError, InternalError) as exc:
         rep = report_mod.from_exception(command, exc)
     elapsed = time.perf_counter() - started
     rep = Report(rep.command, rep.verdict, rep.residuals, elapsed)

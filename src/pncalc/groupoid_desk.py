@@ -487,7 +487,7 @@ class BaseStructure:
 
 
 def _uses_only(poly, allowed):
-    for exps, _ in poly.terms.items():
+    for exps in poly.exponents():
         for name, e in zip(poly.variables, exps):
             if e and name not in allowed:
                 return False
@@ -524,15 +524,22 @@ def base_structure(groupoid, pi, tensor):
             comps[(a, b)] = poly.embed(base.coords)
     base_pi = MultiVector(base, 2, comps)
 
-    diag = {"y_" + c: c for c in base.coords}
+    # N restricted to the units is its source block on the diagonal y = x.
+    # A multiplicative N has a source block free of the target coordinates:
+    # the x-rows of N (+) N (+) N on Gr(m) at ((x,y),(y,z),(x,z)) agree in
+    # copies 1 and 3 only if N_xx(x,y) = N_xx(x,z). So the restriction is
+    # the projection to the base chart, and a y left over is a bug.
     entries = []
     for a in range(n):
         row = []
         for b in range(n):
-            on_diag = tensor.entries[a][b].embed(total, diag)
-            if not _uses_only(on_diag, allowed):
-                raise InternalError("diagonal restriction left a target coordinate")
-            row.append(on_diag.embed(base.coords))
+            source = tensor.entries[a][b]
+            if not _uses_only(source, allowed):
+                raise InternalError(
+                    "the source block of a multiplicative tensor depends on "
+                    "the target coordinates"
+                )
+            row.append(source.embed(base.coords))
         entries.append(row)
     base_tensor = pn.TensorOneOne(base, entries)
 

@@ -1,40 +1,49 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is stored sparsely as a map from exponent vectors to nonzero
-``Fraction`` coefficients. The exponent vector is a tuple of nonnegative
-ints, one slot per variable of the owning ring. Two polynomials combine only
-when their variable tuples are identical; constants are promoted
-automatically, so ``p + 1`` and ``Polynomial.constant(vars, 1) + p`` agree.
+A polynomial is stored sparsely as integer numerators over one common
+denominator: a map from exponent vectors to nonzero ``int`` numerators, and
+a positive ``int`` denominator shared by every term. The exponent vector is
+a tuple of nonnegative ints, one slot per variable of the owning ring. Two
+polynomials combine only when their variable tuples are identical;
+constants are promoted automatically, so ``p + 1`` and
+``Polynomial.constant(vars, 1) + p`` agree.
 
-Equality is structural and, because the representation is canonical (no zero
-coefficient is ever stored), structural equality coincides with mathematical
-equality. Every "vanishes identically" check downstream reduces to
-``is_zero`` here, which is what keeps all of them exact decisions rather
-than numerical tolerances.
+Equality is structural and, because the representation is canonical,
+structural equality coincides with mathematical equality. Every "vanishes
+identically" check downstream reduces to ``is_zero`` here, which is what
+keeps all of them exact decisions rather than numerical tolerances.
 
-Canonical form: ``variables`` is a tuple of distinct names; ``terms`` maps
-each exponent vector, a tuple of non-bool nonnegative ``int`` of length
-``len(variables)``, to a nonzero ``Fraction``. ``Polynomial(...)`` is the
-validating entry point for outside input and brings any accepted input into
-this form. The arithmetic (``+``, ``-``, ``*``, ``**``, ``partial``,
-``embed``, ``substitute``) combines canonical operands into terms that are
-canonical by construction, so it builds its results with the private
-``Polynomial._trusted``, which stores the given dict as is. Nothing mutates
-a ``terms`` dict after construction.
+Canonical form: ``variables`` is a tuple of distinct names; the numerator
+map sends each exponent vector, a tuple of non-bool nonnegative ``int`` of
+length ``len(variables)``, to a nonzero ``int``; the denominator is a
+positive ``int`` whose gcd with all the numerators is 1, and the zero
+polynomial has denominator 1. The denominator is then the least common
+denominator of the coefficients, so each polynomial has exactly one such
+form. ``Polynomial(...)`` is the validating entry point for outside input
+and brings any accepted input into this form. The arithmetic (``+``, ``-``,
+``*``, ``**``, ``partial``, ``embed``, ``substitute``) builds its results
+with the private ``Polynomial._trusted``, which stores the given numerators
+and denominator as they are. Nothing mutates a numerator dict after
+construction.
+
+The kernels run on ``int`` only. ``+`` adds numerators directly when the
+denominators agree and rescales both operands to the ``lcm`` when they
+differ; ``*`` sums the products of numerators per exponent vector over the
+product of the denominators; ``-``, ``partial`` and ``embed`` keep the
+denominator. A result whose denominator is not 1 is divided by the gcd of
+its denominator and numerators, which restores the canonical form.
+``Fraction`` appears only at the boundary: the validating constructor,
+``constant_value``, printing, the per-term constants of ``substitute``,
+and ``terms``, a read-only map from exponent vectors to ``Fraction``
+coefficients that makes each coefficient when it is read and keeps none;
+its ``len`` and truth read the numerators. Code that needs only the
+exponents reads ``exponents()``.
 
 Moving a polynomial to another ring by variable name (an embedding, a
 projection, a rename, or a diagonal restriction that sends two variables to
 one) is ``embed``, a map of exponent vectors. ``substitute`` is for genuine
 polynomial images, such as an affine parametrization or evaluation at a
 point.
-
-Multiplication runs its inner loop on ``int``: ``_numerators`` scales each
-operand's coefficients to integer numerators over that operand's least
-common denominator (``coeff == num / den`` for every term), the products of
-numerators are summed per exponent vector, and each nonzero total ``v``
-becomes one ``Fraction(v, den1 * den2)``, which the constructor reduces to
-lowest terms. A product thus builds one ``Fraction`` per output term
-instead of one ``Fraction`` multiply and add per pair of input terms.
 
 The text grammar accepted by :func:`parse_polynomial`:
 
@@ -55,8 +64,9 @@ its position.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .errors import InputError, ParseError
@@ -64,24 +74,6 @@ from .errors import InputError, ParseError
 Rational = Fraction
 
 MAX_NESTING = 100
-
-
-def _numerators(terms):
-    """Scale coefficients to ints over their least common denominator.
-
-    Returns ``(den, [(exps, num), ...])`` with ``coeff == num / den`` for
-    every term, in the order of ``terms``.
-    """
-    den = 1
-    for coeff in terms.values():
-        if coeff.denominator != 1:
-            den = lcm(den, coeff.denominator)
-    if den == 1:
-        return 1, [(exps, coeff.numerator) for exps, coeff in terms.items()]
-    return den, [
-        (exps, coeff.numerator * (den // coeff.denominator))
-        for exps, coeff in terms.items()
-    ]
 
 
 def _check_variables(variables):
@@ -99,10 +91,48 @@ def _as_fraction(value):
     raise InputError(f"not a rational scalar: {value!r}")
 
 
+def _reduced(variables, nums, den):
+    """The canonical polynomial with nonzero numerators ``nums`` over ``den > 0``."""
+    if den != 1:
+        if not nums:
+            den = 1
+        else:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {exps: n // g for exps, n in nums.items()}
+    return Polynomial._trusted(variables, nums, den)
+
+
+class _Terms(Mapping):
+    """The coefficients of one polynomial, each a ``Fraction`` made on access.
+
+    ``len``, truth and iteration read the numerator map and build nothing.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums, den):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, exps):
+        return Fraction(self._nums[exps], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class Polynomial:
     """Immutable sparse polynomial over an ordered variable tuple."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_nums", "_den")
 
     def __init__(self, variables, terms=None):
         variables = _check_variables(variables)
@@ -126,16 +156,34 @@ class Polynomial:
                     del clean[exps]
                     continue
             clean[exps] = coeff
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        den = lcm(1, *(coeff.denominator for coeff in clean.values()))
+        _set_variables(self, variables)
+        _set_nums(
+            self,
+            {
+                exps: coeff.numerator * (den // coeff.denominator)
+                for exps, coeff in clean.items()
+            },
+        )
+        _set_den(self, den)
 
     @classmethod
-    def _trusted(cls, variables, terms):
-        """Wrap terms already in canonical form (see the module doc), unchecked."""
+    def _trusted(cls, variables, nums, den):
+        """Wrap numerators and a denominator in canonical form, unchecked."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "variables", variables)
-        object.__setattr__(poly, "terms", terms)
+        _set_variables(poly, variables)
+        _set_nums(poly, nums)
+        _set_den(poly, den)
         return poly
+
+    @classmethod
+    def _scalar(cls, variables, value):
+        """The constant ``value`` (an ``int`` or ``Fraction``) over ``variables``."""
+        if not value:
+            return cls._trusted(variables, {}, 1)
+        return cls._trusted(
+            variables, {(0,) * len(variables): value.numerator}, value.denominator
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -144,48 +192,58 @@ class Polynomial:
 
     @classmethod
     def zero(cls, variables):
-        return cls._trusted(_check_variables(variables), {})
+        return cls._trusted(_check_variables(variables), {}, 1)
 
     @classmethod
     def constant(cls, variables, value):
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): _as_fraction(value)})
+        return cls._scalar(_check_variables(variables), _as_fraction(value))
 
     @classmethod
     def variable(cls, variables, name):
-        variables = tuple(variables)
+        variables = _check_variables(variables)
         if name not in variables:
             raise InputError(f"unknown variable {name!r} in ring {variables}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: Fraction(1)})
+        return cls._trusted(variables, {exps: 1}, 1)
+
+    # -- reading -----------------------------------------------------------
+
+    @property
+    def terms(self):
+        """Read-only map of exponent vectors to nonzero ``Fraction`` coefficients."""
+        return _Terms(self._nums, self._den)
+
+    def exponents(self):
+        """The exponent vectors of the nonzero terms, as a read-only view."""
+        return self._nums.keys()
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._nums
 
     def is_constant(self):
-        return all(not any(exps) for exps in self.terms)
+        return all(not any(exps) for exps in self._nums)
 
     def constant_value(self):
-        if not self.terms:
+        if not self._nums:
             return Fraction(0)
         if not self.is_constant():
             raise InputError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self._nums.values())), self._den)
 
     def total_degree(self):
         """Largest term degree, or -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._nums:
             return -1
-        return max(sum(exps) for exps in self.terms)
+        return max(sum(exps) for exps in self._nums)
 
     def degree_in(self, names):
         """Largest combined exponent of the named variables, -1 if zero."""
         idx = [self.variables.index(n) for n in names]
-        if not self.terms:
+        if not self._nums:
             return -1
-        return max(sum(exps[i] for i in idx) for exps in self.terms)
+        return max(sum(exps[i] for i in idx) for exps in self._nums)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -194,15 +252,14 @@ class Polynomial:
             if other.variables == self.variables:
                 return other
             if other.is_constant():
-                return Polynomial.constant(self.variables, other.constant_value())
+                return Polynomial._scalar(self.variables, other.constant_value())
             if self.is_constant():
                 return other  # caller re-dispatches from the promoted side
             raise InputError(
                 f"variable lists differ: {self.variables} vs {other.variables}"
             )
         if isinstance(other, (int, Fraction)):
-            terms = {(0,) * len(self.variables): Fraction(other)} if other else {}
-            return Polynomial._trusted(self.variables, terms)
+            return Polynomial._scalar(self.variables, other)
         return None
 
     def __add__(self, other):
@@ -211,24 +268,33 @@ class Polynomial:
             return NotImplemented
         if other.variables != self.variables:
             return Polynomial.constant(other.variables, self.constant_value()) + other
-        if not other.terms:
+        if not other._nums:
             return self
-        if not self.terms:
+        if not self._nums:
             return other
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total = terms.get(exps, 0) + coeff
-            if total == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = total
-        return Polynomial._trusted(self.variables, terms)
+        den1, den2 = self._den, other._den
+        den = den1 if den1 == den2 else lcm(den1, den2)
+        scale1, scale2 = den // den1, den // den2
+        if scale1 == 1:
+            nums = dict(self._nums)
+        else:
+            nums = {exps: n * scale1 for exps, n in self._nums.items()}
+        for exps, n in other._nums.items():
+            if scale2 != 1:
+                n *= scale2
+            if exps in nums:
+                n += nums[exps]
+                if not n:
+                    del nums[exps]
+                    continue
+            nums[exps] = n
+        return _reduced(self.variables, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         return Polynomial._trusted(
-            self.variables, {exps: -c for exps, c in self.terms.items()}
+            self.variables, {exps: -n for exps, n in self._nums.items()}, self._den
         )
 
     def __sub__(self, other):
@@ -246,22 +312,17 @@ class Polynomial:
             return NotImplemented
         if other.variables != self.variables:
             return Polynomial.constant(other.variables, self.constant_value()) * other
-        if not (self.terms and other.terms):
-            return Polynomial._trusted(self.variables, {})
-        den1, nums1 = _numerators(self.terms)
-        den2, nums2 = _numerators(other.terms)
+        if not (self._nums and other._nums):
+            return Polynomial._trusted(self.variables, {}, 1)
+        right = other._nums.items()
         acc = {}
         get = acc.get
-        for e1, n1 in nums1:
-            for e2, n2 in nums2:
+        for e1, n1 in self._nums.items():
+            for e2, n2 in right:
                 exps = tuple(map(add, e1, e2))
                 acc[exps] = get(exps, 0) + n1 * n2
-        den = den1 * den2
-        if den == 1:
-            terms = {exps: Fraction(v) for exps, v in acc.items() if v}
-        else:
-            terms = {exps: Fraction(v, den) for exps, v in acc.items() if v}
-        return Polynomial._trusted(self.variables, terms)
+        nums = {exps: v for exps, v in acc.items() if v}
+        return _reduced(self.variables, nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -282,7 +343,7 @@ class Polynomial:
             if self.is_constant() and other.is_constant():
                 return self.constant_value() == other.constant_value()
             return False
-        return self.terms == other.terms
+        return self._den == other._den and self._nums == other._nums
 
     __hash__ = None
 
@@ -294,16 +355,12 @@ class Polynomial:
             raise InputError(f"unknown variable {name!r} in ring {self.variables}")
         i = self.variables.index(name)
         # Lowering one exponent is injective, so no two terms collide.
-        terms = {}
-        for exps, coeff in self.terms.items():
+        nums = {}
+        for exps, n in self._nums.items():
             e = exps[i]
             if e:
-                lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
-                if coeff.denominator == 1:
-                    terms[lowered] = Fraction(coeff.numerator * e)
-                else:
-                    terms[lowered] = coeff * e
-        return Polynomial._trusted(self.variables, terms)
+                nums[exps[:i] + (e - 1,) + exps[i + 1 :]] = n * e
+        return _reduced(self.variables, nums, self._den)
 
     def embed(self, variables, renames=None):
         """The same polynomial over another ring, moved by variable name.
@@ -321,21 +378,21 @@ class Polynomial:
             i = index.get(renames.get(v, v))
             if i is not None:
                 slots.append((pos, i))
-            elif any(exps[pos] for exps in self.terms):
+            elif any(exps[pos] for exps in self._nums):
                 raise InputError(f"variable {v!r} has no image in ring {variables}")
-        terms = {}
-        for exps, coeff in self.terms.items():
+        nums = {}
+        for exps, n in self._nums.items():
             moved = [0] * len(variables)
             for pos, i in slots:
                 moved[i] += exps[pos]
             moved = tuple(moved)
-            if moved in terms:
-                coeff = terms[moved] + coeff
-                if coeff == 0:
-                    del terms[moved]
+            if moved in nums:
+                n += nums[moved]
+                if not n:
+                    del nums[moved]
                     continue
-            terms[moved] = coeff
-        return Polynomial._trusted(variables, terms)
+            nums[moved] = n
+        return _reduced(variables, nums, self._den)
 
     def substitute(self, target_variables, assignments):
         """Evaluate with each variable replaced by a polynomial over a new ring.
@@ -371,8 +428,8 @@ class Polynomial:
 
         cache = {}
         out = Polynomial.zero(target_variables)
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(target_variables, coeff)
+        for exps, n in self._nums.items():
+            term = Polynomial.constant(target_variables, Fraction(n, self._den))
             for v, e in zip(self.variables, exps):
                 if e:
                     if v not in cache:
@@ -384,14 +441,15 @@ class Polynomial:
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         ordered = sorted(
-            self.terms.items(),
+            self._nums.items(),
             key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])),
         )
         pieces = []
-        for exps, coeff in ordered:
+        for exps, n in ordered:
+            coeff = Fraction(n, self._den)
             factors = []
             for v, e in zip(self.variables, exps):
                 if e == 1:
@@ -414,6 +472,13 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({str(self)!r}, vars={','.join(self.variables) or '()'})"
+
+
+# The slot descriptors' own setters bypass the immutability guard of
+# ``__setattr__``, at a fraction of the cost of ``object.__setattr__``.
+_set_variables = Polynomial.variables.__set__
+_set_nums = Polynomial._nums.__set__
+_set_den = Polynomial._den.__set__
 
 
 # -- parser ----------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Uniform result records for the command line and the acceptance suite.
 
 Every command produces one Report: the command name, a verdict that is
-``pass``, ``fail``, or ``error``, a map of named residuals (polynomial
-strings, or computed components for the commands that print an object
-rather than test one), and the elapsed wall time. A ``fail`` report
-always carries at least one entry explaining what was nonzero.
+``pass``, ``fail``, ``error`` or ``internal``, a map of named residuals
+(polynomial strings, or computed components for the commands that print
+an object rather than test one), and the elapsed wall time. A ``fail``
+report always carries at least one entry explaining what was nonzero.
 
 The JSON rendering is byte-stable: keys are sorted, separators are
 fixed, and the elapsed time is nulled out, so identical input always
@@ -17,8 +17,8 @@ import json
 
 from .errors import InputError, InternalError, PreconditionError
 
-_VERDICTS = ("pass", "fail", "error")
-EXIT_CODES = {"pass": 0, "fail": 1, "error": 2}
+_VERDICTS = ("pass", "fail", "error", "internal")
+EXIT_CODES = {"pass": 0, "fail": 1, "error": 2, "internal": 3}
 
 
 class Report:
@@ -88,7 +88,11 @@ def from_values(command, values, elapsed=None):
 
 
 def from_exception(command, exc, elapsed=None):
-    """Map the error taxonomy onto verdicts: bad input versus failed hypothesis."""
+    """Map the error taxonomy onto verdicts.
+
+    Bad input is an ``error``, a failed hypothesis a ``fail``, and two
+    internal certificates that disagree (a bug, never the data) ``internal``.
+    """
     if isinstance(exc, PreconditionError):
         residuals = {"precondition": str(exc)}
         for key, value in exc.residuals.items():
@@ -96,4 +100,6 @@ def from_exception(command, exc, elapsed=None):
         return Report(command, "fail", residuals, elapsed)
     if isinstance(exc, InputError):
         return Report(command, "error", {"error": str(exc)}, elapsed)
+    if isinstance(exc, InternalError):
+        return Report(command, "internal", {"internal error": str(exc)}, elapsed)
     raise exc

@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from pncalc import cli, document
+from pncalc import groupoid_desk as gd
 from pncalc.errors import InputError
 
 SO3_DOC = {
@@ -193,6 +195,30 @@ class TestExitCodes:
         code, out = run_cli(capsys, ["hierarchy", "--input", write_doc(doc)])
         assert code == 1
         assert "precondition" in out
+
+    def test_internal_disagreement_is_three(self, capsys, write_doc, monkeypatch):
+        # A multiplicative tensor's source block is free of y_x1, so
+        # base_structure's guard can only fire when pn_groupoid_check passes
+        # what it should not: the patch makes it pass a y-dependent block.
+        doc = {
+            "chart": {"coordinates": ["x1"]},
+            "pair_groupoid": {
+                "total_bivector": {},
+                "total_tensor11": {"1,1": "1 + y_x1", "2,2": "1"},
+            },
+        }
+        path = write_doc(doc)
+        code, out = run_cli(capsys, ["groupoid", "base", "--input", path, "--json"])
+        assert code == 1
+        monkeypatch.setattr(gd, "pn_groupoid_check", lambda *args: SimpleNamespace(ok=True))
+        code, out = run_cli(capsys, ["groupoid", "base", "--input", path, "--json"])
+        assert code == 3
+        data = json.loads(out)
+        assert data["verdict"] == "internal"
+        assert "depends on the target coordinates" in data["residuals"]["internal error"]
+        code, out = run_cli(capsys, ["groupoid", "base", "--input", path])
+        assert code == 3
+        assert "verdict: internal" in out
 
 
 class TestJsonOutput:

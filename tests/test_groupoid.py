@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pncalc import corpus, groupoid_desk as gd, poisson_nijenhuis as pn
 from pncalc.cartan import Chart, MultiVector
@@ -387,6 +390,30 @@ class TestBaseStructure:
         result = base_structure(G, pair_bivector(G, pi), pair_tensor(G, tensor))
         assert result.ok
         assert result.pi == pi
+
+
+@given(
+    st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
+    st.tuples(*(st.integers(0, 2) for _ in range(4))).filter(lambda e: e[2] or e[3]),
+    st.sampled_from([Fraction(c) for c in (1, -1, 2, "1/2", "-2/3")]),
+)
+@settings(max_examples=20, deadline=None)
+def test_passing_pn_groupoid_check_forces_a_target_free_source_block(entry, exps, c):
+    # base_structure restricts N to the units by projecting its source block
+    # to the base chart. That is the diagonal restriction y_c -> c only
+    # because a multiplicative N has no y in its source block: adding any
+    # y-dependent term there breaks the invariance of the multiplication graph.
+    pi, tensor = conformal_data()
+    G = PairGroupoid(R2)
+    piG, NG = pair_bivector(G, pi), pair_tensor(G, tensor)
+    assert pn_groupoid_check(G, piG, NG).ok
+    entries = [list(row) for row in NG.entries]
+    a, b = entry
+    entries[a][b] = entries[a][b] + Polynomial(G.total.coords, {exps: c})
+    verdict = pn_groupoid_check(G, piG, pn.TensorOneOne(G.total, entries))
+    assert not verdict.tensor_graph.ok
+    with pytest.raises(PreconditionError):
+        base_structure(G, piG, pn.TensorOneOne(G.total, entries))
 
 
 def test_only_restriction_substitutes(monkeypatch):

@@ -1,8 +1,9 @@
 import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pncalc.errors import InputError, ParseError
@@ -195,10 +196,20 @@ steps = st.one_of(
 
 def assert_canonical(p):
     assert p == Polynomial(p.variables, p.terms)
+    assert p.terms == Polynomial(p.variables, p.terms).terms
     for exps, coeff in p.terms.items():
         assert type(coeff) is Fraction and coeff != 0
         assert type(exps) is tuple and len(exps) == len(p.variables)
         assert all(type(e) is int for e in exps)
+    # the stored form: nonzero int numerators over one positive denominator
+    # that shares no factor with all of them; zero has denominator 1
+    nums, den = p._nums, p._den
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in nums.values())
+    assert gcd(den, *nums.values()) == 1
+    if not nums:
+        assert den == 1
+    assert set(p.exponents()) == set(p.terms)
 
 
 @given(small_polys, st.lists(steps, max_size=6))
@@ -345,6 +356,15 @@ def test_mul_cancels_to_zero_and_drops_zero_totals():
     assert (empty * Polynomial.zero(())).is_zero()
 
 
+def test_terms_is_a_read_only_view():
+    p = P("1/2*x1 + 1/3")
+    assert p.terms == {(1, 0, 0): Fraction(1, 2), (0, 0, 0): Fraction(1, 3)}
+    with pytest.raises(TypeError):
+        p.terms[(0, 0, 0)] = Fraction(1)
+    assert p == P("1/2*x1 + 1/3")
+    assert len(Polynomial.zero(VARS).terms) == 0 and not Polynomial.zero(VARS).terms
+
+
 def test_zero_checks_variable_names():
     assert Polynomial.zero(["x", "y"]).variables == ("x", "y")
     assert Polynomial.zero(()).is_zero()
@@ -451,3 +471,139 @@ def test_embed_examples():
         q.embed(("x1", "x2", "y_x1", "x1"))
     with pytest.raises(InputError, match="duplicate variable names"):
         Polynomial.zero(PAIR).embed(("u", "u"))
+
+
+# -- mixed denominators: +, -, neg, embed, partial, substitute ---------------
+#
+# Each operand has its own common denominator, drawn from (1, 2, 3, 4, 6), so
+# the kernels meet at an lcm, and sums such as 1/2 + 1/3 + 1/6 reduce or
+# cancel. The oracles below run on the raw Fraction dicts the strategies
+# draw, with plain Fraction loops, and never read the polynomial's own terms.
+
+DENOMINATORS = (1, 2, 3, 4, 6)
+
+
+def terms_over(ring, den):
+    numerators = st.integers(-7, 7).filter(bool)
+    return st.dictionaries(
+        st.tuples(*(st.integers(0, 2) for _ in ring)),
+        numerators.map(lambda n: Fraction(n, den)),
+        max_size=5,
+    )
+
+
+def mixed_terms(ring):
+    return st.sampled_from(DENOMINATORS).flatmap(lambda den: terms_over(ring, den))
+
+
+mixed_pairs = st.sampled_from(RINGS).flatmap(
+    lambda ring: st.tuples(st.just(ring), mixed_terms(ring), mixed_terms(ring))
+)
+
+
+def nonzero(acc):
+    return {exps: c for exps, c in acc.items() if c != 0}
+
+
+def oracle_sum(a, b, sign):
+    acc = dict(a)
+    for exps, c in b.items():
+        acc[exps] = acc.get(exps, Fraction(0)) + sign * c
+    return nonzero(acc)
+
+
+def oracle_product(a, b):
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            acc[exps] = acc.get(exps, Fraction(0)) + c1 * c2
+    return nonzero(acc)
+
+
+@given(mixed_pairs)
+@settings(max_examples=200, deadline=None)
+def test_add_sub_neg_match_fraction_loops_across_denominators(case):
+    ring, a, b = case
+    p, q = Polynomial(ring, a), Polynomial(ring, b)
+    for got, want in (
+        (p + q, oracle_sum(a, b, 1)),
+        (q + p, oracle_sum(a, b, 1)),
+        (p - q, oracle_sum(a, b, -1)),
+        (q - p, oracle_sum(b, a, -1)),
+        (-p, oracle_sum({}, a, -1)),
+        (p + q - q, nonzero(a)),
+    ):
+        assert_terms(got, want)
+        assert_canonical(got)
+
+
+@given(mixed_pairs)
+@settings(max_examples=100, deadline=None)
+def test_partial_matches_fraction_loop_across_denominators(case):
+    ring, a, b = case
+    a = oracle_sum(a, b, 1)
+    p = Polynomial(ring, a)
+    for i, name in enumerate(ring):
+        want = {}
+        for exps, c in a.items():
+            if exps[i]:
+                lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+                want[lowered] = c * exps[i]
+        got = p.partial(name)
+        assert_terms(got, nonzero(want))
+        assert_canonical(got)
+
+
+MERGES = (
+    (PAIR, {}),
+    (("x1", "x2"), {"y_x1": "x1", "y_x2": "x2"}),
+    (("x2", "x1"), {"y_x1": "x2", "y_x2": "x1"}),
+    (PAIR, {"y_x1": "x1"}),
+)
+
+
+@given(mixed_terms(PAIR), mixed_terms(PAIR), st.sampled_from(MERGES))
+# merging x and y_x halves the denominator: (1/2 + 1/2)*x1 - (3/4 - 1/4)*x2^2
+@example(
+    {(1, 0, 0, 0): Fraction(1, 2), (0, 2, 0, 0): Fraction(-3, 4)},
+    {(0, 0, 1, 0): Fraction(1, 2), (0, 0, 0, 2): Fraction(1, 4)},
+    MERGES[1],
+)
+@settings(max_examples=150, deadline=None)
+def test_embed_matches_fraction_loop_across_denominators(a, b, merge):
+    variables, renames = merge
+    for terms in (a, oracle_sum(a, b, 1)):
+        want = {}
+        for exps, c in terms.items():
+            moved = [0] * len(variables)
+            for v, e in zip(PAIR, exps):
+                moved[variables.index(renames.get(v, v))] += e
+            moved = tuple(moved)
+            want[moved] = want.get(moved, Fraction(0)) + c
+        got = Polynomial(PAIR, terms).embed(variables, renames)
+        assert_terms(got, nonzero(want))
+        assert_canonical(got)
+
+
+TARGET = ("u", "v")
+
+
+@given(
+    mixed_terms(("x1", "x2")),
+    st.tuples(mixed_terms(TARGET), mixed_terms(TARGET)),
+)
+@settings(max_examples=100, deadline=None)
+def test_substitute_matches_fraction_loop_across_denominators(a, images):
+    got = Polynomial(("x1", "x2"), a).substitute(
+        TARGET, {v: Polynomial(TARGET, img) for v, img in zip(("x1", "x2"), images)}
+    )
+    want = {}
+    for exps, c in a.items():
+        term = {(0, 0): c}
+        for img, e in zip(images, exps):
+            for _ in range(e):
+                term = oracle_product(term, img)
+        want = oracle_sum(want, term, 1)
+    assert_terms(got, want)
+    assert_canonical(got)
