@@ -197,13 +197,16 @@ def section_bracket(algebroid, left, right):
     left._check_mate(right)
     if left.degree != 1 or right.degree != 1:
         raise InputError("section_bracket needs degree-1 sections")
-    rank = algebroid.rank
+    rank, table = algebroid.rank, algebroid.structure
     zero = algebroid.base.zero()
     comps = [zero for _ in range(rank)]
     for (i,), xc in left.components.items():
         for (j,), yc in right.components.items():
-            row = algebroid.c(i, j)
-            prod = xc * yc
+            # the table stores [e_i, e_j] for i < j only; c(j, i) = -c(i, j)
+            row = table.get((i, j) if i < j else (j, i))
+            if row is None:
+                continue
+            prod = xc * yc if i < j else -(xc * yc)
             for k in range(rank):
                 if not row[k].is_zero():
                     comps[k] = comps[k] + prod * row[k]
@@ -289,8 +292,10 @@ def algebroid_differential(algebroid, omega):
             val = val + term if m % 2 == 0 else val - term
         for m in range(k + 1):
             for l in range(m + 1, k + 1):
+                row = algebroid.structure.get((key[m], key[l]))
+                if row is None:
+                    continue
                 rest = tuple(key[t] for t in range(k + 1) if t != m and t != l)
-                row = algebroid.c(key[m], key[l])
                 inner = algebroid.base.zero()
                 for t in range(rank):
                     if not row[t].is_zero():
@@ -328,20 +333,19 @@ def gerstenhaber_bracket(algebroid, left, right):
     return cartan._leibniz(left, right, _section_lie)
 
 
+def _tangent_basis(chart):
+    """Basis names d_x and identity anchor columns of the tangent bundle."""
+    n = chart.dim
+    names = tuple("d_" + c for c in chart.coords)
+    return names, [tuple(1 if a == i else 0 for a in range(n)) for i in range(n)]
+
+
 def tangent_algebroid(chart):
     """The tangent bundle: identity anchor, vanishing structure table."""
     if chart.dim < 1:
         raise InputError("tangent algebroid needs at least one coordinate")
-    cols = []
-    for i in range(chart.dim):
-        cols.append(tuple(1 if a == i else 0 for a in range(chart.dim)))
-    return AlgebroidData(
-        chart,
-        chart.dim,
-        tuple("d_" + c for c in chart.coords),
-        cols,
-        {},
-    )
+    names, cols = _tangent_basis(chart)
+    return AlgebroidData(chart, chart.dim, names, cols, {})
 
 
 def tangent_deformed_algebroid(tensor):
@@ -857,9 +861,10 @@ def pn_bialgebroid_check(pi, tensor, hierarchy_orders=2):
 
     hierarchy = {}
     if lift_pair.ok:
-        levels = []
+        levels, biv = [], lift
         for k in range(hierarchy_orders + 1):
-            biv = pn.n_bivector(lift, lifted_tensor.power(k))
+            if k:
+                biv = pn.n_bivector(biv, lifted_tensor)
             levels.append(linear_poisson_to_algebroid(biv, chart, dual.basis))
         for k in range(len(levels)):
             for l in range(k + 1, len(levels)):

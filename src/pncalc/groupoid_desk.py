@@ -369,9 +369,10 @@ def coisotropic_invariant_check(pi, tensor, sub):
     coiso = coisotropic_check(pi, sub)
     higher = []
     if inv.ok and coiso.ok:
+        pik = pi
         for k in (1, 2):
             try:
-                pik = pn.n_bivector(pi, tensor.power(k))
+                pik = pn.n_bivector(pik, tensor)
             except PreconditionError:
                 break
             higher.append((k, coisotropic_check(pik, sub)))

@@ -34,6 +34,7 @@ from . import poisson_nijenhuis as pn
 from .algebroid import (
     AlgebroidData,
     AlgebroidSection,
+    _tangent_basis,
     algebroid_differential,
     algebroid_validate,
     gerstenhaber_bracket,
@@ -155,12 +156,10 @@ def _twist_coeffs(p, q):
 
 
 def _extended_algebroid(chart):
-    """TM x R as a flat algebroid: identity anchor block, zero-anchor u."""
-    n = chart.dim
-    cols = [tuple(1 if a == i else 0 for a in range(n)) for i in range(n)]
-    cols.append(tuple(0 for _ in range(n)))
-    basis = tuple("d_" + c for c in chart.coords) + ("u",)
-    return AlgebroidData(chart, n + 1, basis, cols, {})
+    """TM x R as a flat algebroid: the tangent basis, then a zero-anchor u (alone on a point)."""
+    names, cols = _tangent_basis(chart)
+    cols.append((0,) * chart.dim)
+    return AlgebroidData(chart, chart.dim + 1, names + ("u",), cols, {})
 
 
 def _encode(alg, section):

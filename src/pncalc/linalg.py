@@ -1,7 +1,11 @@
 """Small exact linear algebra helpers.
 
-Polynomial matrices are immutable nested tuples, rows outermost. Rational
-row reduction works on lists of Fractions and backs the affine submanifold
+Polynomial matrices are immutable nested tuples, rows outermost. That half
+is what the (1,1)-tensor code still needs: ``mat_mul`` for
+``TensorOneOne.compose`` and the single product N.pisharp, ``mat_sub`` for
+the holomorphic relation, and ``mat_is_zero`` for the residual matrices.
+``perfbench/tracer.py`` wraps ``linalg.mat_mul`` by that name. Rational row
+reduction works on lists of Fractions and backs the affine submanifold
 computations. Nothing here knows about charts or tensors.
 """
 
@@ -23,18 +27,6 @@ def mat(rows):
 
 def mat_shape(A):
     return (len(A), len(A[0]) if A else 0)
-
-
-def mat_zero(chart, rows, cols):
-    z = chart.zero()
-    return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
-
-
-def mat_identity(chart, n):
-    one, z = chart.constant(1), chart.zero()
-    return tuple(
-        tuple(one if i == j else z for j in range(n)) for i in range(n)
-    )
 
 
 def mat_sub(A, B):
@@ -69,11 +61,6 @@ def mat_mul(A, B):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_transpose(A):
-    n, m = mat_shape(A)
-    return tuple(tuple(A[i][j] for i in range(n)) for j in range(m))
 
 
 def mat_is_zero(A):

@@ -11,20 +11,26 @@ Sign conventions, fixed once and reused by every downstream module:
 pisharp(alpha) = pi(alpha, .), normalized so pi = d_1^d_2 sends dx1 to +d_2;
 (N* alpha)_j = sum_i alpha_i N^i_j.
 
+The matrix product M = N.pisharp is formed in one place, ``_sharp_product``,
+and everything about the deformed bivector is read off it. pisharp is
+antisymmetric, so pisharp.N* = -(N.pisharp)^T and the residual
+N.pisharp - pisharp.N* is the symmetric part M + M^T. When it vanishes M is
+antisymmetric and is the sharp matrix of N pi, whose component (a, b) is
+M[b][a]. The hierarchy applies this step again: (N^k pi)# = N.(N^(k-1) pi)#.
+
 Work follows the stored entries: N(X), N* alpha, pisharp(alpha) and
 pi(alpha, beta) loop over the components X, alpha, beta and pi store and
 over the nonzero entries of N, so none of them multiplies by zero. Which
 builders validate: the TensorOneOne constructor coerces every entry, and
-bivector_from_sharp and i_n go through the validating ``from_terms``. Which
-build unchecked: N(X), N* alpha and pisharp(alpha) are degree-1 results
-computed from canonical operands, so they wrap their components with
-``cartan._Graded._trusted`` (see the :mod:`cartan` module doc).
+i_n goes through the validating ``from_terms``. Which build unchecked:
+N(X), N* alpha, pisharp(alpha) and N pi are computed from canonical
+operands, so they wrap their components with ``cartan._Graded._trusted``
+(see the :mod:`cartan` module doc).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import cartan
 from .cartan import (
@@ -39,15 +45,7 @@ from .cartan import (
     schouten,
 )
 from .errors import InputError, InternalError, PreconditionError
-from .linalg import (
-    mat_identity,
-    mat_is_zero,
-    mat_mul,
-    mat_sub,
-    mat_transpose,
-    mat_zero,
-)
-from .polyalg import Polynomial
+from .linalg import mat_is_zero, mat_mul, mat_sub
 
 
 class TensorOneOne:
@@ -76,11 +74,11 @@ class TensorOneOne:
 
     @classmethod
     def identity(cls, chart):
-        return cls(chart, mat_identity(chart, chart.dim))
+        return cls.scalar(chart, 1)
 
     @classmethod
     def zero(cls, chart):
-        return cls(chart, mat_zero(chart, chart.dim, chart.dim))
+        return cls.scalar(chart, 0)
 
     @classmethod
     def diagonal(cls, chart, diag):
@@ -133,7 +131,7 @@ class TensorOneOne:
         return TensorOneOne(self.chart, mat_mul(self.entries, other.entries))
 
     def power(self, k):
-        if not isinstance(k, int) or k < 0:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise InputError("tensor power must be a nonnegative int")
         out = TensorOneOne.identity(self.chart)
         for _ in range(k):
@@ -222,24 +220,6 @@ def sharp(pi, alpha):
         if alpha_b is not None:
             _accumulate(out, (a,), -(alpha_b * p))
     return MultiVector._trusted(pi.chart, 1, out)
-
-
-def bivector_from_sharp(chart, S):
-    """Rebuild the bivector whose sharp matrix is S; S must be antisymmetric."""
-    n = chart.dim
-    bad = {}
-    for i in range(n):
-        for j in range(i, n):
-            total = S[i][j] + S[j][i]
-            if not total.is_zero():
-                bad[f"S[{i+1}][{j+1}] + S[{j+1}][{i+1}]"] = str(total)
-    if bad:
-        raise InputError(f"sharp matrix is not antisymmetric: {bad}")
-    entries = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            entries.append(((a, b), S[b][a]))
-    return MultiVector.from_terms(chart, 2, entries)
 
 
 def bivector_eval(pi, alpha, beta):
@@ -409,21 +389,40 @@ def d_n(N, omega):
     return i_n(N, exterior_d(omega)) - exterior_d(i_n(N, omega))
 
 
+def _sharp_product(pi, N):
+    """(residual, npi) from the single product M = N.pisharp.
+
+    The residual N.pisharp - pisharp.N* is M + M^T (see the module doc);
+    npi is N pi, read off M, when the residual vanishes and None otherwise.
+    """
+    _check_bivector(pi)
+    if not isinstance(N, TensorOneOne) or N.chart != pi.chart:
+        raise InputError("expected a (1,1)-tensor on the bivector's chart")
+    M = mat_mul(N.entries, sharp_matrix(pi))
+    n = len(M)
+    residual = tuple(tuple(M[i][j] + M[j][i] for j in range(n)) for i in range(n))
+    if not mat_is_zero(residual):
+        return residual, None
+    comps = {
+        (a, b): M[b][a] for a in range(n) for b in range(a + 1, n) if not M[b][a].is_zero()
+    }
+    return residual, MultiVector._trusted(pi.chart, 2, comps)
+
+
 def sharp_compat_residual(pi, N):
     """Matrix of N.pisharp - pisharp.N* (zero iff N pi is again a bivector)."""
-    S = sharp_matrix(pi)
-    return mat_sub(mat_mul(N.entries, S), mat_mul(S, mat_transpose(N.entries)))
+    return _sharp_product(pi, N)[0]
 
 
 def n_bivector(pi, N):
     """The deformed bivector N pi, defined when sharp compatibility holds."""
-    res = sharp_compat_residual(pi, N)
-    if not mat_is_zero(res):
+    res, npi = _sharp_product(pi, N)
+    if npi is None:
         raise PreconditionError(
             "N.pisharp != pisharp.N*, so N pi is not a bivector",
             residuals={"sharp_compat": [[str(e) for e in row] for row in res]},
         )
-    return bivector_from_sharp(pi.chart, mat_mul(N.entries, sharp_matrix(pi)))
+    return npi
 
 
 def magri_morosi(pi, N, alpha, beta, npi=None):
@@ -459,13 +458,10 @@ def concomitant_map(pi, N, npi):
 
 def is_pn_pair(pi, N):
     """Full Poisson-Nijenhuis verdict with all four residual families."""
-    _check_bivector(pi)
-    if not isinstance(N, TensorOneOne) or N.chart != pi.chart:
-        raise InputError("expected a (1,1)-tensor on the bivector's chart")
-    sharp_res = sharp_compat_residual(pi, N)
+    sharp_res, npi = _sharp_product(pi, N)
     concomitant = None
-    if mat_is_zero(sharp_res):
-        concomitant = concomitant_map(pi, N, n_bivector(pi, N))
+    if npi is not None:
+        concomitant = concomitant_map(pi, N, npi)
     return PNVerdict(
         poisson_residual=schouten(pi, pi),
         torsion_residual=nijenhuis_torsion(N),
@@ -494,24 +490,22 @@ class HierarchyResult:
 def hierarchy(pi, N, kmax):
     """Bivectors pi_k = N^k pi for k <= kmax plus all pairwise Schouten residuals.
 
-    Refuses unless (pi, N) is a Poisson-Nijenhuis pair; the deformed sharp
-    matrices N^k.pisharp are re-checked for antisymmetry, which the PN
-    hypothesis guarantees.
+    Refuses unless (pi, N) is a Poisson-Nijenhuis pair. Each pi_k is
+    n_bivector(pi_{k-1}, N), whose sharp matrix N.(N^(k-1) pi)# = N^k.pisharp
+    is re-checked for antisymmetry, which the PN hypothesis guarantees.
     """
-    if not isinstance(kmax, int) or kmax < 1:
+    if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 1:
         raise InputError("kmax must be a positive integer")
     verdict = is_pn_pair(pi, N)
     if not verdict.ok:
         raise PreconditionError(
             "hierarchy needs a Poisson-Nijenhuis pair", residuals=verdict.residuals()
         )
-    S = sharp_matrix(pi)
-    bivectors = []
-    for k in range(kmax + 1):
-        Sk = mat_mul(N.power(k).entries, S)
+    bivectors = [pi]
+    for k in range(1, kmax + 1):
         try:
-            bivectors.append(bivector_from_sharp(pi.chart, Sk))
-        except InputError as exc:
+            bivectors.append(n_bivector(bivectors[-1], N))
+        except PreconditionError as exc:
             raise InternalError(
                 f"N^{k}.pisharp lost antisymmetry for a PN pair: {exc}"
             ) from exc

@@ -74,6 +74,38 @@ def test_structure_accessor_antisymmetry():
     assert all(p.is_zero() for p in alg.c(2, 2))
 
 
+def test_bracket_and_differential_read_the_table_with_its_sign(monkeypatch):
+    # c(i, j) is the oracle: [e_i, e_j] = sum_k c(i, j)[k] e_k for every
+    # ordered pair, and (d eps^t)(e_i, e_j) = -c(i, j)[t], since the unit
+    # coefficients have no anchor derivative. The two kernels read the stored
+    # rows themselves, so they must not need c() at all.
+    cases = []
+    for alg in (so3_point_algebroid(), solvable_rank2(), cotangent_algebroid(so3_bivector())):
+        r = alg.rank
+        brackets = {
+            (i, j): AlgebroidSection(alg, 1, {(k,): alg.c(i, j)[k] for k in range(r)})
+            for i in range(r)
+            for j in range(r)
+        }
+        pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+        diffs = [
+            AlgebroidSection(alg, 2, {(i, j): -alg.c(i, j)[t] for i, j in pairs})
+            for t in range(r)
+        ]
+        cases.append((alg, brackets, diffs))
+
+    def refuse(self, i, j):
+        raise AssertionError("c() called")
+
+    monkeypatch.setattr(AlgebroidData, "c", refuse)
+    for alg, brackets, diffs in cases:
+        units = [unit_section(alg, i) for i in range(alg.rank)]
+        for (i, j), want in brackets.items():
+            assert section_bracket(alg, units[i], units[j]) == want
+        for t, want in enumerate(diffs):
+            assert algebroid_differential(alg, units[t]) == want
+
+
 def test_section_normalization():
     alg = so3_point_algebroid()
     s = AlgebroidSection(alg, 2, {(1, 0): 1})
@@ -452,6 +484,31 @@ def test_pn_bialgebroid_rotation_pair():
     assert verdict.recovery_residuals == {}
     assert all(v.ok for v in verdict.hierarchy_compat.values())
     assert verdict.ok
+
+
+def test_pn_bialgebroid_levels_are_tensor_powers_of_the_lift(monkeypatch):
+    # level k is built from N^k applied to the lift; power() is the
+    # independent route. The second is_pn_pair call is on (lift, lifted N).
+    from pncalc import algebroid
+
+    pairs, levels = [], []
+    is_pn_pair, to_algebroid = pn.is_pn_pair, algebroid.linear_poisson_to_algebroid
+
+    def pair_spy(pi, tensor):
+        pairs.append((pi, tensor))
+        return is_pn_pair(pi, tensor)
+
+    def level_spy(biv, base, basis):
+        levels.append(biv)
+        return to_algebroid(biv, base, basis)
+
+    monkeypatch.setattr(pn, "is_pn_pair", pair_spy)
+    monkeypatch.setattr(algebroid, "linear_poisson_to_algebroid", level_spy)
+    pi = MultiVector(R2, 2, {(0, 1): 1})
+    tensor = pn.TensorOneOne(R2, [["1 + x1", 0], [0, "1 + x1"]])
+    assert pn_bialgebroid_check(pi, tensor, hierarchy_orders=2).ok
+    lift, lifted = pairs[1]
+    assert levels == [pn.n_bivector(lift, lifted.power(k)) for k in range(3)]
 
 
 def test_pn_bialgebroid_conformal_pair():

@@ -404,6 +404,14 @@ class TestJacobiCommands:
         assert code == 1
         assert "[pi,pi]" in out
 
+    def test_check_on_zero_dimensional_chart(self, capsys, write_doc):
+        # The jet algebroid of a point is u alone; tangent_algebroid would
+        # refuse a zero-dimensional chart, the extended algebroid must not.
+        doc = {"chart": {"coordinates": []}, "jacobi": {"bivector": {}, "field": {}}}
+        code, out = run_cli(capsys, ["jacobi", "check", "--json", "--input", write_doc(doc)])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+
     def test_compat_needs_two(self, capsys, write_doc):
         code, out = run_cli(capsys, ["jacobi", "compat", "--input", write_doc(CONTACT_DOC)])
         assert code == 2

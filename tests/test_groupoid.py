@@ -135,6 +135,20 @@ class TestCoisotropicCheck:
         assert verdict.ok
         assert [k for k, _ in verdict.higher] == [1, 2]
 
+    def test_higher_orders_check_the_tensor_powers(self, monkeypatch):
+        # order k is checked on N^k pi; N.power(k) is the independent route
+        pi, tensor = conformal_data()
+        seen = []
+        original = gd.coisotropic_check
+
+        def spy(bivector, sub):
+            seen.append(bivector)
+            return original(bivector, sub)
+
+        monkeypatch.setattr(gd, "coisotropic_check", spy)
+        assert coisotropic_invariant_check(pi, tensor, AffineSubmanifold(R2, ["x2"])).ok
+        assert seen == [pn.n_bivector(pi, tensor.power(k)) for k in range(3)]
+
     def test_conjunction_fails_on_invariance(self):
         pi = MultiVector(R2, 2, {(0, 1): 1})
         shear = pn.TensorOneOne(R2, [["0", "0"], ["1", "0"]])

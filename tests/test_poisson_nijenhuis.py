@@ -17,14 +17,22 @@ from pncalc.cartan import (
     vf_bracket,
     wedge,
 )
-from pncalc.corpus import R2, R3, R4, random_form, random_multivector, random_polynomial, so3_bivector
+from pncalc.corpus import (
+    R2,
+    R3,
+    R4,
+    pn_pairs,
+    random_form,
+    random_multivector,
+    random_polynomial,
+    so3_bivector,
+)
 from pncalc.errors import InputError, PreconditionError
-from pncalc.linalg import mat_is_zero, mat_mul, mat_sub, mat_transpose
+from pncalc.linalg import mat_is_zero
 from pncalc.polyalg import Polynomial
 from pncalc.poisson_nijenhuis import (
     TensorOneOne,
     bivector_eval,
-    bivector_from_sharp,
     complementary_build,
     d_n,
     deformed_bracket,
@@ -48,6 +56,21 @@ def unit_bivector(chart=R2):
     return MultiVector(chart, 2, {(0, 1): 1})
 
 
+def _product(A, B):
+    """Dense matrix product with every term formed, written out as an oracle."""
+    return [
+        [
+            sum((A[i][t] * B[t][j] for t in range(1, len(B))), A[i][0] * B[0][j])
+            for j in range(len(B[0]))
+        ]
+        for i in range(len(A))
+    ]
+
+
+def _transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
 def test_sharp_examples():
     pi = unit_bivector()
     dx1 = coordinate_form(R2, 0)
@@ -65,7 +88,9 @@ def test_sharp_matrix_is_antisymmetric_and_consistent():
         for i in range(3):
             for j in range(3):
                 assert (S[i][j] + S[j][i]).is_zero()
-        assert bivector_from_sharp(R3, S) == pi
+        # pi is read back off its sharp matrix: pi^{ab} = S[b][a]
+        back = [((a, b), S[b][a]) for a in range(3) for b in range(a + 1, 3)]
+        assert MultiVector.from_terms(R3, 2, back) == pi
         alpha = random_form(rng, R3, 1)
         lhs = sharp(pi, alpha)
         comps = [alpha.component((a,)) for a in range(3)]
@@ -305,7 +330,10 @@ def test_pn_implies_square_sharp_compat():
     assert is_pn_pair(pi, N).ok
     S = sharp_matrix(pi)
     N2 = N.power(2).entries
-    assert mat_is_zero(mat_sub(mat_mul(N2, S), mat_mul(S, mat_transpose(N2))))
+    # N^2.pisharp = pisharp.(N^2)*, with both products written out
+    left, right = _product(N2, S), _product(S, _transpose(N2))
+    assert all((a - b).is_zero() for ra, rb in zip(left, right) for a, b in zip(ra, rb))
+    assert mat_is_zero(sharp_compat_residual(pi, N.power(2)))
 
 
 def test_hierarchy_examples():
@@ -330,6 +358,21 @@ def test_hierarchy_refuses_non_pn():
     with pytest.raises(PreconditionError) as err:
         hierarchy(unit_bivector(), TensorOneOne.diagonal(R2, [2, 3]), 2)
     assert err.value.residuals
+
+
+def test_hierarchy_matches_tensor_powers():
+    # pi_k is built by applying N once per order; N^k from power() is the
+    # independent route: pi_k = N^k pi.
+    for _, pi, N in pn_pairs():
+        res = hierarchy(pi, N, 3)
+        for k, biv in enumerate(res.bivectors):
+            assert biv == n_bivector(pi, N.power(k))
+
+
+def test_hierarchy_refuses_bool_order():
+    pi, N = unit_bivector(), TensorOneOne.identity(R2)
+    with pytest.raises(InputError):
+        hierarchy(pi, N, True)
 
 
 def test_complementary_examples():
@@ -398,6 +441,36 @@ def test_n_bivector_matches_direct_product():
     assert n_bivector(pi, N) == (1 + R2.var("x1")) * pi
     with pytest.raises(PreconditionError):
         n_bivector(pi, TensorOneOne.diagonal(R2, [2, 3]))
+
+
+_OTHER_RING = TensorOneOne.identity(Chart(("y1", "y2")))
+
+
+def test_n_bivector_refuses_tensor_on_another_chart():
+    with pytest.raises(InputError):
+        n_bivector(MultiVector(R2, 2, {(0, 1): R2.var("x1")}), _OTHER_RING)
+
+
+def test_sharp_compat_residual_refuses_tensor_on_another_chart():
+    with pytest.raises(InputError):
+        sharp_compat_residual(MultiVector(R2, 2, {(0, 1): R2.var("x1")}), _OTHER_RING)
+
+
+def test_deformed_bivector_entry_points_refuse_non_tensors():
+    pi = unit_bivector()
+    for fn in (n_bivector, sharp_compat_residual, is_pn_pair):
+        for bad in (None, [[1, 0], [0, 1]], MultiVector.zero(R2, 1)):
+            with pytest.raises(InputError):
+                fn(pi, bad)
+        with pytest.raises(InputError):
+            fn(MultiVector.zero(R2, 1), TensorOneOne.identity(R2))
+
+
+def test_power_refuses_bool():
+    N = TensorOneOne.scalar(R2, 1 + R2.var("x1"))
+    with pytest.raises(InputError):
+        N.power(True)
+    assert N.power(1) == N
 
 
 def test_tensor_guards():
@@ -514,6 +587,56 @@ def test_apply_vf_matches_dense_definition(comps, f):
     assert cartan._apply_vf(_vector(comps), f) == want
 
 
+_PI_KEYS = ((0, 1), (0, 2), (1, 2))
+
+
+@st.composite
+def _sharp_pairs(draw):
+    """Sparse pi components and N rows on R^3, compatible or not.
+
+    "free" draws N at random, which is rarely compatible with pi. "scalar"
+    is N = f Id, compatible with every pi. "planar" is pi = p d1^d2 with
+    N = [[f, 0, a], [0, f, b], [0, 0, g]], compatible for all f, a, b, g.
+    """
+    mode = draw(st.sampled_from(("free", "scalar", "planar")))
+    pi_comps = draw(_triples)
+    rows = draw(_sparse_matrices())
+    z = R3.zero()
+    if mode == "scalar":
+        f = rows[0][0]
+        rows = [[f if i == j else z for j in range(3)] for i in range(3)]
+    elif mode == "planar":
+        pi_comps = [pi_comps[0], z, z]
+        f = rows[0][0]
+        rows = [[f, z, rows[0][2]], [z, f, rows[1][2]], [z, z, rows[2][2]]]
+    return dict(zip(_PI_KEYS, pi_comps)), rows
+
+
+@given(_sharp_pairs())
+@settings(max_examples=80, deadline=None)
+def test_sharp_product_matches_written_out_products(pair):
+    comps, rows = pair
+    # S[i][j] = pi^{ji}, with pi^{ba} = -pi^{ab}: column j is pisharp(dx^j)
+    S = [[R3.zero() for _ in range(3)] for _ in range(3)]
+    for (a, b), p in comps.items():
+        S[b][a], S[a][b] = p, -p
+    pi, N = MultiVector(R3, 2, comps), TensorOneOne(R3, rows)
+    NS = _product(rows, S)
+    want = [
+        [x - y for x, y in zip(rx, ry)]
+        for rx, ry in zip(NS, _product(S, _transpose(rows)))
+    ]
+    assert [list(row) for row in sharp_compat_residual(pi, N)] == want
+    if not all(e.is_zero() for row in want for e in row):
+        with pytest.raises(PreconditionError):
+            n_bivector(pi, N)
+        return
+    # N pi is the bivector whose sharp matrix is N.S: (N pi)^{ab} = (N.S)[b][a]
+    npi = n_bivector(pi, N)
+    assert npi == MultiVector(R3, 2, {(a, b): NS[b][a] for a, b in _PI_KEYS})
+    assert all(not v.is_zero() for v in npi.components.values())
+
+
 def _darboux_nijenhuis_dim6():
     # pi = sum d_li ^ d_mi, N = diag(f_i(l_i)) on both l_i and m_i: a product
     # of three Poisson-Nijenhuis planes
@@ -537,7 +660,29 @@ def test_is_pn_pair_multiplies_few_zero_operands(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     assert is_pn_pair(pi, N).ok
     # No product has a zero operand: mat_mul's all-zero entries (30 of 36 in
-    # each of the five 6x6 products of the sharp-compatibility residual and
-    # N pi) reuse their zero factor instead of multiplying by it.
+    # the 6x6 product N.pisharp) reuse their zero factor instead of
+    # multiplying by it. That one product gives both the sharp-compatibility
+    # residual and N pi, where five products were formed before.
     assert counts["zero"] == 0
-    assert counts["calls"] == 258
+    assert counts["calls"] == 234
+
+
+def test_is_pn_pair_forms_one_product(monkeypatch):
+    from pncalc import linalg
+    from pncalc import poisson_nijenhuis as pn
+
+    original = linalg.mat_mul
+    calls = []
+
+    def counting(A, B):
+        calls.append((len(A), len(B[0])))
+        return original(A, B)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    monkeypatch.setattr(pn, "mat_mul", counting)
+    pi, N = _darboux_nijenhuis_dim6()
+    assert is_pn_pair(pi, N).ok
+    assert calls == [(6, 6)]
+    del calls[:]
+    assert not is_pn_pair(unit_bivector(), TensorOneOne.diagonal(R2, [2, 3])).sharp_ok
+    assert calls == [(2, 2)]
