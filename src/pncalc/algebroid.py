@@ -864,7 +864,7 @@ def pn_bialgebroid_check(pi, tensor, hierarchy_orders=2):
         levels, biv = [], lift
         for k in range(hierarchy_orders + 1):
             if k:
-                biv = pn.n_bivector(biv, lifted_tensor)
+                biv = lift_pair.npi if k == 1 else pn.n_bivector(biv, lifted_tensor)
             levels.append(linear_poisson_to_algebroid(biv, chart, dual.basis))
         for k in range(len(levels)):
             for l in range(k + 1, len(levels)):

@@ -66,6 +66,8 @@ class Chart:
         for name in coords:
             if not name or not (name[0].isalpha() or name[0] == "_"):
                 raise InputError(f"bad coordinate name {name!r}")
+        # one shared zero per chart; a Polynomial is immutable
+        object.__setattr__(self, "_zero", Polynomial._trusted(coords, {}, 1))
 
     @property
     def dim(self):
@@ -78,7 +80,7 @@ class Chart:
         return self
 
     def zero(self):
-        return Polynomial._trusted(self.coords, {}, 1)
+        return self._zero
 
     def one(self):
         return Polynomial._trusted(self.coords, {(0,) * len(self.coords): 1}, 1)

@@ -11,6 +11,11 @@ Checks report residuals; constructions (torsion, koszul, algebroid
 diff, dual-poisson, jet-algebroid, base projection) reuse the residual
 map to carry the computed components, and pass whenever the inputs met
 the hypotheses.
+
+``COMMANDS`` is the single command table: each handler registers itself
+with ``@_command``, giving its argv words, help line and option adders.
+The parser tree, the one-leaf fast path of ``main`` and ``HANDLERS`` are
+all read from it, so a command is named and described in one place.
 """
 
 from __future__ import annotations
@@ -31,14 +36,48 @@ from .errors import InputError, InternalError, PreconditionError
 from .report import Report
 
 
-def _key_of(idx):
-    return ",".join(str(i + 1) for i in idx)
+# -- command table --------------------------------------------------------------
 
 
-def _nonzero_components(graded, prefix):
+def _json_option(parser):
+    parser.add_argument("--json", action="store_true", help="print a byte-stable JSON report")
+
+
+def _input_option(parser):
+    parser.add_argument("--input", required=True, metavar="FILE", help="JSON document")
+
+
+def _max_order_option(parser):
+    parser.add_argument(
+        "--max-order", type=int, default=3, metavar="K", help="highest power (default 3)"
+    )
+
+
+_DOCUMENT = (_json_option, _input_option)  # the options of a command reading a document
+
+# argv words -> (handler, help line, option adders), in help order
+COMMANDS = {}
+
+
+def _command(name, help_text, options=_DOCUMENT):
+    """Register the decorated handler as the leaf command ``name``."""
+
+    def register(handler):
+        COMMANDS[tuple(name.split())] = (handler, help_text, options)
+        return handler
+
+    return register
+
+
+# -- handlers -------------------------------------------------------------------
+
+
+def _labelled(prefix, values):
+    """Nonzero entries of an index-keyed map as prefix(i,j,...), in index order."""
     return {
-        f"{prefix}({_key_of(idx)})": str(poly)
-        for idx, poly in sorted(graded.components.items())
+        f"{prefix}({document.key_of(idx)})": str(value)
+        for idx, value in sorted(values.items())
+        if not value.is_zero()
     }
 
 
@@ -46,38 +85,35 @@ def _first_bivector(doc, command):
     return doc.require("bivectors", command)[0]
 
 
-# -- handlers -------------------------------------------------------------------
-
-
+@_command("check-poisson", "does the bracket of the bivector with itself vanish")
 def _check_poisson(doc, args, command):
     return report_mod.from_verdict(command, pn.is_poisson(_first_bivector(doc, command)))
 
 
 def _torsion_map(doc, command):
     """Nonzero components of the Nijenhuis torsion of the document's tensor."""
-    torsion = pn.nijenhuis_torsion(doc.require("tensor11", command))
-    return {
-        f"torsion({i + 1},{j + 1})": str(value)
-        for (i, j), value in sorted(torsion.items())
-        if not value.is_zero()
-    }
+    return _labelled("torsion", pn.nijenhuis_torsion(doc.require("tensor11", command)))
 
 
+@_command("check-nijenhuis", "does the torsion of the (1,1)-tensor vanish")
 def _check_nijenhuis(doc, args, command):
     residuals = _torsion_map(doc, command)
     return Report(command, "fail" if residuals else "pass", residuals)
 
 
+@_command("check-pn", "are the bivector and tensor a compatible pair")
 def _check_pn(doc, args, command):
     pi = _first_bivector(doc, command)
     tensor = doc.require("tensor11", command)
     return report_mod.from_verdict(command, pn.is_pn_pair(pi, tensor))
 
 
+@_command("torsion", "print the nonzero torsion components of the tensor")
 def _torsion(doc, args, command):
     return report_mod.from_values(command, _torsion_map(doc, command))
 
 
+@_command("koszul", "bracket of two one-forms induced by the bivector")
 def _koszul(doc, args, command):
     pi = _first_bivector(doc, command)
     forms = doc.require("forms", command)
@@ -88,22 +124,23 @@ def _koszul(doc, args, command):
         if form.degree != 1:
             raise InputError(f"{command}: the {which} form must have degree 1")
     bracket = pn.koszul_bracket(pi, alpha, beta)
-    return report_mod.from_values(command, _nonzero_components(bracket, "bracket"))
+    return report_mod.from_values(command, _labelled("bracket", bracket.components))
 
 
+@_command("concomitant", "mixed-pair residuals of the bivector and tensor")
 def _concomitant(doc, args, command):
     pi = _first_bivector(doc, command)
     tensor = doc.require("tensor11", command)
     npi = pn.n_bivector(pi, tensor)
-    residuals = {}
-    for (i, j), value in pn.concomitant_map(pi, tensor, npi).items():
-        if not value.is_zero():
-            residuals[f"concomitant({i + 1},{j + 1})"] = str(value)
-    if residuals:
-        return Report(command, "fail", residuals)
-    return Report(command, "pass", {})
+    residuals = _labelled("concomitant", pn.concomitant_map(pi, tensor, npi))
+    return Report(command, "fail" if residuals else "pass", residuals)
 
 
+@_command(
+    "hierarchy",
+    "powers of the tensor applied to the bivector, pairwise brackets",
+    _DOCUMENT + (_max_order_option,),
+)
 def _hierarchy(doc, args, command):
     pi = _first_bivector(doc, command)
     tensor = doc.require("tensor11", command)
@@ -114,6 +151,7 @@ def _hierarchy(doc, args, command):
     return Report(command, "fail", result.residuals())
 
 
+@_command("complementary", "build the tensor induced by a closed two-form")
 def _complementary(doc, args, command):
     pi = _first_bivector(doc, command)
     forms = doc.require("forms", command)
@@ -123,6 +161,7 @@ def _complementary(doc, args, command):
     return Report(command, "fail", result.residuals())
 
 
+@_command("holomorphic", "real/imaginary pair test against an almost complex tensor")
 def _holomorphic(doc, args, command):
     bivectors = doc.require("bivectors", command)
     if len(bivectors) < 2:
@@ -134,49 +173,57 @@ def _holomorphic(doc, args, command):
     return report_mod.from_verdict(command, verdict)
 
 
+@_command("algebroid validate", "check the algebroid axioms")
 def _algebroid_validate(doc, args, command):
     alg = doc.require("algebroid", command)
     return report_mod.from_verdict(command, ab.algebroid_validate(alg))
 
 
+@_command("algebroid diff", "apply the differential to the section block")
 def _algebroid_diff(doc, args, command):
     alg = doc.require("algebroid", command)
     section = doc.algebroid_section
     if section is None:
         raise InputError(f"{command} needs a section block inside the algebroid block")
     image = ab.algebroid_differential(alg, section)
-    return report_mod.from_values(command, _nonzero_components(image, "d"))
+    return report_mod.from_values(command, _labelled("d", image.components))
 
 
+@_command("algebroid dual-poisson", "fiberwise-linear bivector on the dual chart")
 def _algebroid_dual_poisson(doc, args, command):
     alg = doc.require("algebroid", command)
     dual = ab.dual_linear_poisson(alg)
     values = {"chart": ", ".join(dual.chart.coords)}
-    values.update(_nonzero_components(dual, "pi"))
+    values.update(_labelled("pi", dual.components))
     return report_mod.from_values(command, values)
 
 
+@_command("algebroid compat", "three compatibility certificates for two structures")
 def _algebroid_compat(doc, args, command):
     first, second = doc.require("algebroid_pair", command)
     return report_mod.from_verdict(command, ab.compat_check(first, second))
 
 
+@_command("algebroid bialgebroid", "is the dual differential a bracket derivation")
 def _algebroid_bialgebroid(doc, args, command):
     first, second = doc.require("algebroid_pair", command)
     return report_mod.from_verdict(command, ab.bialgebroid_check(first, second))
 
 
+@_command("algebroid pn-bialgebroid", "full staged check for a compatible pair")
 def _algebroid_pn_bialgebroid(doc, args, command):
     pi = _first_bivector(doc, command)
     tensor = doc.require("tensor11", command)
     return report_mod.from_verdict(command, ab.pn_bialgebroid_check(pi, tensor))
 
 
+@_command("jacobi check", "do both closedness identities hold")
 def _jacobi_check(doc, args, command):
     pair = doc.require("jacobi", command)[0]
     return report_mod.from_verdict(command, jc.is_jacobi(pair))
 
 
+@_command("jacobi compat", "mixed twisted bracket of two pairs")
 def _jacobi_compat(doc, args, command):
     pairs = doc.require("jacobi", command)
     if len(pairs) < 2:
@@ -184,6 +231,7 @@ def _jacobi_compat(doc, args, command):
     return report_mod.from_verdict(command, jc.jacobi_compat(pairs[0], pairs[1]))
 
 
+@_command("jacobi jet-algebroid", "print the extended-frame algebroid of a pair")
 def _jacobi_jet(doc, args, command):
     pair = doc.require("jacobi", command)[0]
     jet = jc.first_jet_algebroid(pair)
@@ -209,6 +257,7 @@ def _require_groupoid(doc, command, bivector=False, tensor=False):
     return groupoid, pi, n_tensor
 
 
+@_command("groupoid multiplicative", "is the tensor invariant on the multiplication graph")
 def _groupoid_multiplicative(doc, args, command):
     groupoid, _, tensor = _require_groupoid(doc, command, tensor=True)
     return report_mod.from_verdict(
@@ -216,16 +265,19 @@ def _groupoid_multiplicative(doc, args, command):
     )
 
 
+@_command("groupoid poisson", "is the multiplication graph coisotropic")
 def _groupoid_poisson(doc, args, command):
     groupoid, pi, _ = _require_groupoid(doc, command, bivector=True)
     return report_mod.from_verdict(command, gd.poisson_groupoid_check(groupoid, pi))
 
 
+@_command("groupoid pn", "all four groupoid certificates")
 def _groupoid_pn(doc, args, command):
     groupoid, pi, tensor = _require_groupoid(doc, command, bivector=True, tensor=True)
     return report_mod.from_verdict(command, gd.pn_groupoid_check(groupoid, pi, tensor))
 
 
+@_command("groupoid base", "project the groupoid pair back to the base")
 def _groupoid_base(doc, args, command):
     groupoid, pi, tensor = _require_groupoid(doc, command, bivector=True, tensor=True)
     result = gd.base_structure(groupoid, pi, tensor)
@@ -235,6 +287,9 @@ def _groupoid_base(doc, args, command):
     return Report(command, "fail", result.residuals())
 
 
+@_command(
+    "groupoid coisotropic-invariant", "joint check on a submanifold (default: the unit diagonal)"
+)
 def _groupoid_coisotropic_invariant(doc, args, command):
     groupoid, pi, tensor = _require_groupoid(doc, command, bivector=True, tensor=True)
     sub = doc.submanifold if doc.submanifold is not None else groupoid.unit_diagonal()
@@ -243,98 +298,16 @@ def _groupoid_coisotropic_invariant(doc, args, command):
     )
 
 
-HANDLERS = {
-    "check-poisson": _check_poisson,
-    "check-nijenhuis": _check_nijenhuis,
-    "check-pn": _check_pn,
-    "torsion": _torsion,
-    "koszul": _koszul,
-    "concomitant": _concomitant,
-    "hierarchy": _hierarchy,
-    "complementary": _complementary,
-    "holomorphic": _holomorphic,
-    "algebroid validate": _algebroid_validate,
-    "algebroid diff": _algebroid_diff,
-    "algebroid dual-poisson": _algebroid_dual_poisson,
-    "algebroid compat": _algebroid_compat,
-    "algebroid bialgebroid": _algebroid_bialgebroid,
-    "algebroid pn-bialgebroid": _algebroid_pn_bialgebroid,
-    "jacobi check": _jacobi_check,
-    "jacobi compat": _jacobi_compat,
-    "jacobi jet-algebroid": _jacobi_jet,
-    "groupoid multiplicative": _groupoid_multiplicative,
-    "groupoid poisson": _groupoid_poisson,
-    "groupoid pn": _groupoid_pn,
-    "groupoid base": _groupoid_base,
-    "groupoid coisotropic-invariant": _groupoid_coisotropic_invariant,
-}
+_command("suite", "run the acceptance battery", (_json_option,))(None)  # main() runs it
 
-
-def _json_option(parser):
-    parser.add_argument("--json", action="store_true", help="print a byte-stable JSON report")
-
-
-def _input_option(parser):
-    parser.add_argument("--input", required=True, metavar="FILE", help="JSON document")
-
-
-def _max_order_option(parser):
-    parser.add_argument(
-        "--max-order", type=int, default=3, metavar="K", help="highest power (default 3)"
-    )
-
-
-_DOCUMENT = (_json_option, _input_option)  # the options of a command reading a document
-
-# The command table, in help order: the argv words naming a leaf command,
-# its help line and the functions adding its options. build_parser() builds
-# the whole tree from it; main() builds only the leaf that argv names.
-COMMANDS = (
-    (("check-poisson",), "does the bracket of the bivector with itself vanish", _DOCUMENT),
-    (("check-nijenhuis",), "does the torsion of the (1,1)-tensor vanish", _DOCUMENT),
-    (("check-pn",), "are the bivector and tensor a compatible pair", _DOCUMENT),
-    (("torsion",), "print the nonzero torsion components of the tensor", _DOCUMENT),
-    (("koszul",), "bracket of two one-forms induced by the bivector", _DOCUMENT),
-    (("concomitant",), "mixed-pair residuals of the bivector and tensor", _DOCUMENT),
-    (
-        ("hierarchy",),
-        "powers of the tensor applied to the bivector, pairwise brackets",
-        _DOCUMENT + (_max_order_option,),
-    ),
-    (("complementary",), "build the tensor induced by a closed two-form", _DOCUMENT),
-    (("holomorphic",), "real/imaginary pair test against an almost complex tensor", _DOCUMENT),
-    (("algebroid", "validate"), "check the algebroid axioms", _DOCUMENT),
-    (("algebroid", "diff"), "apply the differential to the section block", _DOCUMENT),
-    (("algebroid", "dual-poisson"), "fiberwise-linear bivector on the dual chart", _DOCUMENT),
-    (("algebroid", "compat"), "three compatibility certificates for two structures", _DOCUMENT),
-    (("algebroid", "bialgebroid"), "is the dual differential a bracket derivation", _DOCUMENT),
-    (("algebroid", "pn-bialgebroid"), "full staged check for a compatible pair", _DOCUMENT),
-    (("jacobi", "check"), "do both closedness identities hold", _DOCUMENT),
-    (("jacobi", "compat"), "mixed twisted bracket of two pairs", _DOCUMENT),
-    (("jacobi", "jet-algebroid"), "print the extended-frame algebroid of a pair", _DOCUMENT),
-    (
-        ("groupoid", "multiplicative"),
-        "is the tensor invariant on the multiplication graph",
-        _DOCUMENT,
-    ),
-    (("groupoid", "poisson"), "is the multiplication graph coisotropic", _DOCUMENT),
-    (("groupoid", "pn"), "all four groupoid certificates", _DOCUMENT),
-    (("groupoid", "base"), "project the groupoid pair back to the base", _DOCUMENT),
-    (
-        ("groupoid", "coisotropic-invariant"),
-        "joint check on a submanifold (default: the unit diagonal)",
-        _DOCUMENT,
-    ),
-    (("suite",), "run the acceptance battery", (_json_option,)),
-)
+# command name -> handler, a view of COMMANDS without suite
+HANDLERS = {" ".join(words): entry[0] for words, entry in COMMANDS.items() if entry[0]}
 
 _GROUP_HELP = {
     "algebroid": "anchored bracket structures",
     "jacobi": "bivector and field pairs",
     "groupoid": "pair-groupoid desk checks",
 }
-
-_LEAVES = {words: options for words, _, options in COMMANDS}
 
 
 def build_parser():
@@ -344,7 +317,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     group_subs = {}
-    for words, help_text, options in COMMANDS:
+    for words, (_, help_text, options) in COMMANDS.items():
         parent = sub
         if len(words) == 2:
             group = words[0]
@@ -361,7 +334,7 @@ def build_parser():
 
 
 def _parse_command(argv):
-    """The command name and its parsed options.
+    """The argv words of the command and its parsed options.
 
     When argv starts with the words of a leaf command and its options parse
     completely, only that leaf's parser is built. Anything else (help at a
@@ -371,19 +344,18 @@ def _parse_command(argv):
     """
     for size in (1, 2):
         words = tuple(argv[:size])
-        options = _LEAVES.get(words)
-        if options is not None:
+        if words in COMMANDS:
             leaf = argparse.ArgumentParser(prog=" ".join(("pncalc",) + words))
-            for add_option in options:
+            for add_option in COMMANDS[words][2]:
                 add_option(leaf)
             args, unknown = leaf.parse_known_args(argv[size:])
             if not unknown:
-                return " ".join(words), args
+                return words, args
             break
     args = build_parser().parse_args(argv)
     if getattr(args, "subcommand", None):
-        return f"{args.command} {args.subcommand}", args
-    return args.command, args
+        return (args.command, args.subcommand), args
+    return (args.command,), args
 
 
 def _emit_suite(reports, as_json):
@@ -406,12 +378,12 @@ def _emit_suite(reports, as_json):
 
 
 def main(argv=None):
-    command, args = _parse_command(sys.argv[1:] if argv is None else list(argv))
-
-    if command == "suite":
+    words, args = _parse_command(sys.argv[1:] if argv is None else list(argv))
+    handler = COMMANDS[words][0]
+    if handler is None:
         return _emit_suite(suite_mod.run_all(), args.json)
 
-    handler = HANDLERS[command]
+    command = " ".join(words)
     started = time.perf_counter()
     try:
         doc = document.load_document(args.input)

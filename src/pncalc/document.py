@@ -22,8 +22,7 @@ Block shapes:
 * ``algebroid``: ``rank``, ``basis`` names, ``anchor`` as one column per
   basis section (each a list of dim strings), ``structure`` keyed by
   strictly increasing ``"i,j"`` over the basis with one row of rank
-  strings per key, and an optional ``section`` block whose component
-  indices run over the basis rather than the chart.
+  strings per key, and an optional ``section`` block shaped like ``form``.
 * ``algebroid_pair``: ``{"first": <algebroid>, "second": <algebroid>}``.
 * ``jacobi``: ``{"bivector": {...}, "field": {"i": "..."}}`` or a list of
   two such objects.
@@ -35,9 +34,16 @@ Block shapes:
   polynomials cutting the locus; parsed on the doubled chart when a
   ``pair_groupoid`` block is present, on the document chart otherwise.
 
+The ``bivector`` map, the ``components`` of ``form``, ``multivector`` and
+``section``, and the jacobi ``field`` share one component grammar: each key
+names ``k`` strictly increasing indices over a frame, and each value is a
+polynomial string on the chart. The frame is the chart, except for a
+``section``, whose indices run over the algebroid basis (1..rank).
+
 ``parse_document`` rejects unknown keys, duplicate JSON keys, indices
-out of range, and non-increasing antisymmetric keys, so a typo fails
-loudly instead of vanishing into a zero component.
+out of range, non-increasing antisymmetric keys, and a ``chart.dim`` that
+is not the integer count of the coordinates, so a typo fails loudly
+instead of vanishing into a zero component.
 """
 
 from __future__ import annotations
@@ -112,16 +118,18 @@ def _parse_key(key, bound, where, increasing):
     return tuple(i - 1 for i in idx)
 
 
-def _parse_components(data, chart, degree, where):
+def _parse_components(data, frame, degree, where):
+    """Degree-k components over a frame, a Chart or (for a section) an
+    AlgebroidData: indices run to frame.rank, values parse on frame.base."""
     data = _expect_object(data, where)
     comps = {}
     for key, text in data.items():
-        idx = _parse_key(key, chart.dim, where, increasing=True)
+        idx = _parse_key(key, frame.rank, where, increasing=True)
         if len(idx) != degree:
             raise InputError(f"{where}: key {key!r} has {len(idx)} indices, expected {degree}")
         if not isinstance(text, str):
             raise InputError(f"{where}: component {key!r} must be a polynomial string")
-        comps[idx] = chart.parse(text)
+        comps[idx] = frame.base.parse(text)
     return comps
 
 
@@ -129,14 +137,21 @@ def _parse_bivector(data, chart, where="bivector"):
     return MultiVector(chart, 2, _parse_components(data, chart, 2, where))
 
 
-def _parse_graded(cls, data, chart, where):
+def _parse_graded(cls, data, frame, where):
     data = _expect_object(data, where)
     _check_keys(data, ("degree", "components"), where)
     degree = data.get("degree")
     if not _is_int(degree) or degree < 0:
         raise InputError(f"{where}: degree must be a nonnegative integer")
-    comps = _parse_components(data.get("components", {}), chart, degree, where)
-    return cls(chart, degree, comps)
+    comps = _parse_components(data.get("components", {}), frame, degree, where)
+    return cls(frame, degree, comps)
+
+
+def _one_or_list(block, parse, where):
+    """Parse a block given as one object or as a list; list items are named where[i]."""
+    if isinstance(block, list):
+        return tuple(parse(item, f"{where}[{i}]") for i, item in enumerate(block))
+    return (parse(block, where),)
 
 
 def _parse_tensor11(data, chart, where="tensor11"):
@@ -199,24 +214,7 @@ def _parse_algebroid(data, chart, where="algebroid"):
     alg = AlgebroidData(chart, rank, basis, cols, table)
     section = None
     if "section" in data:
-        block = _expect_object(data["section"], f"{where}.section")
-        _check_keys(block, ("degree", "components"), f"{where}.section")
-        degree = block.get("degree")
-        if not _is_int(degree) or degree < 0:
-            raise InputError(f"{where}.section: degree must be a nonnegative integer")
-        comps = {}
-        for key, text in _expect_object(
-            block.get("components", {}), f"{where}.section"
-        ).items():
-            idx = _parse_key(key, rank, f"{where}.section", increasing=True)
-            if len(idx) != degree:
-                raise InputError(
-                    f"{where}.section: key {key!r} has {len(idx)} indices, expected {degree}"
-                )
-            if not isinstance(text, str):
-                raise InputError(f"{where}.section: components must be polynomial strings")
-            comps[idx] = chart.parse(text)
-        section = AlgebroidSection(alg, degree, comps)
+        section = _parse_graded(AlgebroidSection, data["section"], alg, f"{where}.section")
     return alg, section
 
 
@@ -226,15 +224,8 @@ def _parse_jacobi(data, chart, where="jacobi"):
     if "bivector" not in data:
         raise InputError(f"{where}: missing bivector")
     pi = _parse_bivector(data["bivector"], chart, f"{where}.bivector")
-    comps = {}
-    for key, text in _expect_object(data.get("field", {}), f"{where}.field").items():
-        idx = _parse_key(key, chart.dim, f"{where}.field", increasing=True)
-        if len(idx) != 1:
-            raise InputError(f"{where}.field: key {key!r} must name one index")
-        if not isinstance(text, str):
-            raise InputError(f"{where}.field: components must be polynomial strings")
-        comps[idx] = chart.parse(text)
-    return JacobiPair(pi, MultiVector(chart, 1, comps))
+    field = _parse_components(data.get("field", {}), chart, 1, f"{where}.field")
+    return JacobiPair(pi, MultiVector(chart, 1, field))
 
 
 class Document:
@@ -298,28 +289,23 @@ def parse_document(data):
     if not isinstance(coords, list) or any(not isinstance(c, str) for c in coords):
         raise InputError("chart.coordinates must be a list of names")
     chart = Chart(tuple(coords))
-    if "dim" in chart_block and chart_block["dim"] != chart.dim:
-        raise InputError(
-            f"chart.dim is {chart_block['dim']} but {chart.dim} coordinates are given"
-        )
+    dim = chart_block.get("dim", chart.dim)
+    if not _is_int(dim):
+        raise InputError("chart.dim must be an integer")
+    if dim != chart.dim:
+        raise InputError(f"chart.dim is {dim} but {chart.dim} coordinates are given")
 
     fields = {"chart": chart}
 
     if "bivector" in data:
-        block = data["bivector"]
-        items = block if isinstance(block, list) else [block]
-        fields["bivectors"] = tuple(
-            _parse_bivector(b, chart, f"bivector[{i}]" if isinstance(block, list) else "bivector")
-            for i, b in enumerate(items)
+        fields["bivectors"] = _one_or_list(
+            data["bivector"], lambda b, where: _parse_bivector(b, chart, where), "bivector"
         )
     if "tensor11" in data:
         fields["tensor11"] = _parse_tensor11(data["tensor11"], chart)
     if "form" in data:
-        block = data["form"]
-        items = block if isinstance(block, list) else [block]
-        fields["forms"] = tuple(
-            _parse_graded(DiffForm, f, chart, f"form[{i}]" if isinstance(block, list) else "form")
-            for i, f in enumerate(items)
+        fields["forms"] = _one_or_list(
+            data["form"], lambda f, where: _parse_graded(DiffForm, f, chart, where), "form"
         )
     if "multivector" in data:
         fields["multivector"] = _parse_graded(
@@ -338,11 +324,8 @@ def parse_document(data):
         second, _ = _parse_algebroid(block["second"], chart, "algebroid_pair.second")
         fields["algebroid_pair"] = (first, second)
     if "jacobi" in data:
-        block = data["jacobi"]
-        items = block if isinstance(block, list) else [block]
-        fields["jacobi"] = tuple(
-            _parse_jacobi(j, chart, f"jacobi[{i}]" if isinstance(block, list) else "jacobi")
-            for i, j in enumerate(items)
+        fields["jacobi"] = _one_or_list(
+            data["jacobi"], lambda j, where: _parse_jacobi(j, chart, where), "jacobi"
         )
     if "pair_groupoid" in data:
         block = _expect_object(data["pair_groupoid"], "pair_groupoid")
@@ -411,12 +394,21 @@ def load_document(path):
 # -- rendering ----------------------------------------------------------------
 
 
-def _key_of(idx):
+def key_of(idx):
+    """The document key of a 0-based index tuple: 1-based, comma-separated."""
     return ",".join(str(i + 1) for i in idx)
 
 
 def _components_data(graded):
-    return {_key_of(idx): str(poly) for idx, poly in sorted(graded.components.items())}
+    return {key_of(idx): str(poly) for idx, poly in sorted(graded.components.items())}
+
+
+def _graded_data(graded):
+    return {"degree": graded.degree, "components": _components_data(graded)}
+
+
+def _one_or_list_data(blocks):
+    return blocks[0] if len(blocks) == 1 else blocks
 
 
 def _tensor_data(tensor):
@@ -429,18 +421,12 @@ def _algebroid_data(alg, section=None):
         "basis": list(alg.basis),
         "anchor": [[str(e) for e in col] for col in alg.anchor],
         "structure": {
-            _key_of(key): [str(e) for e in row]
+            key_of(key): [str(e) for e in row]
             for key, row in sorted(alg.structure.items())
         },
     }
     if section is not None:
-        out["section"] = {
-            "degree": section.degree,
-            "components": {
-                _key_of(idx): str(poly)
-                for idx, poly in sorted(section.components.items())
-            },
-        }
+        out["section"] = _graded_data(section)
     return out
 
 
@@ -469,20 +455,13 @@ def to_data(doc):
         "chart": {"dim": doc.chart.dim, "coordinates": list(doc.chart.coords)}
     }
     if doc.bivectors:
-        blocks = [_components_data(b) for b in doc.bivectors]
-        data["bivector"] = blocks[0] if len(blocks) == 1 else blocks
+        data["bivector"] = _one_or_list_data([_components_data(b) for b in doc.bivectors])
     if doc.tensor11 is not None:
         data["tensor11"] = _tensor_data(doc.tensor11)
     if doc.forms:
-        blocks = [
-            {"degree": f.degree, "components": _components_data(f)} for f in doc.forms
-        ]
-        data["form"] = blocks[0] if len(blocks) == 1 else blocks
+        data["form"] = _one_or_list_data([_graded_data(f) for f in doc.forms])
     if doc.multivector is not None:
-        data["multivector"] = {
-            "degree": doc.multivector.degree,
-            "components": _components_data(doc.multivector),
-        }
+        data["multivector"] = _graded_data(doc.multivector)
     if doc.algebroid is not None:
         data["algebroid"] = _algebroid_data(doc.algebroid, doc.algebroid_section)
     if doc.algebroid_pair is not None:
@@ -491,8 +470,7 @@ def to_data(doc):
             "second": _algebroid_data(doc.algebroid_pair[1]),
         }
     if doc.jacobi:
-        blocks = [_jacobi_data(p) for p in doc.jacobi]
-        data["jacobi"] = blocks[0] if len(blocks) == 1 else blocks
+        data["jacobi"] = _one_or_list_data([_jacobi_data(p) for p in doc.jacobi])
     if doc.groupoid is not None:
         block = {}
         if doc.groupoid_bivector is not None:

@@ -555,7 +555,7 @@ def base_structure(groupoid, pi, tensor):
             )
 
     pushforward = []
-    deformed_total = pn.n_bivector(pi, tensor)
+    deformed_total = composite.pair_verdict.npi
     deformed_base = pn.n_bivector(base_pi, base_tensor)
     for a, b in combinations(range(n), 2):
         lifted = deformed_base.component((a, b)).embed(total)

@@ -262,6 +262,7 @@ class PNVerdict:
     torsion_residual: dict
     sharp_residual: tuple
     concomitant_residual: dict
+    npi: MultiVector = None  # N pi when sharp compatibility holds; not a residual
 
     @property
     def poisson_ok(self):
@@ -467,6 +468,7 @@ def is_pn_pair(pi, N):
         torsion_residual=nijenhuis_torsion(N),
         sharp_residual=sharp_res,
         concomitant_residual=concomitant,
+        npi=npi,
     )
 
 
@@ -490,9 +492,10 @@ class HierarchyResult:
 def hierarchy(pi, N, kmax):
     """Bivectors pi_k = N^k pi for k <= kmax plus all pairwise Schouten residuals.
 
-    Refuses unless (pi, N) is a Poisson-Nijenhuis pair. Each pi_k is
-    n_bivector(pi_{k-1}, N), whose sharp matrix N.(N^(k-1) pi)# = N^k.pisharp
-    is re-checked for antisymmetry, which the PN hypothesis guarantees.
+    Refuses unless (pi, N) is a Poisson-Nijenhuis pair. pi_1 is the N pi of
+    that verdict; each later pi_k is n_bivector(pi_{k-1}, N), whose sharp
+    matrix N.(N^(k-1) pi)# = N^k.pisharp is re-checked for antisymmetry,
+    which the PN hypothesis guarantees.
     """
     if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 1:
         raise InputError("kmax must be a positive integer")
@@ -501,8 +504,8 @@ def hierarchy(pi, N, kmax):
         raise PreconditionError(
             "hierarchy needs a Poisson-Nijenhuis pair", residuals=verdict.residuals()
         )
-    bivectors = [pi]
-    for k in range(1, kmax + 1):
+    bivectors = [pi, verdict.npi]
+    for k in range(2, kmax + 1):
         try:
             bivectors.append(n_bivector(bivectors[-1], N))
         except PreconditionError as exc:

@@ -114,6 +114,15 @@ def test_frame_must_be_a_chart():
                 cls.from_terms(frame, 1, [((0,), 1)])
 
 
+def test_chart_zero_is_one_shared_constant():
+    for chart in (Chart(()), R2, Chart(("x1", "x2"))):
+        assert chart.zero() is chart.zero()
+        assert chart.zero() == Polynomial.zero(chart.coords)
+        assert chart.zero().variables == chart.coords
+    # the shared zero is not a field: equal charts stay equal and hash alike
+    assert Chart(("x1", "x2")) == R2 and hash(Chart(("x1", "x2"))) == hash(R2)
+
+
 def test_degree_must_be_an_int():
     for degree in (True, False, 1.0, "1"):
         with pytest.raises(InputError):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +126,27 @@ def test_top_level_parsing_matches_the_full_parser(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     want = _parse_outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
     assert _parse_outcome(capsys, cli.main, argv) == want
+
+
+def _listed_commands(help_text):
+    # one row per subcommand: four spaces, its name, then its help line
+    return [m.group(1) for m in re.finditer(r"^ {4}(\S+)", help_text, re.MULTILINE)]
+
+
+def test_help_lists_commands_in_table_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    tops, leaves = [], {}
+    for words in cli.COMMANDS:
+        if words[0] not in tops:
+            tops.append(words[0])
+        if len(words) == 2:
+            leaves.setdefault(words[0], []).append(words[1])
+    assert _listed_commands(cli.build_parser().format_help()) == tops
+    for group, names in leaves.items():
+        code, out, _ = _parse_outcome(capsys, cli.main, [group, "-h"])
+        assert code == 0
+        assert _listed_commands(out) == names
+    assert set(cli.HANDLERS) == {" ".join(w) for w in cli.COMMANDS} - {"suite"}
 
 
 class TestExitCodes:
@@ -518,6 +540,45 @@ class TestDocumentRoundTrip:
         assert doc == again
         assert document.render_document(again) == text
 
+    def test_list_blocks_round_trip(self):
+        data = {
+            "chart": {"dim": 2, "coordinates": ["x1", "x2"]},
+            "bivector": [{"1,2": "x1"}, {"1,2": "x2 - 1"}],
+            "form": [
+                {"degree": 1, "components": {"1": "x2"}},
+                {"degree": 2, "components": {"1,2": "1/3"}},
+            ],
+            "jacobi": [
+                {"bivector": {"1,2": "x2"}, "field": {"1": "1"}},
+                {"bivector": {}, "field": {"2": "x1^2"}},
+            ],
+        }
+        doc = document.parse_document(data)
+        assert len(doc.bivectors) == len(doc.forms) == len(doc.jacobi) == 2
+        assert [f.degree for f in doc.forms] == [1, 2]
+        text = document.render_document(doc)
+        rendered = json.loads(text)
+        for block in ("bivector", "form", "jacobi"):
+            assert isinstance(rendered[block], list) and len(rendered[block]) == 2
+        again = document.loads_document(text)
+        assert doc == again
+        assert document.render_document(again) == text
+
+    @pytest.mark.parametrize(
+        "block, item, message",
+        [
+            ("bivector", {"1,3": "1"}, "bivector[1]: index 3 out of range"),
+            ("form", {"degree": -1}, "form[1]: degree must be"),
+            ("jacobi", {"bivector": {}, "field": {"0": "1"}}, "jacobi[1].field: index 0"),
+        ],
+    )
+    def test_list_block_errors_name_the_item(self, block, item, message):
+        good = self.full_doc()[block]
+        data = {"chart": {"coordinates": ["x1", "x2"]}, block: [good, item]}
+        with pytest.raises(InputError) as exc:
+            document.parse_document(data)
+        assert str(exc.value).startswith(message)
+
     def test_corpus_documents_round_trip(self):
         for data in (SO3_DOC, CONFORMAL_DOC, DIAG_DOC, CONTACT_DOC, GROUPOID_DOC):
             doc = document.parse_document(data)
@@ -552,6 +613,49 @@ class TestDocumentValidation:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InputError, match="dim"):
             document.parse_document({"chart": {"dim": 3, "coordinates": ["x1", "x2"]}})
+
+    @pytest.mark.parametrize(
+        "dim, coords", [(True, ["x1"]), (False, []), (2.0, ["x1", "x2"]), ("2", ["x1", "x2"])]
+    )
+    def test_non_int_dim_rejected(self, capsys, write_doc, dim, coords):
+        # true == 1 and 2.0 == 2 in Python, but neither is a dimension
+        data = {"chart": {"dim": dim, "coordinates": coords}, "bivector": {}}
+        with pytest.raises(InputError, match="chart.dim must be an integer"):
+            document.parse_document(data)
+        code, out = run_cli(capsys, ["check-poisson", "--input", write_doc(data)])
+        assert code == 2
+        assert "chart.dim must be an integer" in out
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (
+                {"jacobi": {"bivector": {}, "field": {"1,2": "1"}}},
+                "jacobi.field: key '1,2' has 2 indices, expected 1",
+            ),
+            (
+                {"jacobi": {"bivector": {}, "field": {"1": 1}}},
+                "jacobi.field: component '1' must be a polynomial string",
+            ),
+            (
+                {
+                    "algebroid": {
+                        "rank": 1,
+                        "basis": ["e1"],
+                        "anchor": [["1", "0"]],
+                        "section": {"degree": 1, "components": {"1": 1}},
+                    }
+                },
+                "algebroid.section: component '1' must be a polynomial string",
+            ),
+        ],
+    )
+    def test_shared_component_grammar_messages(self, block, message):
+        # the jacobi field and the algebroid section are read by the same
+        # component parser as form and bivector blocks, so they word alike
+        with pytest.raises(InputError) as exc:
+            document.parse_document({"chart": {"coordinates": ["x1", "x2"]}, **block})
+        assert str(exc.value) == message
 
     def test_unknown_block_rejected(self):
         with pytest.raises(InputError, match="unknown keys"):

@@ -686,3 +686,29 @@ def test_is_pn_pair_forms_one_product(monkeypatch):
     del calls[:]
     assert not is_pn_pair(unit_bivector(), TensorOneOne.diagonal(R2, [2, 3])).sharp_ok
     assert calls == [(2, 2)]
+
+
+def test_hierarchy_reuses_the_verdicts_n_pi(monkeypatch):
+    # is_pn_pair keeps N pi on its verdict, so pi_1 costs no second product:
+    # hierarchy(pi, N, 2) forms N.pisharp and N.(N pi)# only
+    from pncalc import linalg
+    from pncalc import poisson_nijenhuis as pn
+
+    original = linalg.mat_mul
+    calls = []
+
+    def counting(A, B):
+        calls.append((len(A), len(B[0])))
+        return original(A, B)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    monkeypatch.setattr(pn, "mat_mul", counting)
+    conformal = TensorOneOne.scalar(R2, 1 + R2.var("x1"))
+    verdict = is_pn_pair(unit_bivector(), conformal)
+    assert verdict.npi == n_bivector(unit_bivector(), conformal)
+    del calls[:]
+    result = hierarchy(unit_bivector(), conformal, 2)
+    assert calls == [(2, 2), (2, 2)]
+    assert result.bivectors[1] == verdict.npi
+    # a pair that fails sharp compatibility has no N pi
+    assert is_pn_pair(unit_bivector(), TensorOneOne.diagonal(R2, [2, 3])).npi is None
