@@ -32,6 +32,7 @@ from .polyalg import Polynomial, Rational
 from . import cartan
 from .cartan import Chart, MultiVector
 from . import poisson_nijenhuis as pn
+from .report import Verdict, labelled, prefixed
 
 
 class AlgebroidData:
@@ -220,33 +221,15 @@ def section_bracket(algebroid, left, right):
 
 
 @dataclass
-class AlgebroidVerdict:
+class AlgebroidVerdict(Verdict):
     """Jacobi residuals per basis triple, anchor residuals per basis pair."""
 
     jacobi_residuals: dict
     anchor_residuals: dict
 
-    @property
-    def jacobi_ok(self):
-        return all(r.is_zero() for r in self.jacobi_residuals.values())
-
-    @property
-    def anchor_ok(self):
-        return all(r.is_zero() for r in self.anchor_residuals.values())
-
-    @property
-    def ok(self):
-        return self.jacobi_ok and self.anchor_ok
-
-    def residuals(self):
-        out = {}
-        for (i, j, k), res in self.jacobi_residuals.items():
-            if not res.is_zero():
-                out["jacobi(%d,%d,%d)" % (i + 1, j + 1, k + 1)] = str(res)
-        for (i, j), res in self.anchor_residuals.items():
-            if not res.is_zero():
-                out["anchor(%d,%d)" % (i + 1, j + 1)] = str(res)
-        return out
+    def families(self):
+        yield from labelled("jacobi", self.jacobi_residuals)
+        yield from labelled("anchor", self.anchor_residuals)
 
 
 def algebroid_validate(algebroid):
@@ -370,12 +353,7 @@ def tangent_deformed_algebroid(tensor):
         )
         table[(i, j)] = tuple(bracket.component((k,)) for k in range(n))
     out = AlgebroidData(chart, n, tuple("d_" + c for c in chart.coords), cols, table)
-    verdict = algebroid_validate(out)
-    if not verdict.ok:
-        raise InternalError(
-            "torsion-free deformation produced an invalid algebroid: %r"
-            % verdict.residuals()
-        )
+    algebroid_validate(out).guard("torsion-free deformation produced an invalid algebroid")
     return out
 
 
@@ -387,9 +365,7 @@ def cotangent_algebroid(pi):
     evaluated on pairs of coordinate differentials.
     """
     chart = pi.chart
-    verdict = pn.is_poisson(pi)
-    if not verdict.ok:
-        raise PreconditionError("bivector is not Poisson", verdict.residuals())
+    pn.is_poisson(pi).require("bivector is not Poisson")
     n = chart.dim
     sharp = pn.sharp_matrix(pi)
     cols = [tuple(sharp[a][i] for a in range(n)) for i in range(n)]
@@ -402,12 +378,7 @@ def cotangent_algebroid(pi):
         )
         table[(i, j)] = tuple(form.component((k,)) for k in range(n))
     out = AlgebroidData(chart, n, tuple("d" + c for c in chart.coords), cols, table)
-    verdict = algebroid_validate(out)
-    if not verdict.ok:
-        raise InternalError(
-            "Poisson bivector produced an invalid cotangent algebroid: %r"
-            % verdict.residuals()
-        )
+    algebroid_validate(out).guard("Poisson bivector produced an invalid cotangent algebroid")
     return out
 
 
@@ -460,9 +431,7 @@ def dual_linear_poisson(algebroid, fiber_names=None):
     Jacobi for this bivector is equivalent to the algebroid axioms, and the
     result is re-checked as a guard.
     """
-    verdict = algebroid_validate(algebroid)
-    if not verdict.ok:
-        raise PreconditionError("algebroid axioms fail", verdict.residuals())
+    algebroid_validate(algebroid).require("algebroid axioms fail")
     dual = build_dual_chart(algebroid, fiber_names)
     n = algebroid.base.dim
     rank = algebroid.rank
@@ -481,12 +450,7 @@ def dual_linear_poisson(algebroid, fiber_names=None):
                 val = val + row[k].embed(dual.coords) * xi_k
         comps[(n + i, n + j)] = val
     out = MultiVector(dual, 2, comps)
-    check = pn.is_poisson(out)
-    if not check.ok:
-        raise InternalError(
-            "valid algebroid produced a non-Poisson dual structure: %r"
-            % check.residuals()
-        )
+    pn.is_poisson(out).guard("valid algebroid produced a non-Poisson dual structure")
     return out
 
 
@@ -548,7 +512,7 @@ def linear_poisson_to_algebroid(pi, base, basis):
 
 
 @dataclass
-class CompatVerdict:
+class CompatVerdict(Verdict):
     """Three certificates for compatibility of two algebroid structures.
 
     mixed_jacobi and mixed_anchor come from expanding the axioms of the sum,
@@ -576,24 +540,12 @@ class CompatVerdict:
     def certificate_c(self):
         return self.dual_bracket.is_zero()
 
-    @property
-    def ok(self):
-        return self.certificate_a
-
-    def residuals(self):
-        out = {}
-        for (i, j, k), res in self.mixed_jacobi.items():
-            if not res.is_zero():
-                out["mixed_jacobi(%d,%d,%d)" % (i + 1, j + 1, k + 1)] = str(res)
-        for (i, j), res in self.mixed_anchor.items():
-            if not res.is_zero():
-                out["mixed_anchor(%d,%d)" % (i + 1, j + 1)] = str(res)
+    def families(self):
+        yield from labelled("mixed_jacobi", self.mixed_jacobi)
+        yield from labelled("mixed_anchor", self.mixed_anchor)
         for label, res in self.differential_residuals.items():
-            if not res.is_zero():
-                out["anticommutator(%s)" % label] = str(res)
-        if not self.dual_bracket.is_zero():
-            out["dual_bracket"] = str(self.dual_bracket)
-        return out
+            yield "anticommutator(%s)" % label, res
+        yield "dual_bracket", self.dual_bracket
 
 
 def compat_check(first, second):
@@ -611,11 +563,7 @@ def compat_check(first, second):
     if first.basis != second.basis:
         raise InputError("algebroids must share basis names")
     for which, alg in (("first", first), ("second", second)):
-        verdict = algebroid_validate(alg)
-        if not verdict.ok:
-            raise PreconditionError(
-                "%s algebroid fails its own axioms" % which, verdict.residuals()
-            )
+        algebroid_validate(alg).require("%s algebroid fails its own axioms" % which)
     rank = first.rank
     mixed_jac = {}
     for i, j, k in combinations(range(rank), 3):
@@ -668,33 +616,19 @@ def compat_check(first, second):
 
 
 @dataclass
-class BialgebroidVerdict:
+class BialgebroidVerdict(Verdict):
     """Derivation residuals of the dual differential against the bracket."""
 
     pair_residuals: dict
     scaled_residuals: dict
     function_residuals: dict
 
-    @property
-    def ok(self):
-        return (
-            all(r.is_zero() for r in self.pair_residuals.values())
-            and all(r.is_zero() for r in self.scaled_residuals.values())
-            and all(r.is_zero() for r in self.function_residuals.values())
-        )
-
-    def residuals(self):
-        out = {}
-        for (i, j), res in self.pair_residuals.items():
-            if not res.is_zero():
-                out["derivation(%d,%d)" % (i + 1, j + 1)] = str(res)
+    def families(self):
+        yield from labelled("derivation", self.pair_residuals)
         for (i, a, j), res in self.scaled_residuals.items():
-            if not res.is_zero():
-                out["derivation(%d, %s*%d)" % (i + 1, a, j + 1)] = str(res)
+            yield "derivation(%d, %s*%d)" % (i + 1, a, j + 1), res
         for (i, a), res in self.function_residuals.items():
-            if not res.is_zero():
-                out["derivation(%d, %s)" % (i + 1, a)] = str(res)
-        return out
+            yield "derivation(%d, %s)" % (i + 1, a), res
 
 
 def _dual_differential(primary, dual, section):
@@ -712,11 +646,7 @@ def bialgebroid_check(primary, dual):
     if primary.base != dual.base or primary.rank != dual.rank:
         raise InputError("bialgebroid halves must share base chart and rank")
     for which, alg in (("primary", primary), ("dual", dual)):
-        verdict = algebroid_validate(alg)
-        if not verdict.ok:
-            raise PreconditionError(
-                "%s algebroid fails its own axioms" % which, verdict.residuals()
-            )
+        algebroid_validate(alg).require("%s algebroid fails its own axioms" % which)
     rank = primary.rank
     coords = primary.base.coords
 
@@ -760,35 +690,23 @@ def bialgebroid_check(primary, dual):
 
 
 @dataclass
-class PNBialgebroidVerdict:
-    """Staged verdict for the tangent/cotangent bialgebroid of a compatible pair."""
+class PNBialgebroidVerdict(Verdict):
+    """Staged verdict for the tangent/cotangent bialgebroid of a compatible pair.
+
+    ``recovery_residuals`` maps labels to rendered failures, so any entry fails.
+    """
 
     bialgebroid: BialgebroidVerdict
     lift_pair: object
     recovery_residuals: dict
     hierarchy_compat: dict
 
-    @property
-    def ok(self):
-        return (
-            self.bialgebroid.ok
-            and self.lift_pair.ok
-            and not self.recovery_residuals
-            and all(v.ok for v in self.hierarchy_compat.values())
-        )
-
-    def residuals(self):
-        out = {}
-        for label, res in self.bialgebroid.residuals().items():
-            out["bialgebroid " + label] = res
-        for label, res in self.lift_pair.residuals().items():
-            out["lift " + label] = res
-        for label, res in self.recovery_residuals.items():
-            out["recovery " + label] = res
+    def families(self):
+        yield from prefixed("bialgebroid ", self.bialgebroid.families())
+        yield from prefixed("lift ", self.lift_pair.families())
+        yield from prefixed("recovery ", self.recovery_residuals.items())
         for (k, l), verdict in self.hierarchy_compat.items():
-            for label, res in verdict.residuals().items():
-                out["compat[%d,%d] %s" % (k, l, label)] = res
-        return out
+            yield from prefixed("compat[%d,%d] " % (k, l), verdict.families())
 
 
 def pn_bialgebroid_check(pi, tensor, hierarchy_orders=2):
@@ -801,11 +719,7 @@ def pn_bialgebroid_check(pi, tensor, hierarchy_orders=2):
     order produce pairwise compatible algebroid structures on the frame of
     coordinate differentials.
     """
-    base_pair = pn.is_pn_pair(pi, tensor)
-    if not base_pair.ok:
-        raise PreconditionError(
-            "bivector and tensor are not a compatible pair", base_pair.residuals()
-        )
+    pn.is_pn_pair(pi, tensor).require("bivector and tensor are not a compatible pair")
     chart = pi.chart
     n = chart.dim
     primary = tangent_algebroid(chart)

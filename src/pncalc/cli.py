@@ -74,11 +74,7 @@ def _command(name, help_text, options=_DOCUMENT):
 
 def _labelled(prefix, values):
     """Nonzero entries of an index-keyed map as prefix(i,j,...), in index order."""
-    return {
-        f"{prefix}({document.key_of(idx)})": str(value)
-        for idx, value in sorted(values.items())
-        if not value.is_zero()
-    }
+    return report_mod.rendered(report_mod.labelled(prefix, values))
 
 
 def _first_bivector(doc, command):
@@ -148,7 +144,7 @@ def _hierarchy(doc, args, command):
     if result.ok:
         values = {f"pi_{k}": str(b) for k, b in enumerate(result.bivectors)}
         return report_mod.from_values(command, values)
-    return Report(command, "fail", result.residuals())
+    return report_mod.from_verdict(command, result)
 
 
 @_command("complementary", "build the tensor induced by a closed two-form")
@@ -158,7 +154,7 @@ def _complementary(doc, args, command):
     result = pn.complementary_build(pi, forms[0])
     if result.ok:
         return Report(command, "pass", {"tensor": str(result.tensor)})
-    return Report(command, "fail", result.residuals())
+    return report_mod.from_verdict(command, result)
 
 
 @_command("holomorphic", "real/imaginary pair test against an almost complex tensor")
@@ -284,7 +280,7 @@ def _groupoid_base(doc, args, command):
     if result.ok:
         values = {"bivector": str(result.pi), "tensor": str(result.tensor)}
         return report_mod.from_values(command, values)
-    return Report(command, "fail", result.residuals())
+    return report_mod.from_verdict(command, result)
 
 
 @_command(

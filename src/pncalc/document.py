@@ -57,6 +57,7 @@ from .errors import InputError
 from .jacobi import JacobiPair
 from .poisson_nijenhuis import TensorOneOne
 from .polyalg import Polynomial
+from .report import key_of
 
 _BLOCKS = (
     "bivector",
@@ -392,11 +393,6 @@ def load_document(path):
 
 
 # -- rendering ----------------------------------------------------------------
-
-
-def key_of(idx):
-    """The document key of a 0-based index tuple: 1-based, comma-separated."""
-    return ",".join(str(i + 1) for i in idx)
 
 
 def _components_data(graded):

@@ -30,6 +30,7 @@ from .cartan import Chart, DiffForm, MultiVector
 from .errors import InputError, InternalError, PreconditionError
 from .linalg import nullspace, rref
 from .polyalg import Polynomial
+from .report import Verdict, prefixed
 
 
 class AffineSubmanifold:
@@ -256,19 +257,12 @@ def pair_tensor(groupoid, tensor):
 
 
 @dataclass(frozen=True)
-class InvariantVerdict:
+class InvariantVerdict(Verdict):
     entries: tuple  # (tangent index, conormal index, restricted polynomial)
 
-    @property
-    def ok(self):
-        return all(poly.is_zero() for _, _, poly in self.entries)
-
-    def residuals(self):
-        out = {}
+    def families(self):
         for i, j, poly in self.entries:
-            if not poly.is_zero():
-                out["conormal(%d).N.tangent(%d)" % (j + 1, i + 1)] = str(poly)
-        return out
+            yield "conormal(%d).N.tangent(%d)" % (j + 1, i + 1), poly
 
 
 def invariant_check(tensor, sub):
@@ -297,19 +291,12 @@ def invariant_check(tensor, sub):
 
 
 @dataclass(frozen=True)
-class CoisotropicVerdict:
+class CoisotropicVerdict(Verdict):
     entries: tuple  # (conormal index, conormal index, restricted polynomial)
 
-    @property
-    def ok(self):
-        return all(poly.is_zero() for _, _, poly in self.entries)
-
-    def residuals(self):
-        out = {}
+    def families(self):
         for i, j, poly in self.entries:
-            if not poly.is_zero():
-                out["conormal(%d).sharp.conormal(%d)" % (j + 1, i + 1)] = str(poly)
-        return out
+            yield "conormal(%d).sharp.conormal(%d)" % (j + 1, i + 1), poly
 
 
 def coisotropic_check(pi, sub):
@@ -334,36 +321,24 @@ def coisotropic_check(pi, sub):
 
 
 @dataclass(frozen=True)
-class CoisoInvariantVerdict:
+class CoisoInvariantVerdict(Verdict):
     invariant: InvariantVerdict
     coisotropic: CoisotropicVerdict
     higher: tuple  # (order k, CoisotropicVerdict for N^k pi)
 
-    @property
-    def ok(self):
-        return (
-            self.invariant.ok
-            and self.coisotropic.ok
-            and all(v.ok for _, v in self.higher)
-        )
-
-    def residuals(self):
-        out = {}
-        for label, val in self.invariant.residuals().items():
-            out["invariant " + label] = val
-        for label, val in self.coisotropic.residuals().items():
-            out["coisotropic " + label] = val
+    def families(self):
+        yield from prefixed("invariant ", self.invariant.families())
+        yield from prefixed("coisotropic ", self.coisotropic.families())
         for k, verdict in self.higher:
-            for label, val in verdict.residuals().items():
-                out["order-%d %s" % (k, label)] = val
-        return out
+            yield from prefixed("order-%d " % k, verdict.families())
 
 
-def coisotropic_invariant_check(pi, tensor, sub):
+def coisotropic_invariant_check(pi, tensor, sub, npi=None):
     """Conjunction of tensor invariance and coisotropy of S.
 
     When both pass and the deformed bivectors exist, S is additionally
-    certified coisotropic for N^k pi, k <= 2.
+    certified coisotropic for N^k pi, k <= 2. ``npi`` is N pi when the
+    caller already has it, as the PNVerdict of (pi, tensor) keeps it.
     """
     inv = invariant_check(tensor, sub)
     coiso = coisotropic_check(pi, sub)
@@ -372,7 +347,7 @@ def coisotropic_invariant_check(pi, tensor, sub):
         pik = pi
         for k in (1, 2):
             try:
-                pik = pn.n_bivector(pik, tensor)
+                pik = npi if k == 1 and npi is not None else pn.n_bivector(pik, tensor)
             except PreconditionError:
                 break
             higher.append((k, coisotropic_check(pik, sub)))
@@ -412,32 +387,17 @@ def poisson_groupoid_check(groupoid, pi):
 
 
 @dataclass(frozen=True)
-class PNGroupoidVerdict:
+class PNGroupoidVerdict(Verdict):
     pair_verdict: object  # pn.PNVerdict on the total chart
     graph_coisotropy: CoisotropicVerdict
     tensor_graph: InvariantVerdict
     unit_space: CoisoInvariantVerdict
 
-    @property
-    def ok(self):
-        return (
-            self.pair_verdict.ok
-            and self.graph_coisotropy.ok
-            and self.tensor_graph.ok
-            and self.unit_space.ok
-        )
-
-    def residuals(self):
-        out = {}
-        for label, val in self.pair_verdict.residuals().items():
-            out["pair " + label] = val
-        for label, val in self.graph_coisotropy.residuals().items():
-            out["graph " + label] = val
-        for label, val in self.tensor_graph.residuals().items():
-            out["tensor " + label] = val
-        for label, val in self.unit_space.residuals().items():
-            out["unit " + label] = val
-        return out
+    def families(self):
+        yield from prefixed("pair ", self.pair_verdict.families())
+        yield from prefixed("graph ", self.graph_coisotropy.families())
+        yield from prefixed("tensor ", self.tensor_graph.families())
+        yield from prefixed("unit ", self.unit_space.families())
 
 
 def pn_groupoid_check(groupoid, pi, tensor):
@@ -450,41 +410,29 @@ def pn_groupoid_check(groupoid, pi, tensor):
         raise InputError("expected a (1,1)-tensor on the total chart")
     graph = groupoid.multiplication_graph()
     triple_tensor = _block_tensor(groupoid.triple_chart(), tensor, groupoid.triple_copies())
+    pair_verdict = pn.is_pn_pair(pi, tensor)
     return PNGroupoidVerdict(
-        pair_verdict=pn.is_pn_pair(pi, tensor),
+        pair_verdict=pair_verdict,
         graph_coisotropy=coisotropic_check(_graph_bivector(groupoid, pi), graph),
         tensor_graph=invariant_check(triple_tensor, graph),
-        unit_space=coisotropic_invariant_check(pi, tensor, groupoid.unit_diagonal()),
+        unit_space=coisotropic_invariant_check(
+            pi, tensor, groupoid.unit_diagonal(), npi=pair_verdict.npi
+        ),
     )
 
 
 @dataclass(frozen=True)
-class BaseStructure:
+class BaseStructure(Verdict):
     pi: MultiVector
     tensor: object  # pn.TensorOneOne on the base chart
     pair_verdict: object  # pn.PNVerdict for the recovered pair
-    related_residuals: tuple
-    pushforward_residuals: tuple
+    related_residuals: tuple  # (label, polynomial)
+    pushforward_residuals: tuple  # (label, polynomial)
 
-    @property
-    def ok(self):
-        return (
-            self.pair_verdict.ok
-            and all(p.is_zero() for _, p in self.related_residuals)
-            and all(p.is_zero() for _, p in self.pushforward_residuals)
-        )
-
-    def residuals(self):
-        out = {}
-        for label, val in self.pair_verdict.residuals().items():
-            out["base pair " + label] = val
-        for label, poly in self.related_residuals:
-            if not poly.is_zero():
-                out[label] = str(poly)
-        for label, poly in self.pushforward_residuals:
-            if not poly.is_zero():
-                out[label] = str(poly)
-        return out
+    def families(self):
+        yield from prefixed("base pair ", self.pair_verdict.families())
+        yield from self.related_residuals
+        yield from self.pushforward_residuals
 
 
 def _uses_only(poly, allowed):
@@ -505,11 +453,7 @@ def base_structure(groupoid, pi, tensor):
     identities s_* N = N_M s_* and s_*(N pi) = N_M pi_M.
     """
     composite = pn_groupoid_check(groupoid, pi, tensor)
-    if not composite.ok:
-        raise PreconditionError(
-            "base recovery needs a Poisson-Nijenhuis groupoid",
-            composite.residuals(),
-        )
+    composite.require("base recovery needs a Poisson-Nijenhuis groupoid")
     base = groupoid.base
     total = groupoid.total.coords
     n = base.dim
@@ -554,9 +498,10 @@ def base_structure(groupoid, pi, tensor):
                 ("s-related cross-block (%d,%d)" % (a + 1, i + 1), tensor.entries[a][i])
             )
 
+    pair_verdict = pn.is_pn_pair(base_pi, base_tensor)
     pushforward = []
     deformed_total = composite.pair_verdict.npi
-    deformed_base = pn.n_bivector(base_pi, base_tensor)
+    deformed_base = pn.require_n_bivector(pair_verdict.sharp_residual, pair_verdict.npi)
     for a, b in combinations(range(n), 2):
         lifted = deformed_base.component((a, b)).embed(total)
         diff = deformed_total.component((a, b)) - lifted
@@ -565,7 +510,7 @@ def base_structure(groupoid, pi, tensor):
     return BaseStructure(
         pi=base_pi,
         tensor=base_tensor,
-        pair_verdict=pn.is_pn_pair(base_pi, base_tensor),
+        pair_verdict=pair_verdict,
         related_residuals=tuple(related),
         pushforward_residuals=tuple(pushforward),
     )

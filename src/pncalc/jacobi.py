@@ -40,7 +40,8 @@ from .algebroid import (
     gerstenhaber_bracket,
 )
 from .cartan import Chart, MultiVector, coordinate_form, schouten, wedge
-from .errors import InputError, InternalError, PreconditionError
+from .errors import InputError, InternalError
+from .report import Verdict, prefixed
 
 
 class JacobiPair:
@@ -222,8 +223,8 @@ def twisted_gerstenhaber(left, right):
 
 
 @dataclass(frozen=True)
-class JacobiVerdict:
-    direct_residuals: tuple
+class JacobiVerdict(Verdict):
+    direct_residuals: tuple  # [pi,pi] - 2 e^pi, then [e,pi]
     twisted_residual: ExtendedSection
 
     @property
@@ -234,19 +235,9 @@ class JacobiVerdict:
     def twisted_ok(self):
         return self.twisted_residual.is_zero()
 
-    @property
-    def ok(self):
-        return self.direct_ok
-
-    def residuals(self):
-        out = {}
-        labels = ("[pi,pi] - 2 e^pi", "[e,pi]")
-        for label, res in zip(labels, self.direct_residuals):
-            if not res.is_zero():
-                out[label] = str(res)
-        if not self.twisted_ok:
-            out["twisted diagonal"] = repr(self.twisted_residual)
-        return out
+    def families(self):
+        yield from zip(("[pi,pi] - 2 e^pi", "[e,pi]"), self.direct_residuals)
+        yield "twisted diagonal", self.twisted_residual
 
 
 def is_jacobi(pair):
@@ -272,7 +263,7 @@ def is_jacobi(pair):
 
 
 @dataclass(frozen=True)
-class JacobiCompatVerdict:
+class JacobiCompatVerdict(Verdict):
     sum_verdict: JacobiVerdict
     mixed_bracket: ExtendedSection
 
@@ -284,17 +275,9 @@ class JacobiCompatVerdict:
     def mixed_ok(self):
         return self.mixed_bracket.is_zero()
 
-    @property
-    def ok(self):
-        return self.sum_ok
-
-    def residuals(self):
-        out = {}
-        for label, val in self.sum_verdict.residuals().items():
-            out["sum " + label] = val
-        if not self.mixed_ok:
-            out["mixed bracket"] = repr(self.mixed_bracket)
-        return out
+    def families(self):
+        yield from prefixed("sum ", self.sum_verdict.families())
+        yield "mixed bracket", self.mixed_bracket
 
 
 def jacobi_compat(first, second):
@@ -304,11 +287,7 @@ def jacobi_compat(first, second):
     [(pi1,e1), (pi2,e2)] vanishes.
     """
     for pair in (first, second):
-        verdict = is_jacobi(pair)
-        if not verdict.ok:
-            raise PreconditionError(
-                "compatibility needs Jacobi inputs", verdict.residuals()
-            )
+        is_jacobi(pair).require("compatibility needs Jacobi inputs")
     if first.chart != second.chart:
         raise InputError("pairs live on different charts")
     total = JacobiPair(first.pi + second.pi, first.e + second.e)
@@ -337,11 +316,7 @@ def first_jet_algebroid(pair):
     The output is revalidated; a failure would mean the table formula and
     the Jacobi identities fell out of sync.
     """
-    verdict = is_jacobi(pair)
-    if not verdict.ok:
-        raise PreconditionError(
-            "first-jet algebroid needs a Jacobi pair", verdict.residuals()
-        )
+    is_jacobi(pair).require("first-jet algebroid needs a Jacobi pair")
     chart = pair.chart
     n = chart.dim
     sharp_cols = pn.sharp_matrix(pair.pi)
@@ -366,11 +341,7 @@ def first_jet_algebroid(pair):
         table[(i, n)] = tuple(row)
     basis = tuple("d" + c for c in chart.coords) + ("one",)
     jet = AlgebroidData(chart, n + 1, basis, cols, table)
-    check = algebroid_validate(jet)
-    if not check.ok:
-        raise InternalError(
-            "first-jet table failed validation", check.residuals()
-        )
+    algebroid_validate(jet).guard("first-jet table failed validation")
     return jet
 
 

@@ -46,6 +46,7 @@ from .cartan import (
 )
 from .errors import InputError, InternalError, PreconditionError
 from .linalg import mat_is_zero, mat_mul, mat_sub
+from .report import Verdict, labelled, matrix_entries
 
 
 class TensorOneOne:
@@ -245,19 +246,15 @@ def bivector_eval(pi, alpha, beta):
 
 
 @dataclass(frozen=True)
-class PoissonVerdict:
+class PoissonVerdict(Verdict):
     residual: MultiVector
 
-    @property
-    def ok(self):
-        return self.residual.is_zero()
-
-    def residuals(self):
-        return {} if self.ok else {"[pi,pi]": str(self.residual)}
+    def families(self):
+        yield "[pi,pi]", self.residual
 
 
 @dataclass(frozen=True)
-class PNVerdict:
+class PNVerdict(Verdict):
     poisson_residual: MultiVector
     torsion_residual: dict
     sharp_residual: tuple
@@ -276,39 +273,14 @@ class PNVerdict:
     def sharp_ok(self):
         return mat_is_zero(self.sharp_residual)
 
-    @property
-    def concomitant_ok(self):
+    def families(self):
+        yield "[pi,pi]", self.poisson_residual
+        yield from labelled("torsion", self.torsion_residual)
+        yield from matrix_entries("sharp_compat", self.sharp_residual)
         if self.concomitant_residual is None:
-            return False
-        return all(v.is_zero() for v in self.concomitant_residual.values())
-
-    @property
-    def ok(self):
-        return (
-            self.poisson_ok
-            and self.torsion_ok
-            and self.sharp_ok
-            and self.concomitant_ok
-        )
-
-    def residuals(self):
-        out = {}
-        if not self.poisson_ok:
-            out["[pi,pi]"] = str(self.poisson_residual)
-        for (i, j), v in sorted(self.torsion_residual.items()):
-            if not v.is_zero():
-                out[f"torsion({i+1},{j+1})"] = str(v)
-        for i, row in enumerate(self.sharp_residual):
-            for j, e in enumerate(row):
-                if not e.is_zero():
-                    out[f"sharp_compat[{i+1}][{j+1}]"] = str(e)
-        if self.concomitant_residual is None:
-            out["concomitant"] = "skipped: sharp compatibility failed"
+            yield "concomitant", "skipped: sharp compatibility failed"
         else:
-            for (i, j), v in sorted(self.concomitant_residual.items()):
-                if not v.is_zero():
-                    out[f"concomitant({i+1},{j+1})"] = str(v)
-        return out
+            yield from labelled("concomitant", self.concomitant_residual)
 
 
 # -- core operations ---------------------------------------------------------
@@ -417,11 +389,18 @@ def sharp_compat_residual(pi, N):
 
 def n_bivector(pi, N):
     """The deformed bivector N pi, defined when sharp compatibility holds."""
-    res, npi = _sharp_product(pi, N)
+    return require_n_bivector(*_sharp_product(pi, N))
+
+
+def require_n_bivector(sharp_residual, npi):
+    """npi, or the refusal naming the sharp residual when npi is None.
+
+    Takes the pair ``_sharp_product`` returns, or that a PNVerdict keeps.
+    """
     if npi is None:
         raise PreconditionError(
             "N.pisharp != pisharp.N*, so N pi is not a bivector",
-            residuals={"sharp_compat": [[str(e) for e in row] for row in res]},
+            residuals={"sharp_compat": [[str(e) for e in row] for row in sharp_residual]},
         )
     return npi
 
@@ -473,20 +452,13 @@ def is_pn_pair(pi, N):
 
 
 @dataclass(frozen=True)
-class HierarchyResult:
+class HierarchyResult(Verdict):
     bivectors: tuple
     bracket_residuals: dict
 
-    @property
-    def ok(self):
-        return all(v.is_zero() for v in self.bracket_residuals.values())
-
-    def residuals(self):
-        return {
-            f"[pi_{k},pi_{l}]": str(v)
-            for (k, l), v in sorted(self.bracket_residuals.items())
-            if not v.is_zero()
-        }
+    def families(self):
+        for (k, l), v in sorted(self.bracket_residuals.items()):
+            yield f"[pi_{k},pi_{l}]", v
 
 
 def hierarchy(pi, N, kmax):
@@ -500,10 +472,7 @@ def hierarchy(pi, N, kmax):
     if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 1:
         raise InputError("kmax must be a positive integer")
     verdict = is_pn_pair(pi, N)
-    if not verdict.ok:
-        raise PreconditionError(
-            "hierarchy needs a Poisson-Nijenhuis pair", residuals=verdict.residuals()
-        )
+    verdict.require("hierarchy needs a Poisson-Nijenhuis pair")
     bivectors = [pi, verdict.npi]
     for k in range(2, kmax + 1):
         try:
@@ -520,16 +489,12 @@ def hierarchy(pi, N, kmax):
 
 
 @dataclass(frozen=True)
-class ComplementaryResult:
+class ComplementaryResult(Verdict):
     tensor: TensorOneOne
     verdict: PNVerdict
 
-    @property
-    def ok(self):
-        return self.verdict.ok
-
-    def residuals(self):
-        return self.verdict.residuals()
+    def families(self):
+        return self.verdict.families()
 
 
 def complementary_build(pi, omega):
@@ -546,9 +511,7 @@ def complementary_build(pi, omega):
     if omega.chart != pi.chart:
         raise InputError("chart mismatch")
     chart = pi.chart
-    pv = is_poisson(pi)
-    if not pv.ok:
-        raise PreconditionError("pi is not Poisson", residuals=pv.residuals())
+    is_poisson(pi).require("pi is not Poisson")
     from . import algebroid  # deferred: algebroid imports this module
 
     ctg = algebroid.cotangent_algebroid(pi)
@@ -583,7 +546,7 @@ def complementary_build(pi, omega):
 
 
 @dataclass(frozen=True)
-class HolomorphicVerdict:
+class HolomorphicVerdict(Verdict):
     pn: PNVerdict
     relation_residual: tuple
 
@@ -591,17 +554,9 @@ class HolomorphicVerdict:
     def relation_ok(self):
         return mat_is_zero(self.relation_residual)
 
-    @property
-    def ok(self):
-        return self.pn.ok and self.relation_ok
-
-    def residuals(self):
-        out = dict(self.pn.residuals())
-        for i, row in enumerate(self.relation_residual):
-            for j, e in enumerate(row):
-                if not e.is_zero():
-                    out[f"relation[{i+1}][{j+1}]"] = str(e)
-        return out
+    def families(self):
+        yield from self.pn.families()
+        yield from matrix_entries("relation", self.relation_residual)
 
 
 def holomorphic_check(pi_r, pi_i, J):

@@ -1,4 +1,4 @@
-"""Uniform result records for the command line and the acceptance suite.
+"""Uniform result records and the verdict protocol behind them.
 
 Every command produces one Report: the command name, a verdict that is
 ``pass``, ``fail``, ``error`` or ``internal``, a map of named residuals
@@ -9,6 +9,24 @@ report always carries at least one entry explaining what was nonzero.
 The JSON rendering is byte-stable: keys are sorted, separators are
 fixed, and the elapsed time is nulled out, so identical input always
 produces identical bytes.
+
+Every check returns a :class:`Verdict`. A verdict class keeps its own
+fields and writes one method, ``families()``, which yields ``(label,
+value)`` pairs in report order. A value is an algebraic residual with
+``is_zero()`` and ``str()`` (a polynomial, multivector, form, section or
+extended section), or a plain ``str`` that stands for a failure already
+rendered, such as a stage that was skipped. A verdict built on others
+yields their families under a prefix (``prefixed``); index maps and
+matrices are labelled by ``labelled`` and ``matrix_entries``. From that one
+list the base derives everything else:
+
+- ``ok``: every value is zero. It stops at the first nonzero value and
+  renders nothing.
+- ``residuals()``: the nonzero families as label -> string, in order.
+- ``require(message)``: refuses with a ``PreconditionError`` carrying the
+  residuals unless ``ok``; a failed hypothesis of the caller.
+- ``guard(message)``: raises ``InternalError("message: {residuals}")``
+  unless ``ok``; a result pncalc built itself failed its re-check.
 """
 
 from __future__ import annotations
@@ -19,6 +37,63 @@ from .errors import InputError, InternalError, PreconditionError
 
 _VERDICTS = ("pass", "fail", "error", "internal")
 EXIT_CODES = {"pass": 0, "fail": 1, "error": 2, "internal": 3}
+
+
+def key_of(idx):
+    """The label of a 0-based index tuple: 1-based, comma-separated."""
+    return ",".join(str(i + 1) for i in idx)
+
+
+def labelled(prefix, values):
+    """(prefix(i,j,...), value) for an index-keyed map, in index order."""
+    return ((f"{prefix}({key_of(idx)})", value) for idx, value in sorted(values.items()))
+
+
+def matrix_entries(prefix, rows):
+    """(prefix[i][j], entry) for a matrix, row by row, 1-based."""
+    return (
+        (f"{prefix}[{i + 1}][{j + 1}]", entry)
+        for i, row in enumerate(rows)
+        for j, entry in enumerate(row)
+    )
+
+
+def prefixed(prefix, families):
+    """The families of a nested verdict, each label behind ``prefix``."""
+    return ((prefix + label, value) for label, value in families)
+
+
+def _is_zero(value):
+    return not isinstance(value, str) and value.is_zero()
+
+
+def rendered(families):
+    """The nonzero families as label -> string, in order."""
+    return {label: str(value) for label, value in families if not _is_zero(value)}
+
+
+class Verdict:
+    """Base of every check's result; subclasses define ``families()``."""
+
+    def families(self):
+        raise NotImplementedError
+
+    @property
+    def ok(self):
+        return all(_is_zero(value) for _, value in self.families())
+
+    def residuals(self):
+        return rendered(self.families())
+
+    def require(self, message):
+        """Refuse, as a failed hypothesis, unless every family vanishes."""
+        if not self.ok:
+            raise PreconditionError(message, self.residuals())
+
+    def guard(self, message):
+        """Raise an internal error unless every family vanishes."""
+        if not self.ok:
+            raise InternalError("%s: %r" % (message, self.residuals()))
 
 
 class Report:
@@ -73,7 +148,7 @@ class Report:
 
 
 def from_verdict(command, verdict, elapsed=None):
-    """Wrap any verdict object exposing ok and residuals()."""
+    """Wrap a Verdict: pass, or fail with its nonzero residual families."""
     if verdict.ok:
         return Report(command, "pass", {}, elapsed)
     residuals = verdict.residuals()

@@ -232,7 +232,8 @@ class TestExitCodes:
         path = write_doc(doc)
         code, out = run_cli(capsys, ["groupoid", "base", "--input", path, "--json"])
         assert code == 1
-        monkeypatch.setattr(gd, "pn_groupoid_check", lambda *args: SimpleNamespace(ok=True))
+        passing = SimpleNamespace(ok=True, require=lambda message: None)
+        monkeypatch.setattr(gd, "pn_groupoid_check", lambda *args: passing)
         code, out = run_cli(capsys, ["groupoid", "base", "--input", path, "--json"])
         assert code == 3
         data = json.loads(out)
@@ -241,6 +242,20 @@ class TestExitCodes:
         code, out = run_cli(capsys, ["groupoid", "base", "--input", path])
         assert code == 3
         assert "verdict: internal" in out
+
+    def test_failed_jet_validation_names_its_residuals(self, capsys, write_doc, monkeypatch):
+        from pncalc import jacobi
+        from pncalc.algebroid import AlgebroidVerdict
+        from pncalc.corpus import R3
+
+        failing = AlgebroidVerdict({(0, 1, 2): R3.parse("x1")}, {})
+        monkeypatch.setattr(jacobi, "algebroid_validate", lambda jet: failing)
+        path = write_doc(CONTACT_DOC)
+        code, out = run_cli(capsys, ["jacobi", "jet-algebroid", "--input", path, "--json"])
+        assert code == 3
+        assert json.loads(out)["residuals"] == {
+            "internal error": "first-jet table failed validation: {'jacobi(1,2,3)': 'x1'}"
+        }
 
 
 class TestJsonOutput:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -456,3 +457,28 @@ def test_only_restriction_substitutes(monkeypatch):
     assert base_structure(G, piG, NG).ok
     assert counts["restrict"] > 0
     assert counts["substitute"] == counts["restrict"]
+
+
+def test_groupoid_commands_reuse_the_pairs_n_pi(monkeypatch, capsys):
+    # N.pisharp is formed once per pair: pn_groupoid_check hands the total
+    # pair's N pi to the unit-space check, and base_structure reads the base
+    # pair's from its verdict. pair_groupoid.json passes all three commands.
+    from pncalc import cli, linalg
+
+    original = linalg.mat_mul
+    calls = []
+
+    def counting(A, B):
+        calls.append((len(A), len(B[0])))
+        return original(A, B)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    monkeypatch.setattr(pn, "mat_mul", counting)
+    path = str(Path(__file__).resolve().parent.parent / "demos" / "documents" / "pair_groupoid.json")
+    counts = {}
+    for command in ("pn", "base", "coisotropic-invariant"):
+        del calls[:]
+        assert cli.main(["groupoid", command, "--input", path]) == 0
+        counts[command] = len(calls)
+    capsys.readouterr()
+    assert counts == {"pn": 2, "base": 3, "coisotropic-invariant": 2}
