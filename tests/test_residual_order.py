@@ -53,6 +53,13 @@ def _corrupted_table():
     return ab.bialgebroid_check(lie["so3"], lie["affine"])
 
 
+def _deformed_tangent_against_so3():
+    # (TM_N, T*M_pi) with N = (1 + x1) Id: N is torsion-free, but N and the
+    # so(3)* bivector are not compatible, so d_* fails to be a derivation
+    tangent = ab.tangent_deformed_algebroid(pn.TensorOneOne.scalar(R3, "1 + x1"))
+    return ab.bialgebroid_check(tangent, ab.cotangent_algebroid(corpus.so3_bivector()))
+
+
 def _cross_block_tensor():
     pi, tensor = corpus.conformal_pair()
     G = gd.PairGroupoid(pi.chart)
@@ -95,6 +102,7 @@ CASES = {
     "compat_check so3/affine": _incompatible("so3/affine"),
     "compat_check cotangent so3/linear": _incompatible("cotangent so3/linear"),
     "bialgebroid_check corrupted table": _corrupted_table,
+    "bialgebroid_check deformed tangent/so3": _deformed_tangent_against_so3,
     "pn_groupoid_check cross-block tensor": _cross_block_tensor,
     "poisson_groupoid_check wrong-sign lift": _wrong_sign_lift,
     "is_jacobi non-Jacobi pair": _not_jacobi,
