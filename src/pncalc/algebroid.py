@@ -32,7 +32,7 @@ from .polyalg import Polynomial, Rational
 from . import cartan
 from .cartan import Chart, MultiVector
 from . import poisson_nijenhuis as pn
-from .report import Verdict, labelled, prefixed
+from .report import Verdict, labelled, prefixed, rendered
 
 
 class AlgebroidData:
@@ -261,32 +261,30 @@ def algebroid_differential(algebroid, omega):
     (d omega)(e_{i_0}, .., e_{i_k}) =
         sum_m (-1)^m rho(e_{i_m}) omega(.. hat m ..)
       + sum_{m<l} (-1)^{m+l} omega([e_{i_m}, e_{i_l}], .. hat m, hat l ..)
+
+    summed over the components omega_J eps^J: the anchor part adds
+    rho(e_i)(omega_J) eps^i ^ eps^J, each omega_J differentiated once; the
+    table part puts d eps^t = -sum_{i<j} c^t_{ij} eps^i ^ eps^j in place of
+    the p-th factor eps^t of eps^J, with sign (-1)^p.
     """
     if omega.algebroid != algebroid:
         raise InputError("section does not belong to this algebroid")
-    k = omega.degree
-    rank = algebroid.rank
-    out = {}
-    for key in combinations(range(rank), k + 1):
-        val = algebroid.base.zero()
-        for m in range(k + 1):
-            rest = key[:m] + key[m + 1:]
-            term = rho_function(algebroid, unit_section(algebroid, key[m]), omega.component(rest))
-            val = val + term if m % 2 == 0 else val - term
-        for m in range(k + 1):
-            for l in range(m + 1, k + 1):
-                row = algebroid.structure.get((key[m], key[l]))
-                if row is None:
-                    continue
-                rest = tuple(key[t] for t in range(k + 1) if t != m and t != l)
-                inner = algebroid.base.zero()
-                for t in range(rank):
-                    if not row[t].is_zero():
-                        inner = inner + row[t] * omega.component((t,) + rest)
-                val = val - inner if (m + l) % 2 == 1 else val + inner
-        if not val.is_zero():
-            out[key] = val
-    return AlgebroidSection._trusted(algebroid, k + 1, out)
+    coords = algebroid.base.coords
+    terms = []
+    for key, poly in omega.components.items():
+        partials = [(a, poly.partial(name)) for a, name in enumerate(coords)]
+        partials = [(a, d) for a, d in partials if not d.is_zero()]
+        for i, column in enumerate(algebroid.anchor):
+            if i not in key:
+                terms.extend(
+                    ((i,) + key, column[a] * d) for a, d in partials if not column[a].is_zero()
+                )
+        for p, t in enumerate(key):
+            for (i, j), row in algebroid.structure.items():
+                if not row[t].is_zero():
+                    term = row[t] * poly
+                    terms.append((key[:p] + (i, j) + key[p + 1:], term if p % 2 else -term))
+    return AlgebroidSection._trusted(algebroid, omega.degree + 1, cartan._collect(terms))
 
 
 def _section_lie(vector, other):
@@ -339,7 +337,7 @@ def tangent_deformed_algebroid(tensor):
     """
     chart = tensor.chart
     torsion = pn.nijenhuis_torsion(tensor)
-    bad = {key: str(val) for key, val in torsion.items() if not val.is_zero()}
+    bad = rendered(labelled("torsion", torsion))
     if bad:
         raise PreconditionError("the deforming tensor has nonzero torsion", bad)
     n = chart.dim
@@ -617,16 +615,13 @@ def compat_check(first, second):
 
 @dataclass
 class BialgebroidVerdict(Verdict):
-    """Derivation residuals of the dual differential against the bracket."""
+    """Derivation residuals on frame pairs and on (frame, coordinate) pairs."""
 
     pair_residuals: dict
-    scaled_residuals: dict
     function_residuals: dict
 
     def families(self):
         yield from labelled("derivation", self.pair_residuals)
-        for (i, a, j), res in self.scaled_residuals.items():
-            yield "derivation(%d, %s*%d)" % (i + 1, a, j + 1), res
         for (i, a), res in self.function_residuals.items():
             yield "derivation(%d, %s)" % (i + 1, a), res
 
@@ -639,9 +634,17 @@ def _dual_differential(primary, dual, section):
 def bialgebroid_check(primary, dual):
     """Check that the dual differential is a derivation of the bracket.
 
-    Residuals of d_*[X, Y] - [d_* X, Y] - [X, d_* Y] over the frame, over
-    coordinate-scaled frame sections, and in the degree-(1,0) form
-    d_*(rho(X) f) - [d_* X, f] - [X, d_* f].
+    The residual D(X, Y) = d_*[X, Y] - [d_* X, Y] - [X, d_* Y] is checked on
+    generators only, in two families: the frame pairs (e_i, e_j), i < j, and
+    the pairs (e_i, x_a) of a frame section and a coordinate function, where
+    it reads d_*(rho(e_i) x_a) - [d_* e_i, x_a] - [e_i, d_* x_a]. Pairs with
+    a function factor need no family of their own: D is antisymmetric and,
+    in its second slot, a derivation over functions,
+
+        D(X, f Y) = f D(X, Y) + D(X, f) ^ Y,   D(X, g h) = g D(X, h) + h D(X, g),
+
+    so D(e_i, f e_j) vanishes for every polynomial f once both families do
+    (Mackenzie and Xu, Duke 1994; Kosmann-Schwarzbach, Acta Appl. Math. 1995).
     """
     if primary.base != dual.base or primary.rank != dual.rank:
         raise InputError("bialgebroid halves must share base chart and rank")
@@ -654,10 +657,7 @@ def bialgebroid_check(primary, dual):
         return _dual_differential(primary, dual, section)
 
     def derivation_residual(left, right):
-        bracket = gerstenhaber_bracket(primary, left, right)
-        out = d_star(bracket) if bracket.degree <= 1 else None
-        if out is None:
-            raise InternalError("unexpected bracket degree in bialgebroid check")
+        out = d_star(gerstenhaber_bracket(primary, left, right))
         out = out - gerstenhaber_bracket(primary, d_star(left), right)
         out = out - gerstenhaber_bracket(primary, left, d_star(right))
         return out
@@ -667,18 +667,6 @@ def bialgebroid_check(primary, dual):
         pair_res[(i, j)] = derivation_residual(
             unit_section(primary, i), unit_section(primary, j)
         )
-    scaled_res = {}
-    for i in range(rank):
-        for a, name in enumerate(coords):
-            for j in range(rank):
-                if i == j:
-                    continue
-                scaled = AlgebroidSection(
-                    primary, 1, {(j,): Polynomial.variable(coords, name)}
-                )
-                scaled_res[(i, name, j)] = derivation_residual(
-                    unit_section(primary, i), scaled
-                )
     func_res = {}
     for i in range(rank):
         for name in coords:
@@ -686,7 +674,7 @@ def bialgebroid_check(primary, dual):
                 primary, 0, {(): Polynomial.variable(coords, name)}
             )
             func_res[(i, name)] = derivation_residual(unit_section(primary, i), f)
-    return BialgebroidVerdict(pair_res, scaled_res, func_res)
+    return BialgebroidVerdict(pair_res, func_res)
 
 
 @dataclass

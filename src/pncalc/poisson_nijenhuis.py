@@ -46,7 +46,7 @@ from .cartan import (
 )
 from .errors import InputError, InternalError, PreconditionError
 from .linalg import mat_is_zero, mat_mul, mat_sub
-from .report import Verdict, labelled, matrix_entries
+from .report import Verdict, labelled, matrix_entries, rendered
 
 
 class TensorOneOne:
@@ -400,7 +400,7 @@ def require_n_bivector(sharp_residual, npi):
     if npi is None:
         raise PreconditionError(
             "N.pisharp != pisharp.N*, so N pi is not a bivector",
-            residuals={"sharp_compat": [[str(e) for e in row] for row in sharp_residual]},
+            residuals=rendered(matrix_entries("sharp_compat", sharp_residual)),
         )
     return npi
 
@@ -461,6 +461,11 @@ class HierarchyResult(Verdict):
             yield f"[pi_{k},pi_{l}]", v
 
 
+# The highest order hierarchy accepts. Its work grows without limit in kmax,
+# with (kmax + 1)(kmax + 2)/2 brackets of ever larger N^k pi.
+MAX_ORDER = 32
+
+
 def hierarchy(pi, N, kmax):
     """Bivectors pi_k = N^k pi for k <= kmax plus all pairwise Schouten residuals.
 
@@ -471,6 +476,8 @@ def hierarchy(pi, N, kmax):
     """
     if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 1:
         raise InputError("kmax must be a positive integer")
+    if kmax > MAX_ORDER:
+        raise InputError(f"kmax must be at most {MAX_ORDER}, got {kmax}")
     verdict = is_pn_pair(pi, N)
     verdict.require("hierarchy needs a Poisson-Nijenhuis pair")
     bivectors = [pi, verdict.npi]
@@ -575,7 +582,7 @@ def holomorphic_check(pi_r, pi_i, J):
     if not jj.is_zero():
         raise PreconditionError(
             "J.J != -Id",
-            residuals={"J.J + Id": [[str(e) for e in row] for row in jj.entries]},
+            residuals=rendered(matrix_entries("J.J + Id", jj.entries)),
         )
     relation = mat_sub(
         sharp_matrix(pi_r), mat_mul(J.entries, sharp_matrix(pi_i))

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from pncalc.algebroid import (
     unit_section,
 )
 from pncalc.cartan import Chart, MultiVector
-from pncalc.corpus import R2, R3, random_multivector, so3_bivector
+from pncalc.corpus import R1, R2, R3, random_multivector, random_polynomial, so3_bivector
 from pncalc.errors import InputError, PreconditionError
 from pncalc.polyalg import Polynomial
 
@@ -217,6 +218,113 @@ def test_rho_function_matches_definition(anchor, comps, func):
     assert rho_function(alg, section, func) == want
 
 
+def _per_term_differential(alg, omega):
+    # the formula term by term, as an independent oracle: rho(e_{i_m}) on
+    # omega(.. hat m ..) through unit_section and rho_function, plus
+    # (-1)^{m+l} omega([e_{i_m}, e_{i_l}], ..) read through c()
+    k, zero = omega.degree, alg.base.zero()
+    out = {}
+    for key in combinations(range(alg.rank), k + 1):
+        val = zero
+        for m in range(k + 1):
+            rest = key[:m] + key[m + 1:]
+            term = rho_function(alg, unit_section(alg, key[m]), omega.component(rest))
+            val = val + term if m % 2 == 0 else val - term
+        for m in range(k + 1):
+            for l in range(m + 1, k + 1):
+                rest = tuple(key[t] for t in range(k + 1) if t not in (m, l))
+                row = alg.c(key[m], key[l])
+                inner = sum(
+                    (row[t] * omega.component((t,) + rest) for t in range(alg.rank)), zero
+                )
+                val = val + inner if (m + l) % 2 == 0 else val - inner
+        out[key] = val
+    return AlgebroidSection(alg, k + 1, out)
+
+
+def _chart_polys(chart):
+    exponents = st.tuples(*[st.integers(0, 2)] * chart.dim)
+    return st.dictionaries(exponents, st.integers(-3, 3).filter(bool), max_size=2).map(
+        lambda terms: Polynomial(chart.coords, terms)
+    )
+
+
+@st.composite
+def _algebroid_sections(draw):
+    # any anchor and table, Jacobi or not: the differential is a formula
+    chart = draw(st.sampled_from((POINT, R1, R2, R3)))
+    rank = draw(st.integers(1, 3))
+    polys = _chart_polys(chart)
+    anchor = [draw(st.lists(polys, min_size=chart.dim, max_size=chart.dim)) for _ in range(rank)]
+    table = {
+        pair: draw(st.lists(polys, min_size=rank, max_size=rank))
+        for pair in combinations(range(rank), 2)
+        if draw(st.booleans())
+    }
+    alg = AlgebroidData(chart, rank, ("e1", "e2", "e3")[:rank], anchor, table)
+    degree = draw(st.integers(0, min(2, rank)))
+    comps = {
+        key: draw(polys) for key in combinations(range(rank), degree) if draw(st.booleans())
+    }
+    return alg, AlgebroidSection(alg, degree, comps)
+
+
+@given(_algebroid_sections())
+@settings(max_examples=80, deadline=None)
+def test_differential_matches_the_per_term_formula(case):
+    alg, omega = case
+    assert algebroid_differential(alg, omega) == _per_term_differential(alg, omega)
+
+
+def _derivation_defect(primary, dual, left, right):
+    # D(X, Y) = d_*[X, Y] - [d_* X, Y] - [X, d_* Y], d_* read on the primary frame
+    def d_star(section):
+        image = AlgebroidSection(dual, section.degree, section.components)
+        image = algebroid_differential(dual, image)
+        return AlgebroidSection(primary, image.degree, image.components)
+
+    out = d_star(gerstenhaber_bracket(primary, left, right))
+    out = out - gerstenhaber_bracket(primary, d_star(left), right)
+    return out - gerstenhaber_bracket(primary, left, d_star(right))
+
+
+def _deformed_cotangent_pairs():
+    # (TM_N, T*M_pi) with N = f Id, torsion-free for every f; a bialgebroid
+    # exactly when (pi, N) is a Poisson-Nijenhuis pair
+    rng = random.Random(11)
+    for chart in (R2, R2, R3, R3, R3):
+        f = random_polynomial(rng, chart, max_degree=rng.choice((0, 1)), terms=2)
+        if chart is R2:
+            pi = MultiVector(R2, 2, {(0, 1): random_polynomial(rng, R2, max_degree=2)})
+        else:
+            shift = {key: rng.randint(-2, 2) for key in combinations(range(3), 2)}
+            pi = so3_bivector() * rng.randint(1, 2) + MultiVector(R3, 2, shift)
+        yield pi, pn.TensorOneOne.scalar(chart, f)
+
+
+def test_derivation_defect_is_a_derivation_in_its_second_slot():
+    # D(e_i, x_a e_j) = x_a D(e_i, e_j) + D(e_i, x_a) ^ e_j, so the scaled
+    # pairs follow from the two families bialgebroid_check lists
+    outcomes = set()
+    for pi, tensor in _deformed_cotangent_pairs():
+        primary, dual = tangent_deformed_algebroid(tensor), cotangent_algebroid(pi)
+        verdict = bialgebroid_check(primary, dual)
+        assert verdict.ok == pn.is_pn_pair(pi, tensor).ok
+        outcomes.add(verdict.ok)
+        units = [unit_section(primary, i) for i in range(primary.rank)]
+        for i, j in ((i, j) for i in range(primary.rank) for j in range(primary.rank) if i != j):
+            pair = _derivation_defect(primary, dual, units[i], units[j])
+            for name in primary.base.coords:
+                x = primary.base.var(name)
+                scaled = _derivation_defect(primary, dual, units[i], x * units[j])
+                on_function = _derivation_defect(
+                    primary, dual, units[i], AlgebroidSection(primary, 0, {(): x})
+                )
+                assert scaled == x * pair + cartan.wedge(on_function, units[j])
+                assert not verdict.ok or scaled.is_zero()
+    assert outcomes == {True, False}
+
+
 def test_differential_point_example():
     alg = solvable_rank2()
     eps2 = AlgebroidSection(alg, 1, {(1,): 1})
@@ -360,9 +468,19 @@ def test_deformed_tangent_differential_matches_d_n():
 
 
 def test_deformed_tangent_refuses_torsion():
-    shear = pn.TensorOneOne(R2, [["x2", 0], [0, 0]])
-    with pytest.raises(PreconditionError):
-        tangent_deformed_algebroid(shear)
+    # the refusal labels torsion as is_pn_pair does: torsion(i,j), 1-based
+    cases = [
+        ([["x2", 0], [0, 0]], "x2*d_x1"),
+        ([["x2", "0"], ["0", "x1"]], "(-x1 + x2)*d_x1 + (-x1 + x2)*d_x2"),
+    ]
+    for entries, torsion in cases:
+        tensor = pn.TensorOneOne(R2, entries)
+        with pytest.raises(PreconditionError) as err:
+            tangent_deformed_algebroid(tensor)
+        assert err.value.residuals == {"torsion(1,2)": torsion}
+        assert pn.is_pn_pair(MultiVector(R2, 2, {}), tensor).residuals() == {
+            "torsion(1,2)": torsion
+        }
 
 
 def test_dual_linear_poisson_point_examples():

@@ -12,6 +12,7 @@ import pytest
 
 from pncalc import cli, document
 from pncalc import groupoid_desk as gd
+from pncalc import poisson_nijenhuis as pn
 from pncalc.errors import InputError
 
 SO3_DOC = {
@@ -329,6 +330,23 @@ class TestTensorCommands:
         )
         assert code == 0
         assert "pi_0" in out and "pi_2" in out
+
+    def test_hierarchy_order_is_bounded(self, capsys, write_doc, monkeypatch):
+        # one past the bound is an input error, refused before any work;
+        # the bound itself gets as far as the pair check
+        class Reached(Exception):
+            pass
+
+        def reached(pi, N):
+            raise Reached
+
+        monkeypatch.setattr(pn, "is_pn_pair", reached)
+        argv = ["hierarchy", "--input", write_doc(CONFORMAL_DOC), "--json", "--max-order"]
+        code, out = run_cli(capsys, argv + [str(pn.MAX_ORDER + 1)])
+        assert code == 2
+        assert json.loads(out)["residuals"] == {"error": "kmax must be at most 32, got 33"}
+        with pytest.raises(Reached):
+            cli.main(argv + [str(pn.MAX_ORDER)])
 
     def test_complementary_builds_tensor(self, capsys, write_doc):
         doc = {

@@ -429,18 +429,22 @@ def test_holomorphic_examples():
     bad = holomorphic_check(unit_bivector(), unit_bivector(), J2)
     assert not bad.ok
     assert not bad.relation_ok
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as err:
         holomorphic_check(
             MultiVector.zero(R2, 2), MultiVector.zero(R2, 2), TensorOneOne.identity(R2)
         )
+    # the refusal lists the nonzero entries of J.J + Id, 1-based
+    assert err.value.residuals == {"J.J + Id[1][1]": "2", "J.J + Id[2][2]": "2"}
 
 
 def test_n_bivector_matches_direct_product():
     pi = unit_bivector()
     N = TensorOneOne.scalar(R2, 1 + R2.var("x1"))
     assert n_bivector(pi, N) == (1 + R2.var("x1")) * pi
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as err:
         n_bivector(pi, TensorOneOne.diagonal(R2, [2, 3]))
+    # labelled as in is_pn_pair's verdict: nonzero matrix entries, 1-based
+    assert err.value.residuals == {"sharp_compat[1][2]": "1", "sharp_compat[2][1]": "1"}
 
 
 _OTHER_RING = TensorOneOne.identity(Chart(("y1", "y2")))
