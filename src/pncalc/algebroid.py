@@ -25,14 +25,14 @@ Index conventions, fixed throughout:
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import InputError, InternalError, PreconditionError
 from .polyalg import Polynomial, Rational
 from . import cartan
 from .cartan import Chart, MultiVector
 from . import poisson_nijenhuis as pn
-from .report import Verdict, labelled, prefixed, rendered
+from .report import Verdict, labelled, matrix_entries, prefixed, rendered
 
 
 class AlgebroidData:
@@ -232,24 +232,42 @@ class AlgebroidVerdict(Verdict):
         yield from labelled("anchor", self.anchor_residuals)
 
 
-def algebroid_validate(algebroid):
+def basis_brackets(algebroid):
+    """[e_a, e_b] by ordered pair, for the pairs the axiom checks read.
+
+    Those are (i, j), (j, k) and (k, i) for each triple i < j < k (the
+    Jacobi and mixed Jacobi families) and (i, j) for each pair i < j (the
+    anchor families); each bracket is formed once.
+    """
+    rank = algebroid.rank
+    pairs = set(combinations(range(rank), 2))
+    pairs.update((k, i) for i, _, k in combinations(range(rank), 3))
+    units = [unit_section(algebroid, a) for a in range(rank)]
+    return {(a, b): section_bracket(algebroid, units[a], units[b]) for a, b in sorted(pairs)}
+
+
+def algebroid_validate(algebroid, brackets=None):
     """Check the Jacobi identity and the anchor morphism property.
 
     Both residual families are tensorial once the Leibniz rule is built into
     the bracket, so checking them on basis sections settles them everywhere.
+    Each basis bracket [e_a, e_b] is formed once per call: both families read
+    ``brackets``, the dict of :func:`basis_brackets`, which a caller that
+    has formed it already passes in.
     """
+    if brackets is None:
+        brackets = basis_brackets(algebroid)
     rank = algebroid.rank
+    units = [unit_section(algebroid, a) for a in range(rank)]
     jac = {}
     for i, j, k in combinations(range(rank), 3):
         total = AlgebroidSection.zero(algebroid, 1)
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = section_bracket(algebroid, unit_section(algebroid, a), unit_section(algebroid, b))
-            total = total + section_bracket(algebroid, inner, unit_section(algebroid, c))
+            total = total + section_bracket(algebroid, brackets[(a, b)], units[c])
         jac[(i, j, k)] = total
     anch = {}
     for i, j in combinations(range(rank), 2):
-        bracket = section_bracket(algebroid, unit_section(algebroid, i), unit_section(algebroid, j))
-        lhs = anchor_field_of(algebroid, bracket)
+        lhs = anchor_field_of(algebroid, brackets[(i, j)])
         rhs = cartan.vf_bracket(algebroid.anchor_field(i), algebroid.anchor_field(j))
         anch[(i, j)] = lhs - rhs
     return AlgebroidVerdict(jac, anch)
@@ -288,16 +306,24 @@ def algebroid_differential(algebroid, omega):
 
 
 def _section_lie(vector, other):
-    """[X, Q] for a degree-1 X: derivation in coefficients and in each slot."""
+    """[X, Q] for a degree-1 X: derivation in coefficients and in each slot.
+
+    The slot bracket [X, e_j] is formed once per call for each slot index j.
+    """
     algebroid = vector.algebroid
+    slot_brackets = {}
     terms = []
     for key, poly in other.components.items():
         terms.append((key, rho_function(algebroid, vector, poly)))
-        for pos in range(len(key)):
-            repl = section_bracket(algebroid, vector, unit_section(algebroid, key[pos]))
+        for pos, j in enumerate(key):
+            repl = slot_brackets.get(j)
+            if repl is None:
+                repl = slot_brackets[j] = section_bracket(
+                    algebroid, vector, unit_section(algebroid, j)
+                )
             for (a,), coeff in repl.components.items():
                 terms.append((key[:pos] + (a,) + key[pos + 1:], poly * coeff))
-    return AlgebroidSection.from_terms(algebroid, other.degree, terms)
+    return AlgebroidSection._trusted(algebroid, other.degree, cartan._collect(terms))
 
 
 def gerstenhaber_bracket(algebroid, left, right):
@@ -430,6 +456,11 @@ def dual_linear_poisson(algebroid, fiber_names=None):
     result is re-checked as a guard.
     """
     algebroid_validate(algebroid).require("algebroid axioms fail")
+    return _linear_poisson(algebroid, fiber_names)
+
+
+def _linear_poisson(algebroid, fiber_names=None):
+    """:func:`dual_linear_poisson` of an algebroid the caller has validated."""
     dual = build_dual_chart(algebroid, fiber_names)
     n = algebroid.base.dim
     rank = algebroid.rank
@@ -555,33 +586,33 @@ def compat_check(first, second):
     b. the anticommutator d1 d2 + d2 d1 on coordinate functions and on the
        dual frame sections,
     c. the multivector bracket of the two dual linear Poisson structures.
+
+    Each basis bracket [e_a, e_b] of each algebroid is formed once per call,
+    in one dict per algebroid (:func:`basis_brackets`) that its own Jacobi and
+    anchor families and the mixed families all read.
     """
     if first.base != second.base or first.rank != second.rank:
         raise InputError("algebroids must share base chart and rank")
     if first.basis != second.basis:
         raise InputError("algebroids must share basis names")
-    for which, alg in (("first", first), ("second", second)):
-        algebroid_validate(alg).require("%s algebroid fails its own axioms" % which)
+    b1, b2 = basis_brackets(first), basis_brackets(second)
+    for which, alg, brackets in (("first", first, b1), ("second", second, b2)):
+        algebroid_validate(alg, brackets).require("%s algebroid fails its own axioms" % which)
     rank = first.rank
+    units1 = [unit_section(first, a) for a in range(rank)]
+    units2 = [unit_section(second, a) for a in range(rank)]
     mixed_jac = {}
     for i, j, k in combinations(range(rank), 3):
         total = AlgebroidSection.zero(first, 1)
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            ea, eb = unit_section(first, a), unit_section(first, b)
-            ec1, ec2 = unit_section(first, c), unit_section(second, c)
-            inner1 = section_bracket(first, ea, eb)
-            inner2 = section_bracket(second, unit_section(second, a), unit_section(second, b))
-            outer = section_bracket(second, _view(second, inner1), ec2)
+            outer = section_bracket(second, _view(second, b1[(a, b)]), units2[c])
             total = total + _view(first, outer)
-            outer = section_bracket(first, _view(first, inner2), ec1)
-            total = total + outer
+            total = total + section_bracket(first, _view(first, b2[(a, b)]), units1[c])
         mixed_jac[(i, j, k)] = total
     mixed_anchor = {}
     for i, j in combinations(range(rank), 2):
-        b1 = section_bracket(first, unit_section(first, i), unit_section(first, j))
-        b2 = section_bracket(second, unit_section(second, i), unit_section(second, j))
-        lhs = anchor_field_of(second, _view(second, b1))
-        lhs = lhs + anchor_field_of(first, _view(first, b2))
+        lhs = anchor_field_of(second, _view(second, b1[(i, j)]))
+        lhs = lhs + anchor_field_of(first, _view(first, b2[(i, j)]))
         rhs = cartan.vf_bracket(first.anchor_field(i), second.anchor_field(j))
         rhs = rhs + cartan.vf_bracket(second.anchor_field(i), first.anchor_field(j))
         mixed_anchor[(i, j)] = lhs - rhs
@@ -600,8 +631,8 @@ def compat_check(first, second):
         term = algebroid_differential(second, _view(second, d1e))
         term = _view(first, term) + algebroid_differential(first, _view(first, d2e))
         diff_res["eps_%d" % (i + 1)] = term
-    pi1 = dual_linear_poisson(first)
-    pi2 = dual_linear_poisson(second)
+    pi1 = _linear_poisson(first)
+    pi2 = _linear_poisson(second)
     dual_bracket = cartan.schouten(pi1, pi2)
     verdict = CompatVerdict(mixed_jac, mixed_anchor, diff_res, dual_bracket)
     votes = (verdict.certificate_a, verdict.certificate_b, verdict.certificate_c)
@@ -681,7 +712,8 @@ def bialgebroid_check(primary, dual):
 class PNBialgebroidVerdict(Verdict):
     """Staged verdict for the tangent/cotangent bialgebroid of a compatible pair.
 
-    ``recovery_residuals`` maps labels to rendered failures, so any entry fails.
+    ``recovery_residuals`` maps labels to the nonzero recovery residuals
+    (values, rendered with the rest), so any entry fails.
     """
 
     bialgebroid: BialgebroidVerdict
@@ -736,30 +768,19 @@ def pn_bialgebroid_check(pi, tensor, hierarchy_orders=2):
     def demote(poly):
         return poly.substitute(chart.coords, at_zero_fiber)
 
-    recovery = {}
-    rec_components = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            rec_components[(a, b)] = demote(lift.component((a, n + b)))
-    rec_pi = MultiVector(chart, 2, rec_components)
-    if rec_pi != pi:
-        recovery["bivector"] = str(rec_pi - pi)
-    for a in range(n):
-        for b in range(a + 1, n):
-            fiber_block = demote(lift.component((n + a, n + b)))
-            if not fiber_block.is_zero():
-                recovery["fiber_block(%d,%d)" % (a + 1, b + 1)] = str(fiber_block)
-    for a in range(n):
-        for b in range(n):
-            top = demote(lifted_tensor.entries[a][b]) - tensor.entries[a][b]
-            if not top.is_zero():
-                recovery["tensor[%d][%d]" % (a + 1, b + 1)] = str(top)
-            off = lifted_tensor.entries[a][n + b]
-            if not off.is_zero():
-                recovery["tensor_mixed[%d][%d]" % (a + 1, b + 1)] = str(off)
-            low = demote(lifted_tensor.entries[n + a][b])
-            if not low.is_zero():
-                recovery["tensor_ramp[%d][%d]" % (a + 1, b + 1)] = str(low)
+    pairs = list(combinations(range(n), 2))
+    rec_pi = MultiVector(chart, 2, {(a, b): demote(lift.component((a, n + b))) for a, b in pairs})
+    fiber_block = {(a, b): demote(lift.component((n + a, n + b))) for a, b in pairs}
+    rows = lifted_tensor.entries
+    top = [[demote(rows[a][b]) - tensor.entries[a][b] for b in range(n)] for a in range(n)]
+    families = chain(
+        [("bivector", rec_pi - pi)],
+        labelled("fiber_block", fiber_block),
+        matrix_entries("tensor", top),
+        matrix_entries("tensor_mixed", [row[n:] for row in rows[:n]]),
+        matrix_entries("tensor_ramp", [[demote(e) for e in row[:n]] for row in rows[n:]]),
+    )
+    recovery = {label: value for label, value in families if not value.is_zero()}
 
     hierarchy = {}
     if lift_pair.ok:

@@ -14,7 +14,11 @@ subclass names the frame type it accepts in ``frame_type``:
 :class:`MultiVector` and :class:`DiffForm` take a :class:`Chart`,
 ``algebroid.AlgebroidSection`` an ``AlgebroidData``. So :func:`wedge` and
 the Leibniz recursion :func:`_leibniz` serve multivectors, forms and
-algebroid multisections alike.
+algebroid multisections alike. The recursion peels P by tail: the components
+of P sharing T = key[1:] form one degree-1 X_T, and P = sum_T X_T ^ e_T. Each
+bracket it needs is formed once per call, and the sign of the cross terms,
+``_leibniz_sign``, meets the same sums as a peel one component at a time,
+so a wrong sign shows wherever it would show there.
 
 Which builders validate: the public constructor, ``from_terms``,
 :func:`vector_field` and :func:`one_form` take outside input, so they check
@@ -24,12 +28,12 @@ the entries into canonical form (increasing index tuples of length
 :func:`_normalize`. Which build unchecked: results pncalc computes itself
 from canonical operands of one frame. ``+``, ``-``, scalar ``*`` and
 :func:`wedge` produce canonical dicts directly; :func:`exterior_d`,
-:func:`interior`, :func:`lie_derivative`, :func:`_lie_multivector` and
-:func:`_odd_partial` produce (index tuple, polynomial) pairs with indices in
-range and polynomials over the base, which :func:`_collect` sorts, signs and
-sums. Both wrap their dicts with the private ``_Graded._trusted``, which
-stores the given dict unchecked. Nothing mutates ``components`` after
-construction.
+:func:`interior`, :func:`lie_derivative`, :func:`_lie_multivector`,
+:func:`_leibniz` and :func:`_odd_partial` produce (index tuple, polynomial)
+pairs with indices in range and polynomials over the base, which
+:func:`_collect` sorts, signs and sums. Both wrap their dicts with the
+private ``_Graded._trusted``, which stores the given dict unchecked. Nothing
+mutates ``components`` after construction.
 
 The Schouten bracket ships twice on purpose. :func:`schouten` recurses on
 wedge decompositions through the graded Leibniz rule, while
@@ -445,18 +449,26 @@ def lie_derivative(X, omega):
 
 
 def _lie_multivector(X, Q):
-    """[X, Q] for a vector field X: derivation in each slot of Q."""
+    """[X, Q] for a vector field X: derivation in each slot of Q.
+
+    The partials d_j X^a are formed once per call for each slot index j.
+    """
     chart = X.chart
+    slot_partials = {}  # j -> [((a,), -d_j X^a)], nonzero entries only
     entries = []
     for key, poly in Q.components.items():
         entries.append((key, _apply_vf(X, poly)))
-        for pos in range(len(key)):
-            j = key[pos]
-            for (a,), xc in X.components.items():
-                dxc = xc.partial(chart.coords[j])
-                if dxc.is_zero():
-                    continue
-                entries.append((key[:pos] + (a,) + key[pos + 1 :], -(poly * dxc)))
+        for pos, j in enumerate(key):
+            partials = slot_partials.get(j)
+            if partials is None:
+                name = chart.coords[j]
+                partials = slot_partials[j] = [
+                    ((a,), -d)
+                    for (a,), xc in X.components.items()
+                    if not (d := xc.partial(name)).is_zero()
+                ]
+            for a, dxc in partials:
+                entries.append((key[:pos] + a + key[pos + 1 :], poly * dxc))
     return MultiVector._trusted(chart, Q.degree, _collect(entries))
 
 
@@ -481,8 +493,23 @@ def _leibniz(P, Q, lie):
     ``lie(X, Q)`` gives the bracket of a degree-1 X with Q; everything else
     follows from [f, g] = 0 for functions, graded antisymmetry
     [P,Q] = -(-1)^((p-1)(q-1))[Q,P] and the graded Leibniz rule
-    [P, Q^R] = [P,Q]^R + (-1)^((p-1)q) Q^[P,R]. The recursion peels one
-    degree-1 factor at a time off the first argument.
+    [P, Q^R] = [P,Q]^R + (-1)^((p-1)q) Q^[P,R].
+
+    For p >= 2 the components of P are grouped by their tail T = key[1:]:
+    P = sum_T X_T ^ e_T with the degree-1 X_T = sum_a f_(a,T) e_a and the
+    unit multisection e_T, so
+
+        [P, Q] = sum_T ( X_T ^ [e_T, Q] + s [X_T, Q] ^ e_T ),
+
+    s = ``_leibniz_sign(p, q)``, read at call time. Each [e_T, Q] and each
+    [X_T, Q] is formed once per call, and all terms are summed by one
+    :func:`_collect`. The bracket is linear in its first slot, so the cross
+    terms s [X_T, Q] ^ e_T sum to those of peeling one component at a time,
+    and a wrong s changes exactly the outputs it would change there. Grouping
+    by the head index a instead, P = sum_a e_a ^ R_a, would put s on
+    [e_a, Q] ^ R_a, which for a vector-field bracket is d_a Q ^ R_a. On R^3
+    that vanishes for every P when Q is the so(3) bivector, so a wrong s
+    would go unseen there.
     """
     frame = P.frame
     p, q = P.degree, Q.degree
@@ -493,16 +520,25 @@ def _leibniz(P, Q, lie):
         return res if q % 2 == 0 else -res
     if p == 1:
         return lie(P, Q)
-    out = P.zero(frame, p + q - 1)
     sign = _leibniz_sign(p, q)
-    one = frame.base.one()
+    by_tail = {}
     for key, poly in P.components.items():
-        X = P._trusted(frame, 1, {key[:1]: poly})
-        rest = P._trusted(frame, p - 1, {key[1:]: one})
-        out = out + wedge(X, _leibniz(rest, Q, lie))
-        cross = wedge(_leibniz(X, Q, lie), rest)
-        out = out + (cross if sign > 0 else -cross)
-    return out
+        by_tail.setdefault(key[1:], {})[key[:1]] = poly
+    one = frame.base.one()
+    entries = []
+    for tail, heads in by_tail.items():
+        rest = _leibniz(P._trusted(frame, p - 1, {tail: one}), Q, lie)
+        for head, f in heads.items():
+            entries.extend(
+                (head + key, f * poly)
+                for key, poly in rest.components.items()
+                if head[0] not in key
+            )
+        cross = lie(P._trusted(frame, 1, heads), Q)
+        entries.extend(
+            (key + tail, poly if sign > 0 else -poly) for key, poly in cross.components.items()
+        )
+    return P._trusted(frame, p + q - 1, _collect(entries))
 
 
 def schouten(P, Q):

@@ -637,6 +637,26 @@ def test_pn_bialgebroid_conformal_pair():
     assert len(verdict.hierarchy_compat) == 3
 
 
+def test_pn_bialgebroid_recovery_residuals_are_labelled_values(monkeypatch):
+    # a lift that fails to restrict to the input pair: the recovery family
+    # keeps values, labelled and rendered with every other family
+    from pncalc import algebroid
+
+    build = algebroid.dual_linear_poisson
+
+    def perturbed(alg, fiber_names=None):
+        lift = build(alg, fiber_names)
+        return lift + MultiVector(lift.chart, 2, {(0, 3): 1, (2, 3): "x1"})
+
+    monkeypatch.setattr(algebroid, "dual_linear_poisson", perturbed)
+    pi = MultiVector(R2, 2, {(0, 1): 1})
+    verdict = pn_bialgebroid_check(pi, pn.TensorOneOne.scalar(R2, "1 + x1"))
+    assert list(verdict.recovery_residuals) == ["bivector", "fiber_block(1,2)"]
+    assert not any(isinstance(v, str) for v in verdict.recovery_residuals.values())
+    recovery = {k: v for k, v in verdict.residuals().items() if k.startswith("recovery ")}
+    assert recovery == {"recovery bivector": "d_x1^d_x2", "recovery fiber_block(1,2)": "x1"}
+
+
 def test_pn_bialgebroid_level_zero_recovers_cotangent():
     pi = so3_bivector()
     dual = cotangent_algebroid(pi)
