@@ -381,6 +381,28 @@ def tangent_deformed_algebroid(tensor):
     return out
 
 
+def _cotangent_frame(pi):
+    """Anchor columns and bracket rows of pi on the coordinate differentials.
+
+    Column i is sharp(dx^i) and row (i, j) lists [dx^i, dx^j]_pi, both as
+    lists for callers that extend them. ``pn.koszul_bracket`` is read at
+    call time, so a patch of it reaches every algebroid built here.
+    """
+    chart = pi.chart
+    n = chart.dim
+    sharp = pn.sharp_matrix(pi)
+    cols = [[sharp[a][i] for a in range(n)] for i in range(n)]
+    table = {}
+    for i, j in combinations(range(n), 2):
+        form = pn.koszul_bracket(
+            pi,
+            cartan.coordinate_form(chart, i),
+            cartan.coordinate_form(chart, j),
+        )
+        table[(i, j)] = [form.component((k,)) for k in range(n)]
+    return cols, table
+
+
 def cotangent_algebroid(pi):
     """Cotangent algebroid of a Poisson bivector.
 
@@ -390,18 +412,8 @@ def cotangent_algebroid(pi):
     """
     chart = pi.chart
     pn.is_poisson(pi).require("bivector is not Poisson")
-    n = chart.dim
-    sharp = pn.sharp_matrix(pi)
-    cols = [tuple(sharp[a][i] for a in range(n)) for i in range(n)]
-    table = {}
-    for i, j in combinations(range(n), 2):
-        form = pn.koszul_bracket(
-            pi,
-            cartan.coordinate_form(chart, i),
-            cartan.coordinate_form(chart, j),
-        )
-        table[(i, j)] = tuple(form.component((k,)) for k in range(n))
-    out = AlgebroidData(chart, n, tuple("d" + c for c in chart.coords), cols, table)
+    cols, table = _cotangent_frame(pi)
+    out = AlgebroidData(chart, chart.dim, tuple("d" + c for c in chart.coords), cols, table)
     algebroid_validate(out).guard("Poisson bivector produced an invalid cotangent algebroid")
     return out
 

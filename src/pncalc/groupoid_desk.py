@@ -12,6 +12,11 @@ Submanifolds are restricted to affine coordinate constraints with rational
 coefficients, so tangent and conormal bases are exact kernels and row
 spaces, and restriction to the submanifold is ``substitute`` along a
 rational parametrization, whose images are genuine affine polynomials.
+Both certificates are pairings eta.M.v of a polynomial matrix M (N, or the
+matrix of pi sharp) with rational conormals eta and rational vectors v.
+Restriction is a ring homomorphism that fixes rationals, so
+``AffineSubmanifold.pairings`` restricts each entry of M once and combines
+the results: the same polynomials as restricting every pairing.
 
 Every other change of ring only moves variables: the block lifts of pi and
 N to the pair and triple charts (``_block_bivector``, ``_block_tensor``),
@@ -26,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import poisson_nijenhuis as pn
-from .cartan import Chart, DiffForm, MultiVector
+from .cartan import Chart, MultiVector
 from .errors import InputError, InternalError, PreconditionError
 from .linalg import nullspace, rref
 from .polyalg import Polynomial
@@ -39,12 +44,16 @@ class AffineSubmanifold:
     Constraints are given as affine-linear polynomials (or strings) that
     vanish on the submanifold; the constant term supplies r_0.
 
-    The rational parametrization used by ``restrict`` is computed on first
-    use and cached on the instance. It depends only on the immutable
-    constraints, so every later restriction reuses it.
+    Construction row-reduces [rows | rhs] once. That one reduction refuses
+    an inconsistent or dependent system and gives the base point x0, the
+    tangent basis v_j and the parametrization x0 + sum_j s_j v_j that
+    ``restrict`` substitutes along; nothing is filled in later. ``pairings``
+    restricts each matrix entry once: restriction is a ring homomorphism
+    and the pairing vectors are rational, so restrict(eta.M.v) is
+    sum_ab eta_a v_b restrict(M_ab).
     """
 
-    __slots__ = ("chart", "rows", "rhs", "_param")
+    __slots__ = ("chart", "rows", "rhs", "_tangent", "_params", "_images")
 
     def __init__(self, chart, constraints):
         if not isinstance(chart, Chart):
@@ -66,18 +75,31 @@ class AffineSubmanifold:
                     raise InputError(f"constraint {poly} is not affine-linear")
             rows.append(tuple(row))
             rhs.append(-constant)
-        if rows:
-            reduced, pivots = rref(rows)
-            if len(pivots) < len(rows):
-                aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-                _, aug_pivots = rref(aug)
-                if n in aug_pivots:
-                    raise InputError("inconsistent constraints")
-                raise InputError("dependent constraints")
+        # A pivot in the rhs column means no solution. Independent rows never
+        # have one, so a system both dependent and inconsistent is inconsistent.
+        reduced, pivots = rref([row + (b,) for row, b in zip(rows, rhs)])
+        if n in pivots:
+            raise InputError("inconsistent constraints")
+        if len(pivots) < len(rows):
+            raise InputError("dependent constraints")
+        x0 = [Fraction(0)] * n
+        for row, p in zip(reduced, pivots):
+            x0[p] = row[n]
+        tangent = tuple(nullspace([row[:n] for row in reduced], n))
+        params = Chart(tuple("s%d" % (j + 1) for j in range(len(tangent))))
+        images = {}
+        for i, name in enumerate(chart.coords):
+            acc = params.constant(x0[i])
+            for j, vec in enumerate(tangent):
+                if vec[i]:
+                    acc = acc + params.var(params.coords[j]) * vec[i]
+            images[name] = acc
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "rhs", tuple(rhs))
-        object.__setattr__(self, "_param", None)
+        object.__setattr__(self, "_tangent", tangent)
+        object.__setattr__(self, "_params", params)
+        object.__setattr__(self, "_images", images)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineSubmanifold is immutable")
@@ -92,44 +114,33 @@ class AffineSubmanifold:
 
     def tangent_basis(self):
         """Rational basis of the tangent space (kernel of the rows)."""
-        return nullspace(list(self.rows), self.chart.dim)
+        return list(self._tangent)
 
     def conormal_basis(self):
         """The constraint rows themselves: a basis of the conormal space."""
         return list(self.rows)
 
-    def _parametrization(self):
-        """(parameter chart, coordinate images), built once per instance."""
-        if self._param is not None:
-            return self._param
-        n = self.chart.dim
-        if not self.rows:
-            x0 = [Fraction(0)] * n
-        else:
-            aug = [list(r) + [b] for r, b in zip(self.rows, self.rhs)]
-            reduced, pivots = rref(aug)
-            if n in pivots:
-                raise InputError("inconsistent constraints")
-            x0 = [Fraction(0)] * n
-            for row, p in zip(reduced, pivots):
-                x0[p] = row[-1]
-        basis = self.tangent_basis()
-        params = Chart(tuple("s%d" % (j + 1) for j in range(len(basis))))
-        images = {}
-        for i, name in enumerate(self.chart.coords):
-            acc = Polynomial.constant(params.coords, x0[i])
-            for j, vec in enumerate(basis):
-                if vec[i]:
-                    acc = acc + Polynomial.variable(params.coords, params.coords[j]) * vec[i]
-            images[name] = acc
-        object.__setattr__(self, "_param", (params, images))
-        return self._param
-
     def restrict(self, poly):
         """Substitute a rational parametrization: the polynomial on S."""
         poly = self.chart.coerce(poly)
-        params, images = self._parametrization()
-        return poly.substitute(params.coords, images)
+        return poly.substitute(self._params.coords, self._images)
+
+    def pairings(self, matrix, vectors):
+        """(i, j, restrict(eta_j.M.v_i)) over vectors v_i and conormals eta_j,
+        restricting each nonzero entry of the matrix M once."""
+        columns = [[] for _ in self.chart.coords]
+        for a, row in enumerate(matrix):
+            for b, entry in enumerate(row):
+                if not entry.is_zero():
+                    columns[b].append((a, self.restrict(entry)))
+        zero = self._params.zero()
+        out = []
+        for i, v in enumerate(vectors):
+            live = [(c, columns[b]) for b, c in enumerate(v) if c]
+            for j, eta in enumerate(self.rows):
+                terms = (p * (eta[a] * c) for c, column in live for a, p in column if eta[a])
+                out.append((i, j, sum(terms, zero)))
+        return tuple(out)
 
     def __repr__(self):
         eqs = []
@@ -271,23 +282,7 @@ def invariant_check(tensor, sub):
         raise InputError("expected a (1,1)-tensor")
     if not isinstance(sub, AffineSubmanifold) or sub.chart != tensor.chart:
         raise InputError("submanifold lives on a different chart")
-    n = sub.chart.dim
-    entries = []
-    for i, v in enumerate(sub.tangent_basis()):
-        image = []
-        for row in tensor.entries:
-            acc = sub.chart.zero()
-            for b in range(n):
-                if v[b] and not row[b].is_zero():
-                    acc = acc + row[b] * v[b]
-            image.append(acc)
-        for j, eta in enumerate(sub.conormal_basis()):
-            pairing = sub.chart.zero()
-            for a in range(n):
-                if eta[a] and not image[a].is_zero():
-                    pairing = pairing + image[a] * eta[a]
-            entries.append((i, j, sub.restrict(pairing)))
-    return InvariantVerdict(entries=tuple(entries))
+    return InvariantVerdict(entries=sub.pairings(tensor.entries, sub.tangent_basis()))
 
 
 @dataclass(frozen=True)
@@ -305,19 +300,9 @@ def coisotropic_check(pi, sub):
         raise InputError("expected a degree-2 multivector")
     if not isinstance(sub, AffineSubmanifold) or sub.chart != pi.chart:
         raise InputError("submanifold lives on a different chart")
-    n = sub.chart.dim
-    conormals = sub.conormal_basis()
-    entries = []
-    for i, eta in enumerate(conormals):
-        form = DiffForm(sub.chart, 1, {(a,): eta[a] for a in range(n) if eta[a]})
-        image = pn.sharp(pi, form)
-        for j, etap in enumerate(conormals):
-            pairing = sub.chart.zero()
-            for a in range(n):
-                if etap[a]:
-                    pairing = pairing + image.component((a,)) * etap[a]
-            entries.append((i, j, sub.restrict(pairing)))
-    return CoisotropicVerdict(entries=tuple(entries))
+    return CoisotropicVerdict(
+        entries=sub.pairings(pn.sharp_matrix(pi), sub.conormal_basis())
+    )
 
 
 @dataclass(frozen=True)
@@ -378,11 +363,7 @@ def poisson_groupoid_check(groupoid, pi):
         raise InputError("expected a PairGroupoid")
     if not isinstance(pi, MultiVector) or pi.chart != groupoid.total or pi.degree != 2:
         raise InputError("expected a degree-2 multivector on the total chart")
-    verdict = pn.is_poisson(pi)
-    if not verdict.ok:
-        raise PreconditionError(
-            "bivector is not Poisson", {"schouten": str(verdict.residual)}
-        )
+    pn.is_poisson(pi).require("bivector is not Poisson")
     return coisotropic_check(_graph_bivector(groupoid, pi), groupoid.multiplication_graph())
 
 

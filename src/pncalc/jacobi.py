@@ -27,19 +27,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from . import cartan
-from . import poisson_nijenhuis as pn
 from .algebroid import (
     AlgebroidData,
     AlgebroidSection,
+    _cotangent_frame,
     _tangent_basis,
     algebroid_differential,
     algebroid_validate,
     gerstenhaber_bracket,
 )
-from .cartan import Chart, MultiVector, coordinate_form, schouten, wedge
+from .cartan import Chart, MultiVector, schouten, wedge
 from .errors import InputError, InternalError
 from .report import Verdict, prefixed
 
@@ -319,21 +317,14 @@ def first_jet_algebroid(pair):
     is_jacobi(pair).require("first-jet algebroid needs a Jacobi pair")
     chart = pair.chart
     n = chart.dim
-    sharp_cols = pn.sharp_matrix(pair.pi)
-    cols = [tuple(sharp_cols[a][i] for a in range(n)) for i in range(n)]
-    cols.append(tuple(pair.e.component((a,)) for a in range(n)))
-    table = {}
-    for i, j in combinations(range(n), 2):
-        kos = pn.koszul_bracket(
-            pair.pi, coordinate_form(chart, i), coordinate_form(chart, j)
-        )
-        row = [kos.component((m,)) for m in range(n)]
+    cols, table = _cotangent_frame(pair.pi)
+    cols.append([pair.e.component((a,)) for a in range(n)])
+    for (i, j), row in table.items():
         ei = pair.e.component((i,))
         ej = pair.e.component((j,))
         row[j] = row[j] + ei
         row[i] = row[i] - ej
         row.append(pair.pi.component((i, j)))
-        table[(i, j)] = tuple(row)
     for i in range(n):
         ei = pair.e.component((i,))
         row = [-ei.partial(chart.coords[m]) for m in range(n)]

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,43 @@ class TestAffineSubmanifold:
     def test_rejects_dependent(self):
         with pytest.raises(InputError, match="dependent"):
             AffineSubmanifold(R2, ["x1 + x2", "2*x1 + 2*x2"])
+
+    @pytest.mark.parametrize(
+        "constraints, message",
+        [
+            (["x1", "2*x1"], "dependent"),
+            (["x1 + x2 - 1", "x2", "x1 - 1"], "dependent"),
+            (["0"], "dependent"),
+            (["x1", "2*x1 - 1"], "inconsistent"),
+            (["2*x1 - 1", "x1"], "inconsistent"),
+            (["x1", "x2", "x1 + x2 - 1"], "inconsistent"),
+            (["1"], "inconsistent"),
+        ],
+    )
+    def test_one_reduction_orders_the_refusals(self, constraints, message):
+        # The augmented system is reduced once: a dependent but consistent
+        # system is "dependent", a dependent and inconsistent one "inconsistent".
+        with pytest.raises(InputError, match="^%s constraints$" % message):
+            AffineSubmanifold(R2, constraints)
+
+    def test_construction_reduces_the_augmented_system_once(self, monkeypatch):
+        seen = []
+        original = gd.rref
+
+        def counting(rows):
+            seen.append(len(rows[0]) if rows else 0)
+            return original(rows)
+
+        monkeypatch.setattr(gd, "rref", counting)
+        sub = AffineSubmanifold(R3, ["x1 - x2", "x3 - 1"])
+        assert seen == [4]
+        # every slot is filled at construction, and nothing reduces later
+        assert all(hasattr(sub, name) for name in AffineSubmanifold.__slots__)
+        assert sub.tangent_basis() == [(1, 1, 0)]
+        assert str(sub.restrict(R3.parse("x1*x2 + x3"))) == "s1^2 + 1"
+        invariant_check(pn.TensorOneOne.identity(R3), sub)
+        coisotropic_check(so3_bivector(), sub)
+        assert seen == [4]
 
     def test_line_bases(self):
         sub = AffineSubmanifold(R2, ["x2"])
@@ -267,6 +305,23 @@ class TestPoissonGroupoid:
         with pytest.raises(PreconditionError):
             poisson_groupoid_check(G, bad)
 
+    def test_refusal_names_the_schouten_square(self, tmp_path, capsys):
+        # the same [pi,pi] family as every other Poisson refusal
+        from pncalc import cli
+
+        doc = {
+            "chart": {"coordinates": ["x1", "x2"]},
+            "pair_groupoid": {"total_bivector": {"1,2": "x1*y_x1", "2,3": "x2"}},
+        }
+        path = tmp_path / "not_poisson.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["groupoid", "poisson", "--input", str(path), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["residuals"] == {
+            "[pi,pi]": "2*x1*y_x1*d_x1^d_x2^d_y_x1",
+            "precondition": "bivector is not Poisson",
+        }
+
 
 class TestPNGroupoid:
     def test_conformal_pair_passes(self):
@@ -482,3 +537,33 @@ def test_groupoid_commands_reuse_the_pairs_n_pi(monkeypatch, capsys):
         counts[command] = len(calls)
     capsys.readouterr()
     assert counts == {"pn": 2, "base": 3, "coisotropic-invariant": 2}
+
+
+def test_groupoid_pn_reduces_and_restricts_once(monkeypatch, capsys):
+    # The graph and the unit diagonal are each reduced once at construction,
+    # plus the nullspace of the reduced rows: 4 rref calls. Each nonzero
+    # entry of the matrices paired on them is restricted once: 12 of the
+    # lifted N and 12 of the graph bivector's sharp matrix on the graph; 4
+    # each of N, pi, N pi and N^2 pi on the units. 40 substitutions.
+    from pncalc import cli, linalg
+
+    counts = {"rref": 0, "substitute": 0}
+
+    def counting(name, original):
+        def wrapped(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapped
+
+    rref = counting("rref", linalg.rref)
+    monkeypatch.setattr(linalg, "rref", rref)
+    monkeypatch.setattr(gd, "rref", rref)
+    monkeypatch.setattr(
+        Polynomial, "substitute", counting("substitute", Polynomial.substitute)
+    )
+    path = str(Path(__file__).resolve().parent.parent / "demos" / "documents" / "pair_groupoid.json")
+    assert cli.main(["groupoid", "pn", "--input", path]) == 0
+    capsys.readouterr()
+    assert counts["rref"] <= 4
+    assert counts["substitute"] <= 40
