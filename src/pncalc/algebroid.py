@@ -305,24 +305,33 @@ def algebroid_differential(algebroid, omega):
     return AlgebroidSection._trusted(algebroid, omega.degree + 1, cartan._collect(terms))
 
 
-def _section_lie(vector, other):
+def _section_lie(vector, other, avoid=frozenset()):
     """[X, Q] for a degree-1 X: derivation in coefficients and in each slot.
 
-    The slot bracket [X, e_j] is formed once per call for each slot index j.
+    Forms only the terms that survive ``cartan._collect``, by the rule of
+    ``cartan._lie_multivector``: rho(X)(Q_K) when the key K avoids the index
+    set ``avoid``, and the slot-j product of [X, e_j]^a when K with a in
+    place of j has distinct indices (a == j or a not in K) and avoids
+    ``avoid``. The slot bracket [X, e_j] is formed once per call for each
+    slot index j that a product reads.
     """
     algebroid = vector.algebroid
     slot_brackets = {}
     terms = []
     for key, poly in other.components.items():
-        terms.append((key, rho_function(algebroid, vector, poly)))
-        for pos, j in enumerate(key):
+        whole, slots = cartan._live_slots(key, avoid)
+        if whole:
+            terms.append((key, rho_function(algebroid, vector, poly)))
+        for pos in slots:
+            j = key[pos]
             repl = slot_brackets.get(j)
             if repl is None:
                 repl = slot_brackets[j] = section_bracket(
                     algebroid, vector, unit_section(algebroid, j)
                 )
             for (a,), coeff in repl.components.items():
-                terms.append((key[:pos] + (a,) + key[pos + 1:], poly * coeff))
+                if (a == j or a not in key) and a not in avoid:
+                    terms.append((key[:pos] + (a,) + key[pos + 1:], poly * coeff))
     return AlgebroidSection._trusted(algebroid, other.degree, cartan._collect(terms))
 
 

@@ -18,7 +18,10 @@ algebroid multisections alike. The recursion peels P by tail: the components
 of P sharing T = key[1:] form one degree-1 X_T, and P = sum_T X_T ^ e_T. Each
 bracket it needs is formed once per call, and the sign of the cross terms,
 ``_leibniz_sign``, meets the same sums as a peel one component at a time,
-so a wrong sign shows wherever it would show there.
+so a wrong sign shows wherever it would show there. A term is formed only
+if its final key has distinct indices and avoids the peeled tail; the
+others are the ones :func:`_collect` would drop, so the same surviving
+terms meet the same sign.
 
 Which builders validate: the public constructor, ``from_terms``,
 :func:`vector_field` and :func:`one_form` take outside input, so they check
@@ -448,27 +451,50 @@ def lie_derivative(X, omega):
     return DiffForm._trusted(chart, omega.degree, _collect(entries))
 
 
-def _lie_multivector(X, Q):
+def _live_slots(key, avoid):
+    """Whether key avoids ``avoid``, and the slots whose replacement can.
+
+    A new key is key with one slot replaced. If key meets ``avoid`` once,
+    only replacing that slot can give a key that avoids it; if more than
+    once, no replacement can.
+    """
+    hits = [pos for pos, j in enumerate(key) if j in avoid]
+    if not hits:
+        return True, range(len(key))
+    return False, hits if len(hits) == 1 else ()
+
+
+def _lie_multivector(X, Q, avoid=frozenset()):
     """[X, Q] for a vector field X: derivation in each slot of Q.
 
-    The partials d_j X^a are formed once per call for each slot index j.
+    Only the terms that survive :func:`_collect` are formed: X(Q_K) when
+    the key K avoids the index set ``avoid``, and the slot-j product of
+    component a when the new key, K with a in place of j, has distinct
+    indices (a == j or a not in K) and avoids ``avoid``. :func:`_leibniz`
+    passes the peeled tail as ``avoid``; the result is [X, Q] with the
+    components whose key meets it left out. The partials d_j X^a are
+    formed once per call for each slot index j that a product reads.
     """
     chart = X.chart
-    slot_partials = {}  # j -> [((a,), -d_j X^a)], nonzero entries only
+    slot_partials = {}  # j -> [(a, -d_j X^a)], nonzero entries only
     entries = []
     for key, poly in Q.components.items():
-        entries.append((key, _apply_vf(X, poly)))
-        for pos, j in enumerate(key):
+        whole, slots = _live_slots(key, avoid)
+        if whole:
+            entries.append((key, _apply_vf(X, poly)))
+        for pos in slots:
+            j = key[pos]
             partials = slot_partials.get(j)
             if partials is None:
                 name = chart.coords[j]
                 partials = slot_partials[j] = [
-                    ((a,), -d)
+                    (a, -d)
                     for (a,), xc in X.components.items()
                     if not (d := xc.partial(name)).is_zero()
                 ]
             for a, dxc in partials:
-                entries.append((key[:pos] + a + key[pos + 1 :], poly * dxc))
+                if (a == j or a not in key) and a not in avoid:
+                    entries.append((key[:pos] + (a,) + key[pos + 1 :], poly * dxc))
     return MultiVector._trusted(chart, Q.degree, _collect(entries))
 
 
@@ -490,7 +516,8 @@ def _leibniz_sign(p, q):
 def _leibniz(P, Q, lie):
     """Graded bracket of two multisections of one frame, by recursion.
 
-    ``lie(X, Q)`` gives the bracket of a degree-1 X with Q; everything else
+    ``lie(X, Q, avoid)`` gives the bracket of a degree-1 X with Q, less the
+    components whose key meets the index set ``avoid``; everything else
     follows from [f, g] = 0 for functions, graded antisymmetry
     [P,Q] = -(-1)^((p-1)(q-1))[Q,P] and the graded Leibniz rule
     [P, Q^R] = [P,Q]^R + (-1)^((p-1)q) Q^[P,R].
@@ -503,7 +530,12 @@ def _leibniz(P, Q, lie):
 
     s = ``_leibniz_sign(p, q)``, read at call time. Each [e_T, Q] and each
     [X_T, Q] is formed once per call, and all terms are summed by one
-    :func:`_collect`. The bracket is linear in its first slot, so the cross
+    :func:`_collect`. A term is formed only if its final key has distinct
+    indices and avoids the peeled tail: f_(a,T) times a component of
+    [e_T, Q] only when a is not in its key, and [X_T, Q] with ``avoid`` the
+    indices of T, so the lie step forms none of the products that
+    ``_collect`` would drop for meeting T. The same surviving terms meet
+    the same s. The bracket is linear in its first slot, so the cross
     terms s [X_T, Q] ^ e_T sum to those of peeling one component at a time,
     and a wrong s changes exactly the outputs it would change there. Grouping
     by the head index a instead, P = sum_a e_a ^ R_a, would put s on
@@ -519,7 +551,7 @@ def _leibniz(P, Q, lie):
         res = _leibniz(Q, P, lie)
         return res if q % 2 == 0 else -res
     if p == 1:
-        return lie(P, Q)
+        return lie(P, Q, frozenset())
     sign = _leibniz_sign(p, q)
     by_tail = {}
     for key, poly in P.components.items():
@@ -534,7 +566,7 @@ def _leibniz(P, Q, lie):
                 for key, poly in rest.components.items()
                 if head[0] not in key
             )
-        cross = lie(P._trusted(frame, 1, heads), Q)
+        cross = lie(P._trusted(frame, 1, heads), Q, frozenset(tail))
         entries.extend(
             (key + tail, poly if sign > 0 else -poly) for key, poly in cross.components.items()
         )

@@ -33,7 +33,7 @@ from itertools import combinations
 from . import poisson_nijenhuis as pn
 from .cartan import Chart, MultiVector
 from .errors import InputError, InternalError, PreconditionError
-from .linalg import nullspace, rref
+from .linalg import kernel_basis, rref
 from .polyalg import Polynomial
 from .report import Verdict, prefixed
 
@@ -85,7 +85,7 @@ class AffineSubmanifold:
         x0 = [Fraction(0)] * n
         for row, p in zip(reduced, pivots):
             x0[p] = row[n]
-        tangent = tuple(nullspace([row[:n] for row in reduced], n))
+        tangent = tuple(kernel_basis(reduced, pivots, n))
         params = Chart(tuple("s%d" % (j + 1) for j in range(len(tangent))))
         images = {}
         for i, name in enumerate(chart.coords):

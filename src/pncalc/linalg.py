@@ -6,7 +6,8 @@ is what the (1,1)-tensor code still needs: ``mat_mul`` for
 the holomorphic relation, and ``mat_is_zero`` for the residual matrices.
 ``perfbench/tracer.py`` wraps ``linalg.mat_mul`` by that name. Rational row
 reduction works on lists of Fractions and backs the affine submanifold
-computations. Nothing here knows about charts or tensors.
+computations: ``rref`` reduces once and ``kernel_basis`` reads the kernel
+off the reduced rows. Nothing here knows about charts or tensors.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ def rref(rows):
     return reduced, pivots
 
 
-def nullspace(rows, ncols):
-    """Basis of the kernel of the linear map given by rows (over Fraction)."""
-    if not rows:
-        return [
-            tuple(Fraction(1 if i == j else 0) for i in range(ncols))
-            for j in range(ncols)
-        ]
-    reduced, pivots = rref(rows)
+def kernel_basis(reduced, pivots, ncols):
+    """Kernel basis of the first ncols columns of a reduced row echelon form.
+
+    ``reduced`` and ``pivots`` are as :func:`rref` returns them, with every
+    pivot below ncols; columns past ncols (an augmented right-hand side)
+    are not read. One vector per free column f: 1 at f, -r[f] at the pivot
+    of each row r.
+    """
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -123,3 +124,8 @@ def nullspace(rows, ncols):
             vec[p] = -r[f]
         basis.append(tuple(vec))
     return basis
+
+
+def nullspace(rows, ncols):
+    """Basis of the kernel of the linear map given by rows (over Fraction)."""
+    return kernel_basis(*rref(rows), ncols)

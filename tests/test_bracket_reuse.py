@@ -1,11 +1,13 @@
 """The bracket loops form each intermediate bracket once per call.
 
 ``cartan._leibniz`` peels P by tail, ``cartan._lie_multivector`` and
-``algebroid._section_lie`` reuse their slot terms, and the axiom checks read
-one dict of basis brackets. The oracles here are the loops written out one
-component and one term at a time, without any reuse; both sides read
-``cartan._leibniz_sign`` at call time, so they must agree with the sign
-flipped as well. The spy counts pin "once per call" exactly.
+``algebroid._section_lie`` reuse their slot terms and form only the terms
+whose final key has distinct indices and avoids the peeled tail, and the
+axiom checks read one dict of basis brackets. The oracles here are the loops
+written out one component and one term at a time, without any reuse or
+skipping; both sides read ``cartan._leibniz_sign`` at call time, so they
+must agree with the sign flipped as well. The spy counts pin "once per
+call" and the number of products formed exactly.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pncalc import algebroid, cartan
+from pncalc import algebroid, cartan, jacobi
 from pncalc.algebroid import (
     AlgebroidData,
     AlgebroidSection,
@@ -32,7 +34,7 @@ from pncalc.algebroid import (
     unit_section,
 )
 from pncalc.cartan import Chart, MultiVector
-from pncalc.corpus import R3, R4, point_lie_algebras, random_polynomial, so3_bivector
+from pncalc.corpus import R2, R3, R4, point_lie_algebras, random_polynomial, so3_bivector
 from pncalc.polyalg import Polynomial
 
 POINT = Chart(())
@@ -230,11 +232,97 @@ def test_leibniz_makes_two_lie_calls_per_tail():
     Q = _dense(random.Random(4), MultiVector, R4, 2)
     calls = []
 
-    def lie(X, Y):
+    def lie(X, Y, avoid):
         calls.append(X)
-        return cartan._lie_multivector(X, Y)
+        return cartan._lie_multivector(X, Y, avoid)
 
     assert cartan._leibniz(P, Q, lie) == cartan.schouten_direct(P, Q)
     tails = {key[1:] for key in P.components}
     assert len(tails) == 3
     assert len(calls) == 2 * len(tails)
+
+
+def _near_top(rank):
+    # degree pairs whose bracket has degree rank - 1 or rank: there the peeled
+    # tail and the repeated indices remove the most products
+    return [(p, q) for p in range(rank + 1) for q in range(rank + 1) if p + q - 1 in (rank - 1, rank)]
+
+
+@pytest.mark.parametrize("chart", [R2, R3, R4], ids=["R2", "R3", "R4"])
+@given(seed=st.integers(0, 2**16))
+@settings(max_examples=3, deadline=None)
+def test_schouten_matches_the_direct_formula_near_top_degree(chart, seed):
+    rng = random.Random(seed)
+    for p, q in _near_top(chart.dim):
+        P, Q = (_dense(rng, MultiVector, chart, d) for d in (p, q))
+        assert cartan.schouten(P, Q) == cartan.schouten_direct(P, Q)
+
+
+def _jacobian_bivector(casimir):
+    # pi^{ij} = eps^{ijk} d_k C, Poisson for every C on R^3
+    d = [casimir.partial(name) for name in R3.coords]
+    return MultiVector(R3, 2, {(0, 1): d[2], (0, 2): -d[1], (1, 2): d[0]})
+
+
+# built in the test, so that a broken bracket fails there, not at collection
+_NEAR_TOP_FRAMES = {
+    "TR2xR": lambda: jacobi._extended_algebroid(R2),
+    "TR3xR": lambda: jacobi._extended_algebroid(R3),
+    "cotangent-so3": lambda: cotangent_algebroid(so3_bivector()),
+    "cotangent-jacobian": lambda: cotangent_algebroid(
+        _jacobian_bivector(R3.parse("x1*x2^2 + x3^3 - x1*x3"))
+    ),
+}
+
+
+@pytest.mark.parametrize("frame", sorted(_NEAR_TOP_FRAMES))
+@given(seed=st.integers(0, 2**16))
+@settings(max_examples=2, deadline=None)
+def test_gerstenhaber_matches_the_per_term_peel_near_top_degree(frame, seed):
+    alg = _NEAR_TOP_FRAMES[frame]()
+    rng = random.Random(seed)
+    for p, q in _near_top(alg.rank):
+        S, T = (_dense(rng, AlgebroidSection, alg, d) for d in (p, q))
+        want = _per_component_peel(S, T, _per_term_section_lie)
+        assert gerstenhaber_bracket(alg, S, T).components == want.components
+
+
+def _counting_products(monkeypatch):
+    # products of two nonconstant polynomials
+    counter = [0]
+    original = Polynomial.__mul__
+
+    def spy(a, b):
+        if isinstance(b, Polynomial) and not (a.is_constant() or b.is_constant()):
+            counter[0] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", spy)
+    return counter
+
+
+# every partial of every component is nonconstant
+_NONCONSTANT_PI = {(0, 1): "x1^2*x3 + x2^2*x3", (0, 2): "x1*x2^2 + x3^3", (1, 2): "x2*x3^2 + x1^3*x2"}
+
+
+def test_schouten_of_a_bivector_on_r3_forms_the_minimal_products(monkeypatch):
+    # [pi, pi]^{123} = 2 sum_cyc pi^{il} d_l pi^{jk}: two products for each of
+    # the six nonzero pi^{il}, and every d_l pi^{jk} is nonconstant here. A
+    # recursion that forms every term and drops repeated keys forms 30.
+    pi = MultiVector(R3, 2, _NONCONSTANT_PI)
+    counter = _counting_products(monkeypatch)
+    result = cartan.schouten(pi, pi)
+    assert counter[0] == 12
+    assert result == cartan.schouten_direct(pi, pi)
+
+
+def test_is_jacobi_product_count_on_r3(monkeypatch):
+    # forming every term and dropping repeated keys, the same check forms 131
+    pair = jacobi.JacobiPair(
+        MultiVector(R3, 2, _NONCONSTANT_PI),
+        MultiVector(R3, 1, {(0,): "x2", (1,): "x1*x3", (2,): "x3^2"}),
+    )
+    counter = _counting_products(monkeypatch)
+    verdict = jacobi.is_jacobi(pair)
+    assert counter[0] == 84
+    assert not verdict.ok

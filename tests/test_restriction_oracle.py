@@ -20,7 +20,7 @@ from pncalc import groupoid_desk as gd
 from pncalc import poisson_nijenhuis as pn
 from pncalc.cartan import Chart, DiffForm, MultiVector
 from pncalc.corpus import random_polynomial
-from pncalc.linalg import rref
+from pncalc.linalg import nullspace, rref
 
 CHARTS = {n: Chart(tuple("x%d" % (i + 1) for i in range(n))) for n in (2, 3, 4)}
 
@@ -111,6 +111,8 @@ def test_pairings_match_restricting_each_pairing(n, codim, seed):
     chart = CHARTS[n]
     sub, constraints = _submanifold(rng, chart, codim)
     assert sub.dim == n - codim
+    # the basis read off the augmented reduction is the kernel basis of the rows
+    assert sub.tangent_basis() == nullspace(sub.conormal_basis(), n)
     for constraint in constraints:
         assert sub.restrict(constraint).is_zero()
     # a scalar multiple of the identity maps every tangent space into itself
