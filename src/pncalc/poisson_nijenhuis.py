@@ -7,6 +7,18 @@ form pairs. A pair is Poisson-Nijenhuis exactly when all four vanish
 identically, and every verdict object carries the offending residuals so a
 failure is a checkable witness rather than a bare boolean.
 
+The torsion and the concomitant on coordinate pairs are assembled from
+tables formed once per call, not from one evaluation of the definition per
+pair. ``nijenhuis_torsion`` reads the columns N d_a off N once and uses
+[d_i, d_j] = 0 and [N d_i, d_j] = -d_j(N d_i). ``concomitant_map`` forms
+each basis bracket [dx_i, dx_j]_pi and [dx_i, dx_j]_{Npi} once through
+``koszul_bracket``, read as a module global at call time so a patch of it
+reaches every caller, and expands the brackets of N*dx_i by the Koszul
+Leibniz rule [f alpha, beta]_pi = f[alpha,beta]_pi - (pisharp beta)(f) alpha,
+which holds for any bivector. ``torsion_apply`` and ``magri_morosi`` keep
+the definitions on general fields and forms, one pair per call; the tests
+hold the two maps to them.
+
 Sign conventions, fixed once and reused by every downstream module:
 pisharp(alpha) = pi(alpha, .), normalized so pi = d_1^d_2 sends dx1 to +d_2;
 (N* alpha)_j = sum_i alpha_i N^i_j.
@@ -18,14 +30,15 @@ N.pisharp - pisharp.N* is the symmetric part M + M^T. When it vanishes M is
 antisymmetric and is the sharp matrix of N pi, whose component (a, b) is
 M[b][a]. The hierarchy applies this step again: (N^k pi)# = N.(N^(k-1) pi)#.
 
-Work follows the stored entries: N(X), N* alpha, pisharp(alpha) and
-pi(alpha, beta) loop over the components X, alpha, beta and pi store and
-over the nonzero entries of N, so none of them multiplies by zero. Which
-builders validate: the TensorOneOne constructor coerces every entry, and
-i_n goes through the validating ``from_terms``. Which build unchecked:
-N(X), N* alpha, pisharp(alpha) and N pi are computed from canonical
-operands, so they wrap their components with ``cartan._Graded._trusted``
-(see the :mod:`cartan` module doc).
+Work follows the stored entries: N(X), N* alpha, pisharp(alpha),
+pi(alpha, beta), the sharp matrix and the two coordinate tables loop over
+the components X, alpha, beta and pi store and over the nonzero entries of
+N, so none of them multiplies by zero. Which builders validate: the
+TensorOneOne constructor coerces every entry, and i_n goes through the
+validating ``from_terms``. Which build unchecked: N(X), N* alpha,
+pisharp(alpha), N pi and the tables and residuals of the two coordinate
+maps are computed from canonical operands, so they wrap their components
+with ``cartan._Graded._trusted`` (see the :mod:`cartan` module doc).
 """
 
 from __future__ import annotations
@@ -38,6 +51,7 @@ from .cartan import (
     DiffForm,
     MultiVector,
     _accumulate,
+    _apply_vf,
     coordinate_form,
     exterior_d,
     interior,
@@ -193,12 +207,19 @@ def _check_bivector(pi):
 
 
 def sharp_matrix(pi):
-    """Matrix S with column j = components of pisharp(dx^j); S[i][j] = pihat^{ji}."""
+    """Matrix S with column j = components of pisharp(dx^j); S[i][j] = pihat^{ji}.
+
+    Read off the stored components: each pi^{ab} = p (a < b) sets
+    S[b][a] = p and S[a][b] = -p; every other entry is the chart's zero.
+    """
     _check_bivector(pi)
     n = pi.chart.dim
-    return tuple(
-        tuple(pi.component((j, i)) for j in range(n)) for i in range(n)
-    )
+    zero = pi.chart.zero()
+    rows = [[zero] * n for _ in range(n)]
+    for (a, b), p in pi.components.items():
+        rows[b][a] = p
+        rows[a][b] = -p
+    return tuple(map(tuple, rows))
 
 
 def sharp(pi, alpha):
@@ -307,7 +328,11 @@ def koszul_bracket(pi, alpha, beta):
 
 
 def torsion_apply(N, X, Y):
-    """tau_N(X,Y) = [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y])."""
+    """tau_N(X,Y) = [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]).
+
+    The definition on any two vector fields, one pair per call; the tests
+    hold :func:`nijenhuis_torsion` to it on coordinate pairs.
+    """
     NX, NY = N.apply(X), N.apply(Y)
     defect = (
         cartan.vf_bracket(NX, Y)
@@ -318,13 +343,29 @@ def torsion_apply(N, X, Y):
 
 
 def nijenhuis_torsion(N):
-    """Torsion on all coordinate pairs: {(i,j): tau_N(d_i, d_j)} for i<j."""
+    """Torsion on all coordinate pairs: {(i,j): tau_N(d_i, d_j)} for i<j.
+
+    Built from the columns N d_a, read off N once per call. Coordinate
+    fields commute and [N d_i, d_j] = -d_j(N d_i), so
+
+        tau_N(d_i, d_j) = [N d_i, N d_j] - N(d_i(N d_j) - d_j(N d_i)),
+
+    and each partial d_b(N d_a), a != b, is formed once, for the one pair
+    that reads it.
+    """
     chart = N.chart
+    coords, n = chart.coords, chart.dim
+    images = [N.apply(cartan.coordinate_vector(chart, a)) for a in range(n)]
     out = {}
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
-            out[(i, j)] = torsion_apply(
-                N, cartan.coordinate_vector(chart, i), cartan.coordinate_vector(chart, j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            defect = {}
+            for (r,), entry in images[j].components.items():
+                _accumulate(defect, (r,), entry.partial(coords[i]))
+            for (r,), entry in images[i].components.items():
+                _accumulate(defect, (r,), -entry.partial(coords[j]))
+            out[(i, j)] = cartan.vf_bracket(images[i], images[j]) - N.apply(
+                MultiVector._trusted(chart, 1, defect)
             )
     return out
 
@@ -409,8 +450,10 @@ def magri_morosi(pi, N, alpha, beta, npi=None):
     """Concomitant C(pi,N)(alpha,beta) =
     [alpha,beta]_{Npi} - ([N*alpha,beta]_pi + [alpha,N*beta]_pi - N*[alpha,beta]_pi).
 
-    ``npi`` is n_bivector(pi, N) when the caller already has it; callers
-    looping over form pairs compute it once instead of once per pair.
+    The definition on any two 1-forms, one pair per call, through four
+    Koszul brackets; the tests hold :func:`concomitant_map` to it on
+    coordinate pairs. ``npi`` is n_bivector(pi, N) when the caller already
+    has it.
     """
     if npi is None:
         npi = n_bivector(pi, N)
@@ -425,14 +468,55 @@ def concomitant_map(pi, N, npi):
     """C(pi,N)(dx_i, dx_j) for every coordinate pair i < j, keyed (i, j).
 
     ``npi`` is n_bivector(pi, N), which the caller has already formed.
+    Built from per-call tables: the basis brackets B(i,j) = [dx_i,dx_j]_pi,
+    formed once each through ``koszul_bracket`` (read at call time), with
+    B(k,j) = -B(j,k) and B(j,j) = 0. N*dx_i = sum_k N^i_k dx_k, and the
+    Koszul Leibniz rule [f alpha, beta]_pi = f[alpha,beta]_pi -
+    (pisharp beta)(f) alpha, which holds for any bivector, expands the two
+    brackets of N*dx_i and N*dx_j:
+
+        C(dx_i,dx_j) = [dx_i,dx_j]_{Npi} + N*B(i,j)
+            - sum_k (N^i_k B(k,j) + N^j_k B(i,k))
+            + sum_k ((pisharp dx_j)(N^i_k) - (pisharp dx_i)(N^j_k)) dx_k.
+
+    Only nonzero entries of N are read, and each anchor derivative
+    (pisharp dx_a)(N^b_k), a != b, is formed once, for the one pair that
+    reads it.
     """
     chart = pi.chart
+    n = chart.dim
+    forms = [coordinate_form(chart, i) for i in range(n)]
+    basis = {
+        (i, j): koszul_bracket(pi, forms[i], forms[j]).components
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    anchors = [sharp(pi, form) for form in forms]
+    rows = [[(k, f) for k, f in enumerate(row) if not f.is_zero()] for row in N.entries]
+
+    def subtract_scaled(comps, f, a, b):
+        # comps -= f * B(a, b)
+        if a < b:
+            for key, v in basis[(a, b)].items():
+                _accumulate(comps, key, -(f * v))
+        elif a > b:
+            for key, v in basis[(b, a)].items():
+                _accumulate(comps, key, f * v)
+
     out = {}
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
-            out[(i, j)] = magri_morosi(
-                pi, N, coordinate_form(chart, i), coordinate_form(chart, j), npi=npi
-            )
+    for i in range(n):
+        for j in range(i + 1, n):
+            comps = dict(koszul_bracket(npi, forms[i], forms[j]).components)
+            star = N.dual_apply(DiffForm._trusted(chart, 1, basis[(i, j)]))
+            for key, v in star.components.items():
+                _accumulate(comps, key, v)
+            for k, f in rows[i]:
+                subtract_scaled(comps, f, k, j)
+                _accumulate(comps, (k,), _apply_vf(anchors[j], f))
+            for k, f in rows[j]:
+                subtract_scaled(comps, f, i, k)
+                _accumulate(comps, (k,), -_apply_vf(anchors[i], f))
+            out[(i, j)] = DiffForm._trusted(chart, 1, comps)
     return out
 
 

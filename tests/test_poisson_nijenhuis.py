@@ -34,6 +34,7 @@ from pncalc.poisson_nijenhuis import (
     TensorOneOne,
     bivector_eval,
     complementary_build,
+    concomitant_map,
     d_n,
     deformed_bracket,
     hierarchy,
@@ -97,6 +98,17 @@ def test_sharp_matrix_is_antisymmetric_and_consistent():
         for i in range(3):
             want = sum((S[i][j] * comps[j] for j in range(3)), R3.zero())
             assert lhs.component((i,)) == want
+
+
+def test_sharp_matrix_reads_the_stored_components():
+    # the table component((j, i)) builds entry by entry, zero components included
+    rng = random.Random(9)
+    cases = [MultiVector.zero(R3, 2), unit_bivector(), MultiVector(R4, 2, {(1, 3): 2})]
+    cases += [random_multivector(rng, chart, 2) for chart in (R2, R3, R4) for _ in range(3)]
+    for pi in cases:
+        n = pi.chart.dim
+        want = tuple(tuple(pi.component((j, i)) for j in range(n)) for i in range(n))
+        assert sharp_matrix(pi) == want
 
 
 def test_is_poisson_examples():
@@ -666,9 +678,12 @@ def test_is_pn_pair_multiplies_few_zero_operands(monkeypatch):
     # No product has a zero operand: mat_mul's all-zero entries (30 of 36 in
     # the 6x6 product N.pisharp) reuse their zero factor instead of
     # multiplying by it. That one product gives both the sharp-compatibility
-    # residual and N pi, where five products were formed before.
+    # residual and N pi, where five products were formed before. The torsion
+    # and the concomitant are assembled from per-call tables (N d_a, the basis
+    # Koszul brackets, the anchor derivatives of N), where a pair-by-pair
+    # evaluation of their definitions formed 234 products in all.
     assert counts["zero"] == 0
-    assert counts["calls"] == 234
+    assert counts["calls"] == 105
 
 
 def test_is_pn_pair_forms_one_product(monkeypatch):
@@ -716,3 +731,88 @@ def test_hierarchy_reuses_the_verdicts_n_pi(monkeypatch):
     assert result.bivectors[1] == verdict.npi
     # a pair that fails sharp compatibility has no N pi
     assert is_pn_pair(unit_bivector(), TensorOneOne.diagonal(R2, [2, 3])).npi is None
+
+
+def _sharp_compatible_pairs(seed, count):
+    """(pi, N) on R^2..R^4, pi random (so not Poisson in general) and
+    N = S.B + f.Id with S the sharp matrix of pi and B antisymmetric:
+    N.S = S.B.S + f.S is antisymmetric, so N pi is a bivector."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        chart = rng.choice((R2, R3, R4))
+        n = chart.dim
+        pi = random_multivector(rng, chart, 2, max_degree=2, coeff_bound=3)
+        B = random_multivector(rng, chart, 2, max_degree=1, coeff_bound=3)
+        b_rows = [[B.component((a, b)) for b in range(n)] for a in range(n)]
+        f = random_polynomial(rng, chart, max_degree=2, terms=2, coeff_bound=3)
+        N = TensorOneOne(chart, _product(sharp_matrix(pi), b_rows)) + TensorOneOne.scalar(
+            chart, f
+        )
+        yield pi, N
+
+
+def test_concomitant_map_matches_magri_morosi():
+    # the tables of concomitant_map against the four-bracket definition, pair
+    # by pair, on pairs whose concomitant mostly fails to vanish
+    nonzero = non_poisson = 0
+    for pi, N in _sharp_compatible_pairs(61, 20):
+        chart = pi.chart
+        npi = n_bivector(pi, N)
+        got = concomitant_map(pi, N, npi)
+        pairs = [(i, j) for i in range(chart.dim) for j in range(i + 1, chart.dim)]
+        assert list(got) == pairs
+        for i, j in pairs:
+            want = magri_morosi(
+                pi, N, coordinate_form(chart, i), coordinate_form(chart, j), npi=npi
+            )
+            assert got[(i, j)] == want
+            nonzero += not want.is_zero()
+        non_poisson += not is_poisson(pi).ok
+    assert nonzero >= 20
+    assert non_poisson >= 5
+
+
+def test_nijenhuis_torsion_matches_torsion_apply():
+    rng = random.Random(67)
+    cases = [N for _, N in _sharp_compatible_pairs(71, 4)]
+    for chart in (R2, R3, R4):
+        entries = [
+            [random_polynomial(rng, chart, max_degree=2, terms=2) for _ in range(chart.dim)]
+            for _ in range(chart.dim)
+        ]
+        cases.append(TensorOneOne(chart, entries))
+    nonzero = 0
+    for N in cases:
+        chart = N.chart
+        got = nijenhuis_torsion(N)
+        pairs = [(i, j) for i in range(chart.dim) for j in range(i + 1, chart.dim)]
+        assert list(got) == pairs
+        for i, j in pairs:
+            want = torsion_apply(
+                N, coordinate_vector(chart, i), coordinate_vector(chart, j)
+            )
+            assert got[(i, j)] == want
+            nonzero += not want.is_zero()
+    assert nonzero >= 10
+
+
+def test_concomitant_map_forms_each_basis_bracket_once(monkeypatch):
+    # n(n-1) = 30 Koszul brackets on the dim-6 Darboux pair: [dx_i, dx_j] under
+    # pi and under N pi for each i < j, all through the module attribute
+    from pncalc import poisson_nijenhuis as pn
+
+    original = pn.koszul_bracket
+    calls = []
+
+    def counting(pi, alpha, beta):
+        calls.append((alpha.components, beta.components))
+        return original(pi, alpha, beta)
+
+    monkeypatch.setattr(pn, "koszul_bracket", counting)
+    pi, N = _darboux_nijenhuis_dim6()
+    one = pi.chart.one()
+    assert all(v.is_zero() for v in concomitant_map(pi, N, n_bivector(pi, N)).values())
+    assert len(calls) == 30
+    for alpha, beta in calls:
+        assert len(alpha) == len(beta) == 1
+        assert list(alpha.values()) == list(beta.values()) == [one]
