@@ -30,11 +30,13 @@ The kernels run on ``int`` only. ``+`` adds numerators directly when the
 denominators agree and rescales both operands to the ``lcm`` when they
 differ; ``*`` sums the products of numerators per exponent vector over the
 product of the denominators; ``-``, ``partial`` and ``embed`` keep the
-denominator. A result whose denominator is not 1 is divided by the gcd of
-its denominator and numerators, which restores the canonical form.
-``Fraction`` appears only at the boundary: the validating constructor,
-``constant_value``, printing, the per-term constants of ``substitute``,
-and ``terms``, a read-only map from exponent vectors to ``Fraction``
+denominator; ``**`` squares repeatedly. ``substitute`` forms each image
+power once per call and adds every term's numerator times its product of
+powers into one numerator map over a running common denominator. A result
+whose denominator is not 1 is divided by the gcd of its denominator and
+numerators, which restores the canonical form. ``Fraction`` appears only at
+the boundary: the validating constructor, ``constant_value``, printing, and
+``terms``, a read-only map from exponent vectors to ``Fraction``
 coefficients that makes each coefficient when it is read and keeps none;
 its ``len`` and truth read the numerators. Code that needs only the
 exponents reads ``exponents()``.
@@ -59,21 +61,55 @@ Parentheses may nest at most ``MAX_NESTING`` deep; deeper input is a
 The optional leading minus on the first term is an extension of the minimal
 grammar so that canonical printing round-trips through the parser.
 Identifiers must be declared ring variables; anything else is rejected with
-its position.
+its position. An integer is a run of the decimal digits ``int`` reads
+(``str.isdecimal``), so ``x^١٢`` is ``x^12``, and any other digit, such as
+a superscript, is a ``ParseError`` at its position.
+
+The reader tokenizes the text once with one compiled pattern and makes one
+pass over the tokens. A term without parentheses goes straight into one
+exponent vector and one numerator/denominator pair, and the terms are summed
+into one numerator map, which is reduced once. ``Polynomial`` arithmetic runs
+only for a parenthesized group: the group is raised to its power and
+multiplied into the term.
+
+Input budgets bound the work one coefficient can ask for. Going past one is
+an ``InputError``; the reader raises the ``ParseError`` subclass, with the
+position of the offending token.
+
+* ``MAX_DIGITS``: the digits of one integer literal, checked before ``int``
+  reads it (Python refuses more than 4300).
+* ``MAX_EXPONENT``: the exponent of one factor.
+* ``MAX_DEGREE``: the total degree of a term, counted before a group is
+  raised or multiplied, and of a ``**`` result, checked before any product.
+* ``MAX_TERMS``: the term count of a parsed sum, checked once it is summed.
+  A product of groups and a ``**`` result are refused before they are
+  formed when an upper bound on their term count passes it. The bound is
+  the smaller of the count of term pairs (for ``**``, of multisets of terms)
+  and the count of monomials in the variables that occur with a degree in
+  the range the result can reach. No check runs in ``*``.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add
+from math import comb, gcd, lcm
+from operator import add, or_
 
 from .errors import InputError, ParseError
 
 Rational = Fraction
 
 MAX_NESTING = 100
+
+# Input budgets (see the module docstring). Each is at least ten times the
+# largest value met in the demos, the tests and both benchmark workloads:
+# 6 digits, exponent 4, degree 12 and 29 terms.
+MAX_DIGITS = 1000
+MAX_EXPONENT = 100
+MAX_DEGREE = 200
+MAX_TERMS = 5000
 
 
 def _check_variables(variables):
@@ -89,6 +125,46 @@ def _as_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     raise InputError(f"not a rational scalar: {value!r}")
+
+
+def _add_scaled(nums, den, terms, n, tden):
+    """Add ``n/tden`` times the numerator map ``terms`` into ``nums`` over ``den``.
+
+    ``nums`` is rescaled in place to the common denominator, which is
+    returned. Numerators that cancel stay in ``nums`` as zeros.
+    """
+    if tden != den:
+        common = lcm(den, tden)
+        if common != den:
+            scale = common // den
+            for exps in nums:
+                nums[exps] *= scale
+            den = common
+        n *= common // tden
+    get = nums.get
+    for exps, m in terms.items():
+        nums[exps] = get(exps, 0) + n * m
+    return den
+
+
+def _shape(poly):
+    """Which variables occur in the nonzero ``poly``, and its least and largest term degree."""
+    exps = poly._nums.keys()
+    degrees = [sum(e) for e in exps]
+    return [any(column) for column in zip(*exps)], min(degrees), max(degrees)
+
+
+def _monomials(width, lo, hi):
+    """The number of monomials in ``width`` variables with degree in ``lo..hi``."""
+    return comb(hi + width, width) - (comb(lo - 1 + width, width) if lo else 0)
+
+
+def _product_terms_bound(p, q):
+    """An upper bound on the term count of ``p * q``, both nonzero."""
+    occurs_p, lo_p, hi_p = _shape(p)
+    occurs_q, lo_q, hi_q = _shape(q)
+    width = sum(map(or_, occurs_p, occurs_q))
+    return min(len(p._nums) * len(q._nums), _monomials(width, lo_p + lo_q, hi_p + hi_q))
 
 
 def _reduced(variables, nums, den):
@@ -327,12 +403,41 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """``self`` to the ``n``-th power, by repeated squaring.
+
+        A power of degree above ``MAX_DEGREE``, or one that could have more
+        than ``MAX_TERMS`` terms, is refused before any product is formed.
+        The term bound is the smaller of the number of multisets of ``n``
+        terms and the number of monomials in the occurring variables with
+        degree between ``n`` times the least and the largest term degree.
+        """
         if not isinstance(n, int) or n < 0:
             raise InputError(f"polynomial power must be a nonnegative int, got {n!r}")
-        out = Polynomial.constant(self.variables, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        if not n:
+            return Polynomial._scalar(self.variables, 1)
+        if n == 1 or not self._nums:
+            return self
+        occurs, lo, hi = _shape(self)
+        if hi * n > MAX_DEGREE:
+            raise InputError(
+                f"power {n} of a degree-{hi} polynomial has degree {hi * n}, "
+                f"above the budget of {MAX_DEGREE}"
+            )
+        count = len(self._nums)
+        bound = min(comb(count + n - 1, n), _monomials(sum(occurs), lo * n, hi * n))
+        if bound > MAX_TERMS:
+            raise InputError(
+                f"power {n} of a {count}-term polynomial could have {bound} terms, "
+                f"above the budget of {MAX_TERMS}"
+            )
+        result, square = None, self
+        while True:
+            if n & 1:
+                result = square if result is None else result * square
+            n >>= 1
+            if not n:
+                return result
+            square = square * square
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -402,7 +507,7 @@ class Polynomial:
         to themselves. Plain renames and ring extensions therefore need only
         name the variables that actually move.
         """
-        target_variables = tuple(target_variables)
+        target_variables = _check_variables(target_variables)
 
         def image_of(v):
             if v in assignments:
@@ -426,17 +531,26 @@ class Polynomial:
                 f"variable {v!r} has no image and is not a target variable"
             )
 
-        cache = {}
-        out = Polynomial.zero(target_variables)
+        # Each image power is formed once; every term's product of powers is
+        # added into one numerator map over a running common denominator.
+        images, powers, nums, den = {}, {}, {}, 1
+        one = {(0,) * len(target_variables): 1}
         for exps, n in self._nums.items():
-            term = Polynomial.constant(target_variables, Fraction(n, self._den))
+            product = None
             for v, e in zip(self.variables, exps):
                 if e:
-                    if v not in cache:
-                        cache[v] = image_of(v)
-                    term = term * cache[v] ** e
-            out = out + term
-        return out
+                    power = powers.get((v, e))
+                    if power is None:
+                        if v not in images:
+                            images[v] = image_of(v)
+                        power = powers[v, e] = images[v] ** e
+                    product = power if product is None else product * power
+            if product is None:
+                den = _add_scaled(nums, den, one, n, 1)
+            else:
+                den = _add_scaled(nums, den, product._nums, n, product._den)
+        nums = {exps: n for exps, n in nums.items() if n}
+        return _reduced(target_variables, nums, den * self._den)
 
     # -- printing ----------------------------------------------------------
 
@@ -481,124 +595,168 @@ _set_nums = Polynomial._nums.__set__
 _set_den = Polynomial._den.__set__
 
 
-# -- parser ----------------------------------------------------------------
+# -- reader ----------------------------------------------------------------
 
-
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def take_number(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos]), start
-
-    def take_ident(self):
-        self.skip_ws()
-        start = self.pos
-        ch = self.text[self.pos]
-        if not (ch.isalpha() or ch == "_"):
-            raise ParseError(f"unexpected character {ch!r}", start)
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos], start
-
-    def expect(self, ch):
-        got = self.peek()
-        if got != ch:
-            raise ParseError(f"expected {ch!r}, found {got!r}", self.pos)
-        self.pos += 1
+# One match per token, leading whitespace skipped: an integer literal (the
+# decimal digits ``int`` reads), a word, or any other single character.
+# Trailing whitespace matches nothing. ``\s``, ``\d`` and ``\w`` are exactly
+# ``str.isspace``, ``str.isdecimal`` and ``str.isalnum`` or ``_``.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|(\S))")
 
 
 def parse_polynomial(text, variables):
     """Parse ``text`` into a canonical Polynomial over ``variables``."""
-    variables = tuple(variables)
-    toks = _Tokens(text)
-    value = _parse_expr(toks, variables)
-    toks.skip_ws()
-    if toks.pos != len(text):
-        raise ParseError(f"trailing input {text[toks.pos:]!r}", toks.pos)
+    reader = _Reader(text, _check_variables(variables))
+    value, i = reader.sum(0, 0)
+    if i != len(reader.tokens):
+        pos = reader.position(i)
+        raise ParseError(f"trailing input {text[pos:]!r}", pos)
     return value
 
 
-def _parse_expr(toks, variables):
-    negate = False
-    if toks.peek() == "-":
-        toks.pos += 1
-        negate = True
-    value = _parse_term(toks, variables)
-    if negate:
-        value = -value
-    while toks.peek() in ("+", "-"):
-        op = toks.peek()
-        toks.pos += 1
-        rhs = _parse_term(toks, variables)
-        value = value + rhs if op == "+" else value - rhs
-    return value
+class _Reader:
+    """The tokens of one coefficient text, read left to right in one pass.
 
+    Each token is a ``(digits, word, char)`` triple with one field set.
+    """
 
-def _parse_term(toks, variables):
-    value = _parse_factor(toks, variables)
-    while toks.peek() == "*":
-        toks.pos += 1
-        value = value * _parse_factor(toks, variables)
-    return value
+    __slots__ = ("text", "tokens", "variables", "slots")
 
+    def __init__(self, text, variables):
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
+        self.variables = variables
+        self.slots = {v: i for i, v in enumerate(variables)}
 
-def _parse_factor(toks, variables):
-    base = _parse_base(toks, variables)
-    if toks.peek() == "^":
-        toks.pos += 1
-        exp, _ = toks.take_number()
-        base = base**exp
-    return base
+    def position(self, i):
+        """Where token ``i`` starts in the text; the text's length past the end."""
+        for k, match in enumerate(_TOKEN.finditer(self.text)):
+            if k == i:
+                return match.start(match.lastindex)
+        return len(self.text)
 
+    def fail(self, message, i):
+        raise ParseError(message, self.position(i))
 
-def _parse_base(toks, variables):
-    ch = toks.peek()
-    if ch is None:
-        raise ParseError("unexpected end of input", toks.pos)
-    if ch == "(":
-        if toks.depth == MAX_NESTING:
-            raise ParseError(
-                f"parentheses nested more than {MAX_NESTING} deep", toks.pos
+    def integer(self, i):
+        """The integer literal at token ``i``."""
+        if i == len(self.tokens) or not self.tokens[i][0]:
+            self.fail("expected an integer", i)
+        digits = self.tokens[i][0]
+        if len(digits) > MAX_DIGITS:
+            self.fail(f"integer literal longer than {MAX_DIGITS} digits", i)
+        return int(digits)
+
+    def sum(self, i, depth):
+        """Read ``expr`` from token ``i``; returns (polynomial, next token).
+
+        A term without parentheses goes straight into one exponent vector
+        and one numerator/denominator pair. A parenthesized group is read
+        into a polynomial, raised to its power, and multiplied into the
+        term's product of groups; only then does ``Polynomial`` arithmetic
+        run. Every term is added into one numerator map.
+        """
+        tokens, slots = self.tokens, self.slots
+        end, width = len(tokens), len(self.variables)
+        start = i
+        nums, den, sign = {}, 1, 1
+        if i < end and tokens[i][2] == "-":
+            sign = -1
+            i += 1
+        while True:
+            num, tden, exps, degree, group = sign, 1, [0] * width, 0, None
+            while True:
+                if i == end:
+                    self.fail("unexpected end of input", i)
+                digits, word, char = tokens[i]
+                base = i
+                i += 1
+                if digits:
+                    a = int(digits) if len(digits) <= MAX_DIGITS else self.integer(base)
+                    b = 1
+                    if i < end and tokens[i][2] == "/":
+                        b = self.integer(i + 1)
+                        if not b:
+                            self.fail("zero denominator", i + 1)
+                        i += 2
+                elif word:
+                    if not (word[0].isalpha() or word[0] == "_"):
+                        self.fail(f"unexpected character {word[0]!r}", base)
+                    slot = slots.get(word)
+                    if slot is None:
+                        self.fail(
+                            f"unknown identifier {word!r} "
+                            f"(declared: {', '.join(self.variables)})",
+                            base,
+                        )
+                elif char == "(":
+                    if depth == MAX_NESTING:
+                        self.fail(
+                            f"parentheses nested more than {MAX_NESTING} deep", base
+                        )
+                    value, i = self.sum(i, depth + 1)
+                    if i == end or tokens[i][2] != ")":
+                        found = "".join(tokens[i])[0] if i < end else None
+                        self.fail(f"expected {')'!r}, found {found!r}", i)
+                    i += 1
+                else:
+                    self.fail(f"unexpected character {char!r}", base)
+                power = 1
+                if i < end and tokens[i][2] == "^":
+                    power = self.integer(i + 1)
+                    if power > MAX_EXPONENT:
+                        self.fail(
+                            f"exponent {power} above the budget of {MAX_EXPONENT}",
+                            i + 1,
+                        )
+                    i += 2
+                if digits:
+                    num *= a**power
+                    tden *= b**power
+                elif word:
+                    exps[slot] += power
+                    degree += power
+                else:
+                    degree += max(value.total_degree(), 0) * power
+                if degree > MAX_DEGREE:
+                    self.fail(f"term degree above the budget of {MAX_DEGREE}", base)
+                if char:
+                    value **= power
+                    if group is None:
+                        group = value
+                    else:
+                        if group._nums and value._nums:
+                            bound = _product_terms_bound(group, value)
+                            if bound > MAX_TERMS:
+                                self.fail(
+                                    f"product could have {bound} terms, "
+                                    f"above the budget of {MAX_TERMS}",
+                                    base,
+                                )
+                        group = group * value
+                if i < end and tokens[i][2] == "*":
+                    i += 1
+                    continue
+                break
+            if num:
+                if group is None:
+                    terms = {tuple(exps): 1}
+                else:
+                    tden *= group._den
+                    terms = group._nums
+                    if any(exps):
+                        terms = {
+                            tuple(map(add, exps, e)): n for e, n in terms.items()
+                        }
+                den = _add_scaled(nums, den, terms, num, tden)
+            if i < end and tokens[i][2] in ("+", "-"):
+                sign = 1 if tokens[i][2] == "+" else -1
+                i += 1
+                continue
+            break
+        nums = {exps: n for exps, n in nums.items() if n}
+        if len(nums) > MAX_TERMS:
+            self.fail(
+                f"sum of {len(nums)} terms, above the budget of {MAX_TERMS}", start
             )
-        toks.pos += 1
-        toks.depth += 1
-        value = _parse_expr(toks, variables)
-        toks.expect(")")
-        toks.depth -= 1
-        return value
-    if ch.isdigit():
-        num, _ = toks.take_number()
-        if toks.peek() == "/":
-            toks.pos += 1
-            den, dpos = toks.take_number()
-            if den == 0:
-                raise ParseError("zero denominator", dpos)
-            return Polynomial.constant(variables, Fraction(num, den))
-        return Polynomial.constant(variables, num)
-    name, start = toks.take_ident()
-    if name not in variables:
-        raise ParseError(
-            f"unknown identifier {name!r} (declared: {', '.join(variables)})", start
-        )
-    return Polynomial.variable(variables, name)
+        return _reduced(self.variables, nums, den), i

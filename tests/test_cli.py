@@ -1,16 +1,22 @@
 """Command line behavior: exit codes, report shape, byte-stable JSON."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pncalc import cli, document
+from pncalc import cli, document, report
 from pncalc import groupoid_desk as gd
 from pncalc import poisson_nijenhuis as pn
 from pncalc.errors import InputError
@@ -176,6 +182,37 @@ class TestExitCodes:
         data = json.loads(out)
         assert data["verdict"] == "error"
         assert "nested more than 100 deep" in data["residuals"]["error"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # int() refuses a superscript digit; it is a ParseError at that digit
+            ("x3^\u00b2", "expected an integer (at position 3)"),
+            # wider than Python's limit on int() of a string
+            ("9" * 5000, "integer literal longer than 1000 digits (at position 0)"),
+            ("x1^101", "exponent 101 above the budget of 100 (at position 3)"),
+        ],
+    )
+    def test_literal_the_reader_refuses_is_two(self, capsys, write_doc, text, message):
+        path = write_doc({"chart": {"coordinates": ["x1", "x2", "x3"]}, "bivector": {"1,2": text}})
+        code, out = run_cli(capsys, ["check-poisson", "--input", path, "--json"])
+        assert code == 2
+        data = json.loads(out)
+        assert data["verdict"] == "error"
+        assert data["residuals"] == {"error": message}
+
+    def test_power_over_the_term_budget_is_two_before_it_is_formed(self, capsys, write_doc):
+        doc = {
+            "chart": {"coordinates": ["x1", "x2", "x3", "x4"]},
+            "bivector": {"1,2": "((x1+x2+x3+x4)^8)^4", "3,4": "1"},
+        }
+        path = write_doc(doc)
+        start = time.perf_counter()
+        code, out = run_cli(capsys, ["check-poisson", "--input", path])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "verdict: error" in out
+        assert "could have 6545 terms, above the budget of 5000" in out
 
     @pytest.mark.parametrize(
         "block",
@@ -718,3 +755,68 @@ class TestSuiteCommand:
         lines = [l for l in out.strip().splitlines() if l]
         assert len(lines) == 9
         assert all(": pass" in l for l in lines)
+
+
+# -- a bounded fuzz over documents: every run ends in one report ---------------
+
+FUZZ_COMMANDS = (["check-poisson"], ["check-pn"], ["check-nijenhuis"], ["torsion"], ["concomitant"])
+# Well-formed documents on R^2 and R^3, most of them passing some checks and
+# failing others, and broken ones: bad polynomials, keys, shapes and charts.
+sound_texts = st.sampled_from(["0", "1", "2", "x1", "x2", "1 + x1", "-x2 + 3/2", "x1*x2", "(x1 + 1)^2"])
+broken_texts = st.one_of(
+    st.sampled_from(
+        ["x1 +* 2", "x3^\u00b2", "9" * 5000, "((x1 + x2)^8)^40", "(" * 120 + "x1" + ")" * 120, "y", ""]
+    ),
+    st.text(alphabet="x123 +-*^/()_\u00b2\u0661", max_size=12),
+)
+fuzz_entries = st.one_of(broken_texts, st.integers(-2, 2), st.none(), st.booleans())
+
+
+def sound_document(n):
+    names = ["x1", "x2", "x3"][:n]
+    pairs = [f"{i},{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    square = st.lists(st.lists(sound_texts, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.fixed_dictionaries(
+        {"chart": st.just({"coordinates": names})},
+        optional={"bivector": st.dictionaries(st.sampled_from(pairs), sound_texts), "tensor11": square},
+    )
+
+
+broken_documents = st.fixed_dictionaries(
+    {
+        "chart": st.fixed_dictionaries(
+            {"coordinates": st.lists(st.sampled_from(["x1", "x2", "x3", "x 1", "1x"]), max_size=3)},
+            optional={"dim": st.one_of(st.integers(-1, 4), st.just("3"))},
+        )
+    },
+    optional={
+        "bivector": st.dictionaries(
+            st.sampled_from(["1,2", "1,3", "2,1", "1,4", "1", "a,b", "1,2,3"]),
+            st.one_of(sound_texts, fuzz_entries),
+            max_size=3,
+        ),
+        "tensor11": st.one_of(
+            st.lists(st.lists(st.one_of(sound_texts, fuzz_entries), max_size=3), max_size=3),
+            st.dictionaries(st.sampled_from(["1,1", "1,2", "4,1", "x"]), fuzz_entries, max_size=3),
+        ),
+        "bogus": st.just(1),
+    },
+)
+fuzz_documents = st.one_of(st.sampled_from([2, 3]).flatmap(sound_document), broken_documents)
+
+
+@given(st.sampled_from(FUZZ_COMMANDS), fuzz_documents)
+@settings(max_examples=80, deadline=2000)
+def test_document_fuzz_prints_one_report_and_an_exit_code(argv, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = cli.main([*argv, "--input", str(path), "--json"])
+    out = buffer.getvalue()
+    assert code in (0, 1, 2, 3)
+    data = json.loads(out)
+    assert data["command"] == argv[0]
+    assert report.EXIT_CODES[data["verdict"]] == code
+    assert "Traceback" not in out
