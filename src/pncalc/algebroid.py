@@ -13,6 +13,12 @@ product (``cartan.wedge``) and the Leibniz recursion of the Gerstenhaber
 bracket are the ones multivectors on a chart use; only the degree-1 step,
 :func:`_section_lie`, reads the structure table and the anchor.
 
+Two structures on one frame are compatible when their sum
+(:func:`algebroid_sum`) is again an algebroid. :func:`compat_check` requires
+each half valid and then reads three independent certificates of that one
+statement off the sum: its axioms, the square of its differential, and the
+bracket of the two dual linear Poisson structures.
+
 Index conventions, fixed throughout:
 
 * basis indices are 0-based internally; printed labels are 1-based;
@@ -563,24 +569,23 @@ def linear_poisson_to_algebroid(pi, base, basis):
 
 @dataclass
 class CompatVerdict(Verdict):
-    """Three certificates for compatibility of two algebroid structures.
+    """Three certificates that the sum of two algebroid structures is one.
 
-    mixed_jacobi and mixed_anchor come from expanding the axioms of the sum,
-    differential_residuals from the anticommutator of the two differentials,
-    dual_bracket from the multivector bracket of the two dual structures.
-    All three must agree; disagreement is an internal error raised upstream.
+    Both halves are valid algebroids, so each certificate reads only the
+    cross terms: sum_axioms holds the Jacobi and anchor residuals of the
+    sum (the mixed families), differential_residuals the square of its
+    differential (the anticommutator d1 d2 + d2 d1), and dual_bracket the
+    multivector bracket of the two dual structures. All three must agree;
+    disagreement is an internal error raised upstream.
     """
 
-    mixed_jacobi: dict
-    mixed_anchor: dict
+    sum_axioms: AlgebroidVerdict
     differential_residuals: dict
     dual_bracket: object
 
     @property
     def certificate_a(self):
-        return all(r.is_zero() for r in self.mixed_jacobi.values()) and all(
-            r.is_zero() for r in self.mixed_anchor.values()
-        )
+        return self.sum_axioms.ok
 
     @property
     def certificate_b(self):
@@ -591,8 +596,7 @@ class CompatVerdict(Verdict):
         return self.dual_bracket.is_zero()
 
     def families(self):
-        yield from labelled("mixed_jacobi", self.mixed_jacobi)
-        yield from labelled("mixed_anchor", self.mixed_anchor)
+        yield from prefixed("mixed_", self.sum_axioms.families())
         for label, res in self.differential_residuals.items():
             yield "anticommutator(%s)" % label, res
         yield "dual_bracket", self.dual_bracket
@@ -601,61 +605,36 @@ class CompatVerdict(Verdict):
 def compat_check(first, second):
     """Decide compatibility of two algebroid structures on one frame.
 
-    Three independent certificates are computed and must agree:
+    Two structures are compatible when their sum is again an algebroid
+    (Kosmann-Schwarzbach and Magri, Ann. IHP 1990). Each half is required
+    valid first; the three certificates are then three independent readings
+    of "the sum is an algebroid", each of which sees only the cross terms:
 
-    a. mixed Jacobi and mixed anchor residuals of the pair,
-    b. the anticommutator d1 d2 + d2 d1 on coordinate functions and on the
-       dual frame sections,
+    a. the Jacobi and anchor residuals of the sum: the mixed Jacobi and
+       mixed anchor families, as the axioms of each half vanish;
+    b. d d of the sum's differential on coordinate functions and on the
+       dual frame sections: d1 d2 + d2 d1, as d1 d1 = d2 d2 = 0;
     c. the multivector bracket of the two dual linear Poisson structures.
 
-    Each basis bracket [e_a, e_b] of each algebroid is formed once per call,
-    in one dict per algebroid (:func:`basis_brackets`) that its own Jacobi and
-    anchor families and the mixed families all read.
+    Each basis bracket [e_a, e_b] of each half is formed once per call
+    (:func:`basis_brackets`). The section bracket is linear in the anchor
+    and the table, so the sum's basis brackets are their sums, and its axiom
+    check forms no basis bracket of its own.
     """
-    if first.base != second.base or first.rank != second.rank:
-        raise InputError("algebroids must share base chart and rank")
-    if first.basis != second.basis:
-        raise InputError("algebroids must share basis names")
+    total = algebroid_sum(first, second)
     b1, b2 = basis_brackets(first), basis_brackets(second)
     for which, alg, brackets in (("first", first, b1), ("second", second, b2)):
         algebroid_validate(alg, brackets).require("%s algebroid fails its own axioms" % which)
-    rank = first.rank
-    units1 = [unit_section(first, a) for a in range(rank)]
-    units2 = [unit_section(second, a) for a in range(rank)]
-    mixed_jac = {}
-    for i, j, k in combinations(range(rank), 3):
-        total = AlgebroidSection.zero(first, 1)
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            outer = section_bracket(second, _view(second, b1[(a, b)]), units2[c])
-            total = total + _view(first, outer)
-            total = total + section_bracket(first, _view(first, b2[(a, b)]), units1[c])
-        mixed_jac[(i, j, k)] = total
-    mixed_anchor = {}
-    for i, j in combinations(range(rank), 2):
-        lhs = anchor_field_of(second, _view(second, b1[(i, j)]))
-        lhs = lhs + anchor_field_of(first, _view(first, b2[(i, j)]))
-        rhs = cartan.vf_bracket(first.anchor_field(i), second.anchor_field(j))
-        rhs = rhs + cartan.vf_bracket(second.anchor_field(i), first.anchor_field(j))
-        mixed_anchor[(i, j)] = lhs - rhs
-    diff_res = {}
-    for a, name in enumerate(first.base.coords):
-        f1 = AlgebroidSection(first, 0, {(): Polynomial.variable(first.base.coords, name)})
-        f2 = AlgebroidSection(second, 0, {(): Polynomial.variable(first.base.coords, name)})
-        d1f = algebroid_differential(first, f1)
-        d2f = algebroid_differential(second, f2)
-        term = algebroid_differential(second, _view(second, d1f))
-        term = _view(first, term) + algebroid_differential(first, _view(first, d2f))
-        diff_res[name] = term
-    for i in range(rank):
-        d1e = algebroid_differential(first, unit_section(first, i))
-        d2e = algebroid_differential(second, unit_section(second, i))
-        term = algebroid_differential(second, _view(second, d1e))
-        term = _view(first, term) + algebroid_differential(first, _view(first, d2e))
-        diff_res["eps_%d" % (i + 1)] = term
-    pi1 = _linear_poisson(first)
-    pi2 = _linear_poisson(second)
-    dual_bracket = cartan.schouten(pi1, pi2)
-    verdict = CompatVerdict(mixed_jac, mixed_anchor, diff_res, dual_bracket)
+    summed = {key: _view(total, b1[key]) + _view(total, b2[key]) for key in b1}
+    base = total.base
+    generators = [(x, AlgebroidSection(total, 0, {(): base.var(x)})) for x in base.coords]
+    generators += [("eps_%d" % (i + 1), unit_section(total, i)) for i in range(total.rank)]
+    verdict = CompatVerdict(
+        algebroid_validate(total, summed),
+        {label: algebroid_differential(total, algebroid_differential(total, g))
+         for label, g in generators},
+        cartan.schouten(_linear_poisson(first), _linear_poisson(second)),
+    )
     votes = (verdict.certificate_a, verdict.certificate_b, verdict.certificate_c)
     if len(set(votes)) != 1:
         raise InternalError(
@@ -768,7 +747,7 @@ def pn_bialgebroid_check(pi, tensor, hierarchy_orders=2):
     bial = bialgebroid_check(primary, dual)
 
     fiber_names = tuple("v_" + c for c in chart.coords)
-    lift = dual_linear_poisson(dual, fiber_names)
+    lift = _linear_poisson(dual, fiber_names)  # cotangent_algebroid guarded dual
     big = lift.chart
 
     entries = [[big.zero() for _ in range(2 * n)] for _ in range(2 * n)]

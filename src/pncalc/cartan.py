@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .polyalg import Polynomial, parse_polynomial
+from .polyalg import Polynomial, is_identifier, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class Chart:
         if len(set(coords)) != len(coords):
             raise InputError(f"coordinate names must be distinct: {coords}")
         for name in coords:
-            if not name or not (name[0].isalpha() or name[0] == "_"):
+            if not is_identifier(name):
                 raise InputError(f"bad coordinate name {name!r}")
         # one shared zero per chart; a Polynomial is immutable
         object.__setattr__(self, "_zero", Polynomial._trusted(coords, {}, 1))

@@ -60,8 +60,10 @@ Parentheses may nest at most ``MAX_NESTING`` deep; deeper input is a
 
 The optional leading minus on the first term is an extension of the minimal
 grammar so that canonical printing round-trips through the parser.
-Identifiers must be declared ring variables; anything else is rejected with
-its position. An integer is a run of the decimal digits ``int`` reads
+An identifier is a run of word characters whose first is a letter or ``_``
+(:func:`is_identifier`, the rule ``Chart`` applies to coordinate names), and
+it must be a declared ring variable; anything else is rejected with its
+position. An integer is a run of the decimal digits ``int`` reads
 (``str.isdecimal``), so ``x^١٢`` is ``x^12``, and any other digit, such as
 a superscript, is a ``ParseError`` at its position.
 
@@ -602,6 +604,14 @@ _set_den = Polynomial._den.__set__
 # Trailing whitespace matches nothing. ``\s``, ``\d`` and ``\w`` are exactly
 # ``str.isspace``, ``str.isdecimal`` and ``str.isalnum`` or ``_``.
 _TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|(\S))")
+_WORD = re.compile(r"\w+")
+
+
+def is_identifier(name):
+    """Whether the reader reads ``name`` as one identifier: word characters,
+    the first a letter or ``_``. ``Chart`` admits exactly these coordinates."""
+    head = name[:1] if isinstance(name, str) else ""
+    return (head.isalpha() or head == "_") and _WORD.fullmatch(name) is not None
 
 
 def parse_polynomial(text, variables):
@@ -680,7 +690,7 @@ class _Reader:
                             self.fail("zero denominator", i + 1)
                         i += 2
                 elif word:
-                    if not (word[0].isalpha() or word[0] == "_"):
+                    if not is_identifier(word):
                         self.fail(f"unexpected character {word[0]!r}", base)
                     slot = slots.get(word)
                     if slot is None:

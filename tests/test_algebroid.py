@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pncalc import cartan, poisson_nijenhuis as pn
+from pncalc import cartan, poisson_nijenhuis as pn, suite
 from pncalc.algebroid import (
     AlgebroidData,
     AlgebroidSection,
@@ -13,6 +13,7 @@ from pncalc.algebroid import (
     algebroid_pencil,
     algebroid_sum,
     algebroid_validate,
+    anchor_field_of,
     bialgebroid_check,
     build_dual_chart,
     compat_check,
@@ -578,6 +579,82 @@ def test_compat_requires_shared_frame():
         compat_check(tangent_algebroid(R2), tangent_algebroid(R3))
 
 
+def _anchored_line_algebroids():
+    # rho(e1) = d/dx1 and rho(e2) = x1 d/dx1 on a line: [rho e1, rho e2] =
+    # rho(e1), so the table [e1, e2] = e1 is an algebroid and the empty
+    # table fails the anchor axiom
+    anchor = (("1",), ("x1",))
+    valid = AlgebroidData(R1, 2, ("e1", "e2"), anchor, {(0, 1): (1, 0)})
+    invalid = AlgebroidData(R1, 2, ("e1", "e2"), anchor, {})
+    return valid, invalid
+
+
+@pytest.mark.parametrize("which", ["first", "second"])
+def test_compat_refuses_a_half_that_fails_its_own_axioms(which):
+    # the certificates read only cross terms, which is sound only when each
+    # half's own Jacobi and anchor residuals vanish
+    valid, invalid = _anchored_line_algebroids()
+    assert algebroid_validate(valid).ok
+    pair = (invalid, valid) if which == "first" else (valid, invalid)
+    with pytest.raises(PreconditionError, match=f"^{which} algebroid") as err:
+        compat_check(*pair)
+    assert err.value.residuals == algebroid_validate(invalid).residuals()
+
+
+def _hand_expanded_cross_terms(first, second):
+    """Mixed Jacobi, mixed anchor and d1 d2 + d2 d1, written out term by term.
+
+    The reference for the sum-based certificates of :func:`compat_check`:
+    each cross term is formed in the frame of the half whose table it reads.
+    """
+
+    def view(alg, section):
+        return AlgebroidSection(alg, section.degree, section.components)
+
+    rank = first.rank
+    units1 = [unit_section(first, a) for a in range(rank)]
+    units2 = [unit_section(second, a) for a in range(rank)]
+    out = {}
+    for i, j, k in combinations(range(rank), 3):
+        total = AlgebroidSection.zero(first, 1)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            b1 = section_bracket(first, units1[a], units1[b])
+            b2 = section_bracket(second, units2[a], units2[b])
+            total = total + view(first, section_bracket(second, view(second, b1), units2[c]))
+            total = total + section_bracket(first, view(first, b2), units1[c])
+        out["mixed_jacobi(%d,%d,%d)" % (i + 1, j + 1, k + 1)] = total
+    for i, j in combinations(range(rank), 2):
+        b1 = section_bracket(first, units1[i], units1[j])
+        b2 = section_bracket(second, units2[i], units2[j])
+        lhs = anchor_field_of(second, view(second, b1)) + anchor_field_of(first, view(first, b2))
+        rhs = cartan.vf_bracket(first.anchor_field(i), second.anchor_field(j))
+        rhs = rhs + cartan.vf_bracket(second.anchor_field(i), first.anchor_field(j))
+        out["mixed_anchor(%d,%d)" % (i + 1, j + 1)] = lhs - rhs
+
+    def generators(alg, units):
+        return [AlgebroidSection(alg, 0, {(): alg.base.var(x)}) for x in alg.base.coords] + units
+
+    labels = list(first.base.coords) + ["eps_%d" % (i + 1) for i in range(rank)]
+    for label, g1, g2 in zip(labels, generators(first, units1), generators(second, units2)):
+        d1 = algebroid_differential(first, g1)
+        d2 = algebroid_differential(second, g2)
+        term = view(first, algebroid_differential(second, view(second, d1)))
+        out["anticommutator(%s)" % label] = term + algebroid_differential(first, view(first, d2))
+    return {label: str(value) for label, value in out.items()}
+
+
+def test_compat_sum_certificates_match_the_hand_expansion():
+    fixtures = suite._compat_fixtures()
+    assert len(fixtures) == 12
+    for label, first, second, expected in fixtures:
+        verdict = compat_check(first, second)
+        got = {name: str(value) for name, value in verdict.families() if name != "dual_bracket"}
+        want = _hand_expanded_cross_terms(first, second)
+        assert list(got) == list(want), label
+        assert got == want, label
+        assert verdict.ok is expected, label
+
+
 def test_bialgebroid_tangent_cotangent():
     pi = so3_bivector()
     verdict = bialgebroid_check(tangent_algebroid(R3), cotangent_algebroid(pi))
@@ -642,13 +719,13 @@ def test_pn_bialgebroid_recovery_residuals_are_labelled_values(monkeypatch):
     # keeps values, labelled and rendered with every other family
     from pncalc import algebroid
 
-    build = algebroid.dual_linear_poisson
+    build = algebroid._linear_poisson
 
     def perturbed(alg, fiber_names=None):
         lift = build(alg, fiber_names)
         return lift + MultiVector(lift.chart, 2, {(0, 3): 1, (2, 3): "x1"})
 
-    monkeypatch.setattr(algebroid, "dual_linear_poisson", perturbed)
+    monkeypatch.setattr(algebroid, "_linear_poisson", perturbed)
     pi = MultiVector(R2, 2, {(0, 1): 1})
     verdict = pn_bialgebroid_check(pi, pn.TensorOneOne.scalar(R2, "1 + x1"))
     assert list(verdict.recovery_residuals) == ["bivector", "fiber_block(1,2)"]

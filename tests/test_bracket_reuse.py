@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pncalc import algebroid, cartan, jacobi
+from pncalc import poisson_nijenhuis as pn
 from pncalc.algebroid import (
     AlgebroidData,
     AlgebroidSection,
@@ -206,10 +207,21 @@ def test_compat_forms_each_basis_bracket_once_per_algebroid(monkeypatch):
     calls = _counting(monkeypatch, algebroid, "section_bracket")
     verdict = compat_check(first, second)
     assert verdict.ok
-    # per algebroid: its basis brackets and its own Jacobi outer brackets;
-    # then two outer brackets per cyclic term of the mixed Jacobi family
+    # per half: its basis brackets and its own Jacobi outer brackets; the
+    # sum's basis brackets are the halves' added together, so the sum forms
+    # only its Jacobi outer brackets, one per cyclic term
     per_algebroid = len(_axiom_pairs(3)) + 3 * comb(3, 3)
-    assert len(calls) == 2 * per_algebroid + 6 * comb(3, 3)
+    assert len(calls) == 2 * per_algebroid + 3 * comb(3, 3)
+
+
+def test_pn_bialgebroid_lift_does_not_revalidate_the_cotangent_algebroid(monkeypatch):
+    calls = _counting(monkeypatch, algebroid, "algebroid_validate")
+    verdict = algebroid.pn_bialgebroid_check(so3_bivector(), pn.TensorOneOne.identity(R3))
+    assert verdict.ok
+    # cotangent_algebroid's guard, bialgebroid_check's two halves, and three
+    # per compat_check (two halves and their sum) over the three pairs of
+    # hierarchy levels 0..2; the lift is built from the guarded algebroid
+    assert len(calls) == 1 + 2 + 3 * comb(3, 2)
 
 
 def test_section_lie_forms_one_slot_bracket_per_slot_index(monkeypatch):

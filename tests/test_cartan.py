@@ -34,7 +34,7 @@ from pncalc.corpus import (
     so3_bivector,
 )
 from pncalc.errors import InputError
-from pncalc.polyalg import Polynomial
+from pncalc.polyalg import Polynomial, parse_polynomial
 
 
 def test_wedge_examples():
@@ -121,6 +121,34 @@ def test_chart_zero_is_one_shared_constant():
         assert chart.zero().variables == chart.coords
     # the shared zero is not a field: equal charts stay equal and hash alike
     assert Chart(("x1", "x2")) == R2 and hash(Chart(("x1", "x2"))) == hash(R2)
+
+
+def _reads_as_itself(name):
+    # the oracle: a polynomial text can name the coordinate
+    try:
+        return parse_polynomial(name, (name,)) == Polynomial.variable((name,), name)
+    except InputError:
+        return False
+
+
+def test_chart_admits_exactly_the_names_the_reader_reads():
+    identifiers = ["x1", "_", "_t", "xi_dx1", "é2", "x²", "Δ"]
+    others = ["", "a+b", "x y", " x1", "x1 ", "x-1", "x.1", "x^2", "2x", "١x", "²x", "(x)"]
+    assert [_reads_as_itself(name) for name in identifiers + others] == (
+        [True] * len(identifiers) + [False] * len(others)
+    )
+    # and every name of one to three characters over letters, "_", decimal
+    # and other digits, a Roman numeral, a combining mark, spaces and operators
+    alphabet = "xé_1١²Ⅻ\u0301 \t+^(.-"
+    short = ("".join(chars) for n in (1, 2, 3) for chars in itertools.product(alphabet, repeat=n))
+    for name in itertools.chain(identifiers, others, short):
+        try:
+            Chart((name,))
+            admitted = True
+        except InputError as err:
+            assert str(err) == f"bad coordinate name {name!r}"
+            admitted = False
+        assert admitted is _reads_as_itself(name), repr(name)
 
 
 def test_degree_must_be_an_int():

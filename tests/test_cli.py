@@ -245,6 +245,13 @@ class TestExitCodes:
         assert code == 2
         assert "bivector" in out
 
+    @pytest.mark.parametrize("name", ["a+b", "x y", "x1 ", "2x"])
+    def test_coordinate_no_text_can_name_is_two(self, capsys, write_doc, name):
+        doc = {"chart": {"coordinates": ["x1", name]}, "bivector": {"1,2": "x1"}}
+        code, out = run_cli(capsys, ["check-poisson", "--input", write_doc(doc), "--json"])
+        assert code == 2
+        assert json.loads(out)["residuals"] == {"error": f"bad coordinate name {name!r}"}
+
     def test_precondition_failure_is_one(self, capsys, write_doc):
         # not Poisson, so the hierarchy hypothesis fails: exit 1, not 2
         doc = {
@@ -466,6 +473,20 @@ class TestAlgebroidCommands:
         code, out = run_cli(capsys, ["algebroid", "compat", "--input", path])
         assert code == 1
         assert "mixed_jacobi" in out
+
+    def test_compat_refuses_an_invalid_half(self, capsys, write_doc):
+        # rho(e1) = d/dx1, rho(e2) = x1 d/dx1 and an abelian table: the
+        # anchor is not a bracket morphism
+        broken = {"rank": 2, "basis": ["e1", "e2"], "anchor": [["1"], ["x1"]], "structure": {}}
+        fixed = dict(broken, structure={"1,2": ["1", "0"]})
+        path = write_doc(
+            {"chart": {"coordinates": ["x1"]}, "algebroid_pair": {"first": fixed, "second": broken}}
+        )
+        code, out = run_cli(capsys, ["algebroid", "compat", "--input", path, "--json"])
+        assert code == 1
+        residuals = json.loads(out)["residuals"]
+        assert residuals["precondition"].startswith("second algebroid fails its own axioms")
+        assert list(residuals) == ["anchor(1,2)", "precondition"]
 
     def test_bialgebroid_corrupted_table(self, capsys, write_doc):
         path = write_doc(
