@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import InputError, InternalError, PreconditionError
-from .polyalg import Polynomial, Rational
+from .polyalg import Polynomial, Rational, is_identifier
 from . import cartan
 from .cartan import Chart, MultiVector
 from . import poisson_nijenhuis as pn
@@ -56,6 +56,10 @@ class AlgebroidData:
             raise InputError("expected %d basis names, got %d" % (rank, len(basis)))
         if len(set(basis)) != rank:
             raise InputError("basis names must be distinct")
+        for name in basis:
+            # the dual chart names its fiber coordinates xi_<name>
+            if not is_identifier(name):
+                raise InputError("bad basis name %r: not an identifier" % (name,))
         cols = []
         anchor = tuple(anchor)
         if len(anchor) != rank:
@@ -174,11 +178,7 @@ def rho_function(algebroid, section, func):
         raise InputError("anchor application needs a degree-1 section")
     func = algebroid.base.coerce(func)
     out = algebroid.base.zero()
-    partials = []
-    for a, name in enumerate(algebroid.base.coords):
-        derivative = func.partial(name)
-        if not derivative.is_zero():
-            partials.append((a, derivative))
+    partials = func.gradient()
     for (i,), coeff in section.components.items():
         column = algebroid.anchor[i]
         for a, derivative in partials:
@@ -293,11 +293,9 @@ def algebroid_differential(algebroid, omega):
     """
     if omega.algebroid != algebroid:
         raise InputError("section does not belong to this algebroid")
-    coords = algebroid.base.coords
     terms = []
     for key, poly in omega.components.items():
-        partials = [(a, poly.partial(name)) for a, name in enumerate(coords)]
-        partials = [(a, d) for a, d in partials if not d.is_zero()]
+        partials = poly.gradient()
         for i, column in enumerate(algebroid.anchor):
             if i not in key:
                 terms.extend(
@@ -445,20 +443,17 @@ def algebroid_pencil(first, second, weight):
     if first.basis != second.basis:
         raise InputError("algebroids must share basis names")
     lam = weight if isinstance(weight, Rational) else Rational(weight)
-    cols = []
-    for i in range(first.rank):
-        cols.append(
-            tuple(
-                first.anchor[i][a] + second.anchor[i][a] * lam
-                for a in range(first.base.dim)
-            )
-        )
+
+    def plus(p, q):
+        # p + lam * q, forming no product by a zero q or by lam == 1
+        if q.is_zero():
+            return p
+        return p + (q if lam == 1 else q * lam)
+
+    cols = [tuple(map(plus, col1, col2)) for col1, col2 in zip(first.anchor, second.anchor)]
     table = {}
     for key in set(first.structure) | set(second.structure):
-        i, j = key
-        row1 = first.c(i, j)
-        row2 = second.c(i, j)
-        table[key] = tuple(row1[k] + row2[k] * lam for k in range(first.rank))
+        table[key] = tuple(map(plus, first.c(*key), second.c(*key)))
     return AlgebroidData(first.base, first.rank, first.basis, cols, table)
 
 
@@ -756,9 +751,9 @@ def pn_bialgebroid_check(pi, tensor, hierarchy_orders=2):
             entry = tensor.entries[a][b]
             entries[a][b] = entries[n + a][n + b] = entry.embed(big.coords)
             ramp = big.zero()
-            for k, name in enumerate(chart.coords):
+            for k, derivative in entry.gradient():
                 fiber = Polynomial.variable(big.coords, fiber_names[k])
-                ramp = ramp + fiber * entry.partial(name).embed(big.coords)
+                ramp = ramp + fiber * derivative.embed(big.coords)
             entries[n + a][b] = ramp
     lifted_tensor = pn.TensorOneOne(big, entries)
     lift_pair = pn.is_pn_pair(lift, lifted_tensor)

@@ -38,6 +38,15 @@ pairs with indices in range and polynomials over the base, which
 private ``_Graded._trusted``, which stores the given dict unchecked. Nothing
 mutates ``components`` after construction.
 
+The derivative loops (:func:`exterior_d`, :func:`_apply_vf`,
+:func:`lie_derivative` and the slot partials of :func:`_lie_multivector`)
+read ``Polynomial.gradient``: one pass over a polynomial's terms gives its
+partials in the variables it has, so no loop runs over every chart
+coordinate to differentiate by variables that do not occur.
+:func:`schouten_direct` keeps ``Polynomial.partial`` on purpose, one
+coordinate at a time, so the two sides of the Schouten cross-check also
+differentiate through different kernels.
+
 The Schouten bracket ships twice on purpose. :func:`schouten` recurses on
 wedge decompositions through the graded Leibniz rule, while
 :func:`schouten_direct` expands an explicit index-summation formula. The two
@@ -381,10 +390,8 @@ def exterior_d(omega):
     chart = omega.chart
     entries = []
     for key, poly in omega.components.items():
-        for a, name in enumerate(chart.coords):
-            dpoly = poly.partial(name)
-            if not dpoly.is_zero():
-                entries.append(((a,) + key, dpoly))
+        for a, dpoly in poly.gradient():
+            entries.append(((a,) + key, dpoly))
     return DiffForm._trusted(chart, omega.degree + 1, _collect(entries))
 
 
@@ -413,11 +420,11 @@ def interior(X, omega):
 
 def _apply_vf(X, poly):
     """Directional derivative of a polynomial along a vector field."""
-    coords = X.chart.coords
     out = X.chart.zero()
+    grad = dict(poly.gradient())
     for (a,), xc in X.components.items():
-        dpoly = poly.partial(coords[a])
-        if not dpoly.is_zero():
+        dpoly = grad.get(a)
+        if dpoly is not None:
             out = out + xc * dpoly
     return out
 
@@ -434,21 +441,19 @@ def lie_derivative(X, omega):
         raise InputError("lie_derivative acts on differential forms")
     if omega.chart != X.chart:
         raise InputError("chart mismatch")
-    chart = omega.chart
+    grads = {}  # k -> the gradient of X^k, formed once per call
     entries = []
     for key, poly in omega.components.items():
         entries.append((key, _apply_vf(X, poly)))
-        for pos in range(len(key)):
-            # d(X^{key[pos]}) substituted into slot pos
-            comp = X.components.get((key[pos],))
-            if comp is None:
-                continue
-            for a, name in enumerate(chart.coords):
-                dcomp = comp.partial(name)
-                if dcomp.is_zero():
-                    continue
+        for pos, k in enumerate(key):
+            # d(X^k) substituted into slot pos
+            grad = grads.get(k)
+            if grad is None:
+                comp = X.components.get((k,))
+                grad = grads[k] = comp.gradient() if comp is not None else ()
+            for a, dcomp in grad:
                 entries.append((key[:pos] + (a,) + key[pos + 1 :], poly * dcomp))
-    return DiffForm._trusted(chart, omega.degree, _collect(entries))
+    return DiffForm._trusted(omega.chart, omega.degree, _collect(entries))
 
 
 def _live_slots(key, avoid):
@@ -472,10 +477,12 @@ def _lie_multivector(X, Q, avoid=frozenset()):
     component a when the new key, K with a in place of j, has distinct
     indices (a == j or a not in K) and avoids ``avoid``. :func:`_leibniz`
     passes the peeled tail as ``avoid``; the result is [X, Q] with the
-    components whose key meets it left out. The partials d_j X^a are
-    formed once per call for each slot index j that a product reads.
+    components whose key meets it left out. Each component X^a is
+    differentiated once per call, by one ``gradient``, when the first slot
+    product is read; the list of partials d_j X^a is then formed once for
+    each slot index j that a product reads.
     """
-    chart = X.chart
+    grads = None  # [(a, {j: d_j X^a})], formed on the first slot read
     slot_partials = {}  # j -> [(a, -d_j X^a)], nonzero entries only
     entries = []
     for key, poly in Q.components.items():
@@ -486,16 +493,17 @@ def _lie_multivector(X, Q, avoid=frozenset()):
             j = key[pos]
             partials = slot_partials.get(j)
             if partials is None:
-                name = chart.coords[j]
+                if grads is None:
+                    grads = [
+                        (a, dict(xc.gradient())) for (a,), xc in X.components.items()
+                    ]
                 partials = slot_partials[j] = [
-                    (a, -d)
-                    for (a,), xc in X.components.items()
-                    if not (d := xc.partial(name)).is_zero()
+                    (a, -grad[j]) for a, grad in grads if j in grad
                 ]
             for a, dxc in partials:
                 if (a == j or a not in key) and a not in avoid:
                     entries.append((key[:pos] + (a,) + key[pos + 1 :], poly * dxc))
-    return MultiVector._trusted(chart, Q.degree, _collect(entries))
+    return MultiVector._trusted(X.chart, Q.degree, _collect(entries))
 
 
 def vf_bracket(X, Y):

@@ -326,9 +326,9 @@ def first_jet_algebroid(pair):
         row[i] = row[i] - ej
         row.append(pair.pi.component((i, j)))
     for i in range(n):
-        ei = pair.e.component((i,))
-        row = [-ei.partial(chart.coords[m]) for m in range(n)]
-        row.append(chart.zero())
+        row = [chart.zero()] * (n + 1)
+        for m, derivative in pair.e.component((i,)).gradient():
+            row[m] = -derivative
         table[(i, n)] = tuple(row)
     basis = tuple("d" + c for c in chart.coords) + ("one",)
     jet = AlgebroidData(chart, n + 1, basis, cols, table)

@@ -9,8 +9,9 @@ failure is a checkable witness rather than a bare boolean.
 
 The torsion and the concomitant on coordinate pairs are assembled from
 tables formed once per call, not from one evaluation of the definition per
-pair. ``nijenhuis_torsion`` reads the columns N d_a off N once and uses
-[d_i, d_j] = 0 and [N d_i, d_j] = -d_j(N d_i). ``concomitant_map`` forms
+pair. ``nijenhuis_torsion`` reads the columns N d_a off N once, takes one
+gradient of each of their entries, and uses [d_i, d_j] = 0 and
+[N d_i, d_j] = -d_j(N d_i). ``concomitant_map`` forms
 each basis bracket [dx_i, dx_j]_pi and [dx_i, dx_j]_{Npi} once through
 ``koszul_bracket``, read as a module global at call time so a patch of it
 reaches every caller, and expands the brackets of N*dx_i by the Koszul
@@ -18,6 +19,18 @@ Leibniz rule [f alpha, beta]_pi = f[alpha,beta]_pi - (pisharp beta)(f) alpha,
 which holds for any bivector. ``torsion_apply`` and ``magri_morosi`` keep
 the definitions on general fields and forms, one pair per call; the tests
 hold the two maps to them.
+
+``koszul_bracket`` is computed in Cartan form,
+
+    [alpha, beta]_pi = i_{pisharp alpha} d beta - i_{pisharp beta} d alpha
+                       + d(pi(alpha, beta)),
+
+which is the definition L_{pisharp alpha} beta - L_{pisharp beta} alpha -
+d(pi(alpha, beta)) for any bivector: apply L_X = i_X d + d i_X to both Lie
+derivatives and use i_{pisharp alpha} beta = pi(alpha, beta) =
+-i_{pisharp beta} alpha. A closed form adds no contraction, so on
+coordinate forms the bracket is d(pi^{ij}) and forms no product beyond
+pi(dx_i, dx_j). The tests hold it to the Lie-derivative definition.
 
 Sign conventions, fixed once and reused by every downstream module:
 pisharp(alpha) = pi(alpha, .), normalized so pi = d_1^d_2 sends dx1 to +d_2;
@@ -55,7 +68,6 @@ from .cartan import (
     coordinate_form,
     exterior_d,
     interior,
-    lie_derivative,
     schouten,
 )
 from .errors import InputError, InternalError, PreconditionError
@@ -222,13 +234,17 @@ def sharp_matrix(pi):
     return tuple(map(tuple, rows))
 
 
-def sharp(pi, alpha):
-    """pisharp(alpha) = pi(alpha, .) as a vector field."""
+def _check_one_form(pi, alpha):
     _check_bivector(pi)
     if not (isinstance(alpha, DiffForm) and alpha.degree == 1):
-        raise InputError("sharp needs a 1-form")
+        raise InputError("expected a 1-form")
     if alpha.chart != pi.chart:
         raise InputError("chart mismatch")
+
+
+def sharp(pi, alpha):
+    """pisharp(alpha) = pi(alpha, .) as a vector field."""
+    _check_one_form(pi, alpha)
     # Component b is sum_a alpha_a pi^{ab}; each stored pi^{ab} (a < b) adds
     # alpha_a pi^{ab} to component b and alpha_b pi^{ba} = -alpha_b pi^{ab}
     # to component a.
@@ -314,17 +330,31 @@ def is_poisson(pi):
 
 
 def koszul_bracket(pi, alpha, beta):
-    """Bracket of 1-forms induced by a bivector:
+    """Bracket of 1-forms induced by a bivector, in Cartan form:
 
-    [alpha, beta]_pi = L_{pisharp(alpha)} beta - L_{pisharp(beta)} alpha
-                       - d(pi(alpha, beta))
+    [alpha, beta]_pi = i_{pisharp(alpha)} d beta - i_{pisharp(beta)} d alpha
+                       + d(pi(alpha, beta)).
+
+    This is the definition L_{pisharp(alpha)} beta - L_{pisharp(beta)} alpha
+    - d(pi(alpha, beta)) for any bivector, Poisson or not: Cartan's formula
+    L_X = i_X d + d i_X and i_{pisharp(alpha)} beta = pi(alpha, beta) =
+    -i_{pisharp(beta)} alpha turn the two Lie derivatives into the two
+    contractions plus 2 d(pi(alpha, beta)). A closed form contributes no
+    contraction, so d(pi(alpha, beta)) is all that is formed for two
+    coordinate forms.
     """
-    _check_bivector(pi)
-    return (
-        lie_derivative(sharp(pi, alpha), beta)
-        - lie_derivative(sharp(pi, beta), alpha)
-        - exterior_d(DiffForm.from_function(pi.chart, bivector_eval(pi, alpha, beta)))
-    )
+    _check_one_form(pi, alpha)
+    _check_one_form(pi, beta)
+    # d(pi(alpha, beta)), read off the gradient of pi(alpha, beta)
+    pairing = bivector_eval(pi, alpha, beta)
+    out = DiffForm._trusted(pi.chart, 1, {(a,): d for a, d in pairing.gradient()})
+    d_beta = exterior_d(beta)
+    if not d_beta.is_zero():
+        out = out + interior(sharp(pi, alpha), d_beta)
+    d_alpha = exterior_d(alpha)
+    if not d_alpha.is_zero():
+        out = out - interior(sharp(pi, beta), d_alpha)
+    return out
 
 
 def torsion_apply(N, X, Y):
@@ -350,20 +380,27 @@ def nijenhuis_torsion(N):
 
         tau_N(d_i, d_j) = [N d_i, N d_j] - N(d_i(N d_j) - d_j(N d_i)),
 
-    and each partial d_b(N d_a), a != b, is formed once, for the one pair
-    that reads it.
+    and the partials d_b(N d_a) are read off one gradient of each entry
+    of N d_a, formed once per call.
     """
     chart = N.chart
-    coords, n = chart.coords, chart.dim
+    n = chart.dim
     images = [N.apply(cartan.coordinate_vector(chart, a)) for a in range(n)]
+    # grads[a] = [(r, {b: d_b (N d_a)^r})], over the stored entries of N d_a
+    grads = [
+        [(r, dict(entry.gradient())) for (r,), entry in image.components.items()]
+        for image in images
+    ]
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
             defect = {}
-            for (r,), entry in images[j].components.items():
-                _accumulate(defect, (r,), entry.partial(coords[i]))
-            for (r,), entry in images[i].components.items():
-                _accumulate(defect, (r,), -entry.partial(coords[j]))
+            for r, grad in grads[j]:
+                if i in grad:
+                    _accumulate(defect, (r,), grad[i])
+            for r, grad in grads[i]:
+                if j in grad:
+                    _accumulate(defect, (r,), -grad[j])
             out[(i, j)] = cartan.vf_bracket(images[i], images[j]) - N.apply(
                 MultiVector._trusted(chart, 1, defect)
             )

@@ -21,18 +21,19 @@ polynomial has denominator 1. The denominator is then the least common
 denominator of the coefficients, so each polynomial has exactly one such
 form. ``Polynomial(...)`` is the validating entry point for outside input
 and brings any accepted input into this form. The arithmetic (``+``, ``-``,
-``*``, ``**``, ``partial``, ``embed``, ``substitute``) builds its results
-with the private ``Polynomial._trusted``, which stores the given numerators
-and denominator as they are. Nothing mutates a numerator dict after
-construction.
+``*``, ``**``, ``partial``, ``gradient``, ``embed``, ``substitute``) builds
+its results with the private ``Polynomial._trusted``, which stores the given
+numerators and denominator as they are. Nothing mutates a numerator dict
+after construction.
 
 The kernels run on ``int`` only. ``+`` adds numerators directly when the
 denominators agree and rescales both operands to the ``lcm`` when they
 differ; ``*`` sums the products of numerators per exponent vector over the
 product of the denominators; ``-``, ``partial`` and ``embed`` keep the
-denominator; ``**`` squares repeatedly. ``substitute`` forms each image
-power once per call and adds every term's numerator times its product of
-powers into one numerator map over a running common denominator. A result
+denominator; ``gradient`` makes one pass over the terms for every partial
+that does not vanish; ``**`` squares repeatedly. ``substitute`` forms each
+image power once per call and adds every term's numerator times its product
+of powers into one numerator map over a running common denominator. A result
 whose denominator is not 1 is divided by the gcd of its denominator and
 numerators, which restores the canonical form. ``Fraction`` appears only at
 the boundary: the validating constructor, ``constant_value``, printing, and
@@ -468,6 +469,27 @@ class Polynomial:
             if e:
                 nums[exps[:i] + (e - 1,) + exps[i + 1 :]] = n * e
         return _reduced(self.variables, nums, self._den)
+
+    def gradient(self):
+        """The nonzero partials ``[(i, d self/d v_i)]``, ``i`` increasing, in one pass.
+
+        Only the variables that occur get an entry. Each term lowers its
+        nonzero exponents in place on one list, one slot at a time; as in
+        :meth:`partial`, no two terms collide within one variable.
+        """
+        parts = {}
+        for exps, n in self._nums.items():
+            lowered = list(exps)
+            for i, e in enumerate(exps):
+                if e:
+                    lowered[i] = e - 1
+                    nums = parts.get(i)
+                    if nums is None:
+                        nums = parts[i] = {}
+                    nums[tuple(lowered)] = n * e
+                    lowered[i] = e
+        variables, den = self.variables, self._den
+        return [(i, _reduced(variables, parts[i], den)) for i in sorted(parts)]
 
     def embed(self, variables, renames=None):
         """The same polynomial over another ring, moved by variable name.

@@ -62,6 +62,14 @@ def test_construction_guards():
         AlgebroidData(R2, 2, ("e1", "e2"), ((1,), (0,)), {})
 
 
+@pytest.mark.parametrize("name", ["e 1", "e+2", "1e", "", "xi-1", 3, None])
+def test_basis_names_must_be_identifiers(name):
+    # build_dual_chart turns each basis name into the coordinate xi_<name>
+    with pytest.raises(InputError, match="bad basis name"):
+        AlgebroidData(POINT, 2, ("e1", name), ((), ()), {})
+    assert AlgebroidData(POINT, 2, ("e1", "_e2"), ((), ()), {}).basis == ("e1", "_e2")
+
+
 @pytest.mark.parametrize("rank, names", [(True, 1), (2.7, 2), ("3", 3), (2.0, 2)])
 def test_rank_must_be_an_int(rank, names):
     basis = ("e1", "e2", "e3")[:names]

@@ -461,6 +461,17 @@ class TestAlgebroidCommands:
         assert code == 0
         assert "xi_f1" in out
 
+    @pytest.mark.parametrize("command", ["validate", "dual-poisson"])
+    def test_basis_names_must_be_identifiers(self, capsys, write_doc, command):
+        # the dual chart would name a fiber coordinate "xi_e 1"
+        block = dict(SO3_LIE, basis=["e 1", "e+2", "f3"])
+        path = write_doc({"chart": {"coordinates": []}, "algebroid": block})
+        code, out = run_cli(capsys, ["algebroid", command, "--input", path, "--json"])
+        assert code == 2
+        report = json.loads(out)
+        assert report["verdict"] == "error"
+        assert report["residuals"]["error"] == "bad basis name 'e 1': not an identifier"
+
     def test_compat_verdicts(self, capsys, write_doc):
         path = write_doc(
             {"chart": {"coordinates": []}, "algebroid_pair": {"first": SO3_LIE, "second": SO3_LIE}}

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pncalc import cartan
@@ -12,6 +14,7 @@ from pncalc.cartan import (
     coordinate_form,
     coordinate_vector,
     exterior_d,
+    lie_derivative,
     schouten,
     schouten_direct,
     vf_bracket,
@@ -158,6 +161,63 @@ def test_koszul_antisymmetry_and_exact_form_identity():
         assert koszul_bracket(pi, df, dg) == exterior_d(
             DiffForm.from_function(R3, fg)
         )
+
+
+_SMALL_COEFFS = tuple(Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 3))
+
+
+def _chart_polys(chart, min_size=0):
+    # an exponent vector with entries 0..2 is drawn as one base-3 number
+    n = chart.dim
+    term = st.tuples(st.integers(0, 3**n - 1), st.sampled_from(_SMALL_COEFFS))
+    return st.lists(term, min_size=min_size, max_size=2).map(
+        lambda terms: Polynomial(
+            chart.coords, {tuple(code // 3**i % 3 for i in range(n)): c for code, c in terms}
+        )
+    )
+
+
+@st.composite
+def _koszul_cases(draw):
+    """A bivector and two 1-forms on R^2..R^4, the forms not closed and, from
+    R^3 on, where a bivector can fail to be Poisson, the bivector not Poisson."""
+    chart = draw(st.sampled_from((R2, R3, R4)))
+    n = chart.dim
+    polys = _chart_polys(chart)
+    x2_dx1 = DiffForm(chart, 1, {(0,): chart.var("x2")})  # d(x2 dx1) = -dx1^dx2
+    forms = []
+    for _ in range(2):
+        alpha = DiffForm(chart, 1, {(a,): draw(polys) for a in range(n)})
+        forms.append(alpha + x2_dx1 if exterior_d(alpha).is_zero() else alpha)
+    pi_polys = _chart_polys(chart, min_size=1)
+    pi = MultiVector(chart, 2, {key: draw(pi_polys) for key in combinations(range(n), 2)})
+    if n > 2:
+        assume(not is_poisson(pi).ok)
+    return pi, forms[0], forms[1]
+
+
+@given(_koszul_cases())
+@settings(max_examples=50, deadline=None)
+def test_koszul_matches_the_lie_derivative_definition(case):
+    # the definition, written out: L_{pisharp a} b - L_{pisharp b} a - d(pi(a, b))
+    pi, a, b = case
+    want = (
+        lie_derivative(sharp(pi, a), b)
+        - lie_derivative(sharp(pi, b), a)
+        - exterior_d(DiffForm.from_function(pi.chart, bivector_eval(pi, a, b)))
+    )
+    assert koszul_bracket(pi, a, b) == want
+
+
+def test_koszul_refuses_forms_that_are_not_one_forms():
+    pi, closed = so3_bivector(), coordinate_form(R3, 0)
+    two_form = DiffForm(R3, 2, {(0, 1): 1})  # closed, so no contraction reads it
+    with pytest.raises(InputError):
+        koszul_bracket(pi, closed, two_form)
+    with pytest.raises(InputError):
+        koszul_bracket(pi, two_form, closed)
+    with pytest.raises(InputError):
+        koszul_bracket(pi, closed, coordinate_form(R2, 0))
 
 
 def test_koszul_jacobi_for_poisson():
@@ -681,9 +741,28 @@ def test_is_pn_pair_multiplies_few_zero_operands(monkeypatch):
     # residual and N pi, where five products were formed before. The torsion
     # and the concomitant are assembled from per-call tables (N d_a, the basis
     # Koszul brackets, the anchor derivatives of N), where a pair-by-pair
-    # evaluation of their definitions formed 234 products in all.
+    # evaluation of their definitions formed 234 products in all. The basis
+    # Koszul brackets are taken in Cartan form: coordinate forms are closed,
+    # so [dx_i, dx_j] is d(pi(dx_i, dx_j)) and forms no sharp and no Lie
+    # derivative, where the Lie-derivative form took 105 products in all.
     assert counts["zero"] == 0
-    assert counts["calls"] == 105
+    assert counts["calls"] == 39
+
+
+def test_is_pn_pair_differentiates_through_gradients_only(monkeypatch):
+    # every derivative loop of the four residual families reads one gradient
+    # per polynomial; none differentiates coordinate by coordinate
+    pi, N = _darboux_nijenhuis_dim6()
+    calls = []
+    original = Polynomial.partial
+
+    def counting(self, name):
+        calls.append(name)
+        return original(self, name)
+
+    monkeypatch.setattr(Polynomial, "partial", counting)
+    assert is_pn_pair(pi, N).ok
+    assert calls == []
 
 
 def test_is_pn_pair_forms_one_product(monkeypatch):

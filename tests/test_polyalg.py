@@ -557,6 +557,40 @@ def test_partial_matches_fraction_loop_across_denominators(case):
         assert_canonical(got)
 
 
+# Rings up to 16 variables; a term names at most three of them, so most
+# partials of a polynomial in a wide ring vanish.
+WIDE_RINGS = tuple(tuple(f"w{i}" for i in range(width)) for width in (0, 1, 3, 16))
+
+
+def sparse_terms(ring):
+    width = len(ring)
+    slots = st.dictionaries(st.integers(0, width - 1), st.integers(1, 3), max_size=3)
+    exps = (slots if width else st.just({})).map(
+        lambda slots: tuple(slots.get(i, 0) for i in range(width))
+    )
+    numerators = st.sampled_from((-7, -3, -2, -1, 1, 2, 5))
+    return st.sampled_from(DENOMINATORS).flatmap(
+        lambda den: st.lists(st.tuples(exps, numerators), max_size=4).map(
+            lambda terms: {e: Fraction(n, den) for e, n in terms}
+        )
+    )
+
+
+@given(st.sampled_from(WIDE_RINGS).flatmap(lambda ring: st.tuples(st.just(ring), sparse_terms(ring))))
+@example((WIDE_RINGS[3], {}))
+@example((WIDE_RINGS[3], {(0,) * 16: Fraction(5, 6)}))
+@example((WIDE_RINGS[2], {(3, 1, 0): Fraction(1, 2), (0, 2, 2): Fraction(-3, 4)}))
+@settings(max_examples=80, deadline=None)
+def test_gradient_matches_the_nonzero_partials(case):
+    ring, terms = case
+    p = Polynomial(ring, terms)
+    want = [(i, p.partial(name)) for i, name in enumerate(ring)]
+    got = p.gradient()
+    assert got == [(i, d) for i, d in want if not d.is_zero()]
+    for _, d in got:
+        assert_canonical(d)
+
+
 MERGES = (
     (PAIR, {}),
     (("x1", "x2"), {"y_x1": "x1", "y_x2": "x2"}),
