@@ -13,6 +13,13 @@ product (``cartan.wedge``) and the Leibniz recursion of the Gerstenhaber
 bracket are the ones multivectors on a chart use; only the degree-1 step,
 :func:`_section_lie`, reads the structure table and the anchor.
 
+The section bracket, the anchor action and the differential hand their
+products to ``polyalg._sum_of_products`` as factor pairs, one call per
+component, as ``cartan._collect`` does. The anchored field rho(X) of a
+section is formed once per call, only in the components a derivative
+reads, and no product by a factor 1 is formed: on the identity anchors of
+TM and TM x R, a unit section reads its anchor column as it stands.
+
 Two structures on one frame are compatible when their sum
 (:func:`algebroid_sum`) is again an algebroid. :func:`compat_check` requires
 each half valid and then reads three independent certificates of that one
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import InputError, InternalError, PreconditionError
-from .polyalg import Polynomial, Rational, is_identifier
+from .polyalg import Polynomial, Rational, _sum_of_products, is_identifier
 from . import cartan
 from .cartan import Chart, MultiVector
 from . import poisson_nijenhuis as pn
@@ -172,31 +179,60 @@ def _view(algebroid, section):
     return AlgebroidSection._trusted(algebroid, section.degree, section.components)
 
 
-def rho_function(algebroid, section, func):
-    """Apply the anchored vector field of a degree-1 section to a function."""
+def _factor(sign, a, b):
+    """The kernel entry ``(sign, a, b)``, with a factor that is the constant 1 left out."""
+    if b.is_one():
+        return sign, a, None
+    if a.is_one():
+        return sign, b, None
+    return sign, a, b
+
+
+def _anchor_reader(algebroid, section):
+    """``a -> rho(X)^a`` for a degree-1 section X, each formed on its first read.
+
+    rho(X)^a = sum_i X^i anchor[i][a]. A section with one component whose
+    coefficient is 1, such as a unit section, reads its anchor column and
+    forms no product, and an anchor entry 1 adds X^i without a product.
+    """
     if section.degree != 1:
         raise InputError("anchor application needs a degree-1 section")
-    func = algebroid.base.coerce(func)
-    out = algebroid.base.zero()
-    partials = func.gradient()
-    for (i,), coeff in section.components.items():
-        column = algebroid.anchor[i]
-        for a, derivative in partials:
-            if not column[a].is_zero():
-                out = out + coeff * column[a] * derivative
-    return out
+    anchor, comps = algebroid.anchor, section.components
+    if len(comps) == 1:
+        ((i,), coeff), = comps.items()
+        if coeff.is_one():
+            return anchor[i].__getitem__
+    coords, formed = algebroid.base.coords, {}
+
+    def read(a):
+        poly = formed.get(a)
+        if poly is None:
+            poly = formed[a] = _sum_of_products(
+                coords, [_factor(1, coeff, anchor[i][a]) for (i,), coeff in comps.items()]
+            )
+        return poly
+
+    return read
+
+
+def _anchored(rho, func, sign):
+    """sign * rho(X)(func) as kernel entries, for ``rho`` an :func:`_anchor_reader`."""
+    return [(sign, r, d) for a, d in func.gradient() if not (r := rho(a)).is_zero()]
+
+
+def rho_function(algebroid, section, func):
+    """Apply the anchored vector field of a degree-1 section to a function."""
+    rho = _anchor_reader(algebroid, section)
+    base = algebroid.base
+    return _sum_of_products(base.coords, _anchored(rho, base.coerce(func), 1))
 
 
 def anchor_field_of(algebroid, section):
     """rho applied to a degree-1 section, as a vector field on the base."""
-    if section.degree != 1:
-        raise InputError("anchor application needs a degree-1 section")
-    comps = [algebroid.base.zero() for _ in range(algebroid.base.dim)]
-    for (i,), coeff in section.components.items():
-        for a, entry in enumerate(algebroid.anchor[i]):
-            if not entry.is_zero():
-                comps[a] = comps[a] + coeff * entry
-    return cartan.vector_field(algebroid.base, comps)
+    rho = _anchor_reader(algebroid, section)
+    base = algebroid.base
+    comps = {(a,): poly for a in range(base.dim) if not (poly := rho(a)).is_zero()}
+    return MultiVector._trusted(base, 1, comps)
 
 
 def section_bracket(algebroid, left, right):
@@ -205,25 +241,37 @@ def section_bracket(algebroid, left, right):
     if left.degree != 1 or right.degree != 1:
         raise InputError("section_bracket needs degree-1 sections")
     rank, table = algebroid.rank, algebroid.structure
-    zero = algebroid.base.zero()
-    comps = [zero for _ in range(rank)]
+    terms = [[] for _ in range(rank)]  # kernel entries per component k
     for (i,), xc in left.components.items():
         for (j,), yc in right.components.items():
             # the table stores [e_i, e_j] for i < j only; c(j, i) = -c(i, j)
             row = table.get((i, j) if i < j else (j, i))
             if row is None:
                 continue
-            prod = xc * yc if i < j else -(xc * yc)
-            for k in range(rank):
-                if not row[k].is_zero():
-                    comps[k] = comps[k] + prod * row[k]
-    for (k,), yc in right.components.items():
-        comps[k] = comps[k] + rho_function(algebroid, left, yc)
-    for (k,), xc in left.components.items():
-        comps[k] = comps[k] - rho_function(algebroid, right, xc)
-    return AlgebroidSection._trusted(
-        algebroid, 1, {(k,): comps[k] for k in range(rank) if not comps[k].is_zero()}
-    )
+            sign = 1 if i < j else -1
+            # xc * yc, with no product by a factor 1, and None when it is 1
+            xy = yc if xc.is_one() else xc if yc.is_one() else xc * yc
+            if xy.is_one():
+                xy = None
+            for k, entry in enumerate(row):
+                if not entry.is_zero():
+                    terms[k].append((sign, entry, xy))
+    if right.components:
+        rho = _anchor_reader(algebroid, left)
+        for (k,), yc in right.components.items():
+            terms[k] += _anchored(rho, yc, 1)
+    if left.components:
+        rho = _anchor_reader(algebroid, right)
+        for (k,), xc in left.components.items():
+            terms[k] += _anchored(rho, xc, -1)
+    coords = algebroid.base.coords
+    comps = {}
+    for k, entries in enumerate(terms):
+        if entries:
+            poly = _sum_of_products(coords, entries)
+            if not poly.is_zero():
+                comps[(k,)] = poly
+    return AlgebroidSection._trusted(algebroid, 1, comps)
 
 
 @dataclass
@@ -299,13 +347,15 @@ def algebroid_differential(algebroid, omega):
         for i, column in enumerate(algebroid.anchor):
             if i not in key:
                 terms.extend(
-                    ((i,) + key, column[a] * d) for a, d in partials if not column[a].is_zero()
+                    ((i,) + key, *_factor(1, column[a], d))
+                    for a, d in partials
+                    if not column[a].is_zero()
                 )
         for p, t in enumerate(key):
             for (i, j), row in algebroid.structure.items():
                 if not row[t].is_zero():
-                    term = row[t] * poly
-                    terms.append((key[:p] + (i, j) + key[p + 1:], term if p % 2 else -term))
+                    sign = 1 if p % 2 else -1
+                    terms.append((key[:p] + (i, j) + key[p + 1:], *_factor(sign, row[t], poly)))
     return AlgebroidSection._trusted(algebroid, omega.degree + 1, cartan._collect(terms))
 
 
@@ -320,12 +370,13 @@ def _section_lie(vector, other, avoid=frozenset()):
     slot index j that a product reads.
     """
     algebroid = vector.algebroid
+    rho = _anchor_reader(algebroid, vector)
     slot_brackets = {}
     terms = []
     for key, poly in other.components.items():
         whole, slots = cartan._live_slots(key, avoid)
         if whole:
-            terms.append((key, rho_function(algebroid, vector, poly)))
+            terms += [(key, *entry) for entry in _anchored(rho, poly, 1)]
         for pos in slots:
             j = key[pos]
             repl = slot_brackets.get(j)
@@ -335,7 +386,7 @@ def _section_lie(vector, other, avoid=frozenset()):
                 )
             for (a,), coeff in repl.components.items():
                 if (a == j or a not in key) and a not in avoid:
-                    terms.append((key[:pos] + (a,) + key[pos + 1:], poly * coeff))
+                    terms.append((key[:pos] + (a,) + key[pos + 1:], 1, poly, coeff))
     return AlgebroidSection._trusted(algebroid, other.degree, cartan._collect(terms))
 
 

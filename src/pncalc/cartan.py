@@ -29,14 +29,18 @@ the frame's type, the degree, every index and every coefficient, and bring
 the entries into canonical form (increasing index tuples of length
 ``degree`` mapped to nonzero polynomials over ``frame.base``) through
 :func:`_normalize`. Which build unchecked: results pncalc computes itself
-from canonical operands of one frame. ``+``, ``-``, scalar ``*`` and
-:func:`wedge` produce canonical dicts directly; :func:`exterior_d`,
+from canonical operands of one frame. ``+``, ``-`` and scalar ``*``
+produce canonical dicts directly; :func:`wedge`, :func:`exterior_d`,
 :func:`interior`, :func:`lie_derivative`, :func:`_lie_multivector`,
-:func:`_leibniz` and :func:`_odd_partial` produce (index tuple, polynomial)
-pairs with indices in range and polynomials over the base, which
-:func:`_collect` sorts, signs and sums. Both wrap their dicts with the
-private ``_Graded._trusted``, which stores the given dict unchecked. Nothing
-mutates ``components`` after construction.
+:func:`_leibniz` and :func:`_odd_partial` produce factor entries
+``(index tuple, sign, a, b)``, standing for sign * a * b (``b`` None reads
+as 1), with indices in range and polynomials over the base. :func:`_collect`
+sorts and signs the index tuples and sums each key's entries in one call of
+the fused kernel ``polyalg._sum_of_products``, so no product is formed
+outside the sum it belongs to. Both wrap their dicts with the private
+``_Graded._trusted``, which stores the given dict unchecked. Nothing
+mutates ``components`` after construction. :func:`_apply_vf` gives X(f) as
+factor pairs (X^a, d f/d x_a) for its callers to sign and key.
 
 The derivative loops (:func:`exterior_d`, :func:`_apply_vf`,
 :func:`lie_derivative` and the slot partials of :func:`_lie_multivector`)
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .polyalg import Polynomial, is_identifier, parse_polynomial
+from .polyalg import Polynomial, _sum_of_products, is_identifier, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -152,19 +156,40 @@ def _accumulate(comps, key, poly):
 
 
 def _collect(entries):
-    """Canonical components from (index tuple, polynomial) pairs, unchecked.
+    """Canonical components from (index tuple, sign, a, b) factor entries, unchecked.
 
-    Drops tuples with a repeated index, sorts the others with their
-    permutation sign and sums the coefficients per key, dropping keys whose
-    sum vanishes. Indices must be in range and polynomials over the frame's
-    base; :func:`_normalize` checks that for outside input.
+    An entry stands for ``sign * a * b`` at its index tuple, ``b`` None
+    reading as 1. Drops tuples with a repeated index, sorts the others with
+    their permutation sign and sums each key's entries in one
+    ``polyalg._sum_of_products`` call, dropping keys whose sum vanishes. So
+    a product is formed only for a key that survives, and only inside the
+    sum. Indices must be in range and polynomials over the frame's base;
+    :func:`_normalize` checks that for outside input.
     """
+    groups = {}
+    for idx, sign, a, b in entries:
+        if len(idx) > 1:  # a shorter tuple is sorted and has no repeat
+            if len(set(idx)) != len(idx):
+                continue
+            idx, perm = _sort_sign(idx)
+            if perm < 0:
+                sign = -sign
+        term = (sign, a, b)
+        terms = groups.get(idx)
+        if terms is None:
+            groups[idx] = [term]
+        else:
+            terms.append(term)
     comps = {}
-    for idx, poly in entries:
-        if len(set(idx)) != len(idx):
-            continue
-        key, sign = _sort_sign(idx)
-        _accumulate(comps, key, poly if sign > 0 else -poly)
+    for key, terms in groups.items():
+        if len(terms) == 1 and terms[0][2] is None:  # one polynomial, signed
+            sign, poly, _ = terms[0]
+            if sign < 0:
+                poly = -poly
+        else:
+            poly = _sum_of_products(terms[0][1].variables, terms)
+        if not poly.is_zero():
+            comps[key] = poly
     return comps
 
 
@@ -188,7 +213,7 @@ def _normalize(cls, frame, degree, entries):
         for i in idx:
             if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < rank:
                 raise InputError(f"index {i} out of range for rank {rank}")
-        checked.append((idx, poly))
+        checked.append((idx, 1, poly, None))
     return _collect(checked)
 
 
@@ -360,27 +385,30 @@ def one_form(chart, components):
     return DiffForm.from_terms(chart, 1, (((i,), c) for i, c in enumerate(comps)))
 
 
+def _coordinate(cls, chart, i):
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < chart.dim:
+        raise InputError(f"index {i!r} out of range for rank {chart.dim}")
+    return cls._trusted(chart, 1, {(i,): chart.one()})
+
+
 def coordinate_vector(chart, i):
-    return MultiVector(chart, 1, {(i,): 1})
+    """The coordinate vector field d_i (``i`` 0-based)."""
+    return _coordinate(MultiVector, chart, i)
 
 
 def coordinate_form(chart, i):
-    return DiffForm(chart, 1, {(i,): 1})
+    """The coordinate differential dx_i (``i`` 0-based)."""
+    return _coordinate(DiffForm, chart, i)
 
 
 def wedge(a, b):
     """Graded exterior product; arguments must be the same kind of tensor."""
     a._check_mate(b)
-    comps = {}
-    for ka, va in a.components.items():
-        for kb, vb in b.components.items():
-            idx = ka + kb
-            if len(set(idx)) != len(idx):
-                continue
-            key, sign = _sort_sign(idx)
-            poly = va * vb
-            _accumulate(comps, key, poly if sign > 0 else -poly)
-    return a._trusted(a.frame, a.degree + b.degree, comps)
+    right = b.components.items()
+    entries = [
+        (ka + kb, 1, va, vb) for ka, va in a.components.items() for kb, vb in right
+    ]
+    return a._trusted(a.frame, a.degree + b.degree, _collect(entries))
 
 
 def exterior_d(omega):
@@ -391,7 +419,7 @@ def exterior_d(omega):
     entries = []
     for key, poly in omega.components.items():
         for a, dpoly in poly.gradient():
-            entries.append(((a,) + key, dpoly))
+            entries.append(((a,) + key, 1, dpoly, None))
     return DiffForm._trusted(chart, omega.degree + 1, _collect(entries))
 
 
@@ -409,24 +437,18 @@ def interior(X, omega):
     for key, poly in omega.components.items():
         for pos in range(len(key)):
             xc = X.components.get((key[pos],))
-            if xc is None:
-                continue
-            coeff = poly * xc
-            if pos % 2:
-                coeff = -coeff
-            entries.append((key[:pos] + key[pos + 1 :], coeff))
+            if xc is not None:
+                entries.append((key[:pos] + key[pos + 1 :], -1 if pos % 2 else 1, poly, xc))
     return DiffForm._trusted(omega.chart, omega.degree - 1, _collect(entries))
 
 
 def _apply_vf(X, poly):
-    """Directional derivative of a polynomial along a vector field."""
-    out = X.chart.zero()
-    grad = dict(poly.gradient())
-    for (a,), xc in X.components.items():
-        dpoly = grad.get(a)
-        if dpoly is not None:
-            out = out + xc * dpoly
-    return out
+    """The directional derivative X(poly) as factor pairs ``[(X^a, d poly/d x_a)]``.
+
+    Only the partials that do not vanish, and only where X has a component.
+    """
+    comps = X.components
+    return [(xc, d) for a, d in poly.gradient() if (xc := comps.get((a,))) is not None]
 
 
 def lie_derivative(X, omega):
@@ -444,7 +466,7 @@ def lie_derivative(X, omega):
     grads = {}  # k -> the gradient of X^k, formed once per call
     entries = []
     for key, poly in omega.components.items():
-        entries.append((key, _apply_vf(X, poly)))
+        entries += [(key, 1, xc, d) for xc, d in _apply_vf(X, poly)]
         for pos, k in enumerate(key):
             # d(X^k) substituted into slot pos
             grad = grads.get(k)
@@ -452,7 +474,7 @@ def lie_derivative(X, omega):
                 comp = X.components.get((k,))
                 grad = grads[k] = comp.gradient() if comp is not None else ()
             for a, dcomp in grad:
-                entries.append((key[:pos] + (a,) + key[pos + 1 :], poly * dcomp))
+                entries.append((key[:pos] + (a,) + key[pos + 1 :], 1, poly, dcomp))
     return DiffForm._trusted(omega.chart, omega.degree, _collect(entries))
 
 
@@ -483,12 +505,12 @@ def _lie_multivector(X, Q, avoid=frozenset()):
     each slot index j that a product reads.
     """
     grads = None  # [(a, {j: d_j X^a})], formed on the first slot read
-    slot_partials = {}  # j -> [(a, -d_j X^a)], nonzero entries only
+    slot_partials = {}  # j -> [(a, d_j X^a)], nonzero entries only
     entries = []
     for key, poly in Q.components.items():
         whole, slots = _live_slots(key, avoid)
         if whole:
-            entries.append((key, _apply_vf(X, poly)))
+            entries += [(key, 1, xc, d) for xc, d in _apply_vf(X, poly)]
         for pos in slots:
             j = key[pos]
             partials = slot_partials.get(j)
@@ -498,11 +520,11 @@ def _lie_multivector(X, Q, avoid=frozenset()):
                         (a, dict(xc.gradient())) for (a,), xc in X.components.items()
                     ]
                 partials = slot_partials[j] = [
-                    (a, -grad[j]) for a, grad in grads if j in grad
+                    (a, grad[j]) for a, grad in grads if j in grad
                 ]
             for a, dxc in partials:
                 if (a == j or a not in key) and a not in avoid:
-                    entries.append((key[:pos] + (a,) + key[pos + 1 :], poly * dxc))
+                    entries.append((key[:pos] + (a,) + key[pos + 1 :], -1, poly, dxc))
     return MultiVector._trusted(X.chart, Q.degree, _collect(entries))
 
 
@@ -538,7 +560,8 @@ def _leibniz(P, Q, lie):
 
     s = ``_leibniz_sign(p, q)``, read at call time. Each [e_T, Q] and each
     [X_T, Q] is formed once per call, and all terms are summed by one
-    :func:`_collect`. A term is formed only if its final key has distinct
+    :func:`_collect`: f_(a,T) times a component of [e_T, Q] as a factor
+    pair, and a component of [X_T, Q] with the sign s. A term is formed only if its final key has distinct
     indices and avoids the peeled tail: f_(a,T) times a component of
     [e_T, Q] only when a is not in its key, and [X_T, Q] with ``avoid`` the
     indices of T, so the lie step forms none of the products that
@@ -570,14 +593,12 @@ def _leibniz(P, Q, lie):
         rest = _leibniz(P._trusted(frame, p - 1, {tail: one}), Q, lie)
         for head, f in heads.items():
             entries.extend(
-                (head + key, f * poly)
+                (head + key, 1, f, poly)
                 for key, poly in rest.components.items()
                 if head[0] not in key
             )
         cross = lie(P._trusted(frame, 1, heads), Q, frozenset(tail))
-        entries.extend(
-            (key + tail, poly if sign > 0 else -poly) for key, poly in cross.components.items()
-        )
+        entries.extend((key + tail, sign, poly, None) for key, poly in cross.components.items())
     return P._trusted(frame, p + q - 1, _collect(entries))
 
 
@@ -602,8 +623,7 @@ def _odd_partial(P, i):
         if i not in key:
             continue
         pos = key.index(i)
-        coeff = poly if pos % 2 == 0 else -poly
-        entries.append((key[:pos] + key[pos + 1 :], coeff))
+        entries.append((key[:pos] + key[pos + 1 :], -1 if pos % 2 else 1, poly, None))
     return MultiVector._trusted(P.chart, max(P.degree - 1, 0), _collect(entries))
 
 
@@ -654,9 +674,8 @@ def pairing(omega, P):
         raise InputError("pairing takes a form and a multivector")
     if omega.chart != P.chart or omega.degree != P.degree:
         raise InputError("pairing needs matching chart and degree")
-    out = omega.chart.zero()
-    for key, poly in omega.components.items():
-        mate = P.components.get(key)
-        if mate is not None:
-            out = out + poly * mate
-    return out
+    mates = P.components
+    return _sum_of_products(
+        omega.chart.coords,
+        [(1, poly, mates[key]) for key, poly in omega.components.items() if key in mates],
+    )

@@ -65,6 +65,7 @@ from .cartan import (
     MultiVector,
     _accumulate,
     _apply_vf,
+    _collect,
     coordinate_form,
     exterior_d,
     interior,
@@ -429,10 +430,9 @@ def i_n(N, omega):
             # replace slot pos by N applied there: (N* dx^{key[pos]})_j = N^{key[pos]}_j
             for j in range(chart.dim):
                 coeff = N.entries[key[pos]][j]
-                if coeff.is_zero():
-                    continue
-                entries.append((key[:pos] + (j,) + key[pos + 1 :], poly * coeff))
-    return DiffForm.from_terms(chart, omega.degree, entries)
+                if not coeff.is_zero():
+                    entries.append((key[:pos] + (j,) + key[pos + 1 :], 1, poly, coeff))
+    return DiffForm._trusted(chart, omega.degree, _collect(entries))
 
 
 def d_n(N, omega):
@@ -531,29 +531,28 @@ def concomitant_map(pi, N, npi):
     anchors = [sharp(pi, form) for form in forms]
     rows = [[(k, f) for k, f in enumerate(row) if not f.is_zero()] for row in N.entries]
 
-    def subtract_scaled(comps, f, a, b):
-        # comps -= f * B(a, b)
-        if a < b:
-            for key, v in basis[(a, b)].items():
-                _accumulate(comps, key, -(f * v))
-        elif a > b:
-            for key, v in basis[(b, a)].items():
-                _accumulate(comps, key, f * v)
+    def subtract_scaled(entries, f, a, b):
+        # entries -= f * B(a, b)
+        if a != b:
+            sign = -1 if a < b else 1
+            entries += [(key, sign, f, v) for key, v in basis[min(a, b), max(a, b)].items()]
 
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
-            comps = dict(koszul_bracket(npi, forms[i], forms[j]).components)
+            entries = [
+                (key, 1, v, None)
+                for key, v in koszul_bracket(npi, forms[i], forms[j]).components.items()
+            ]
             star = N.dual_apply(DiffForm._trusted(chart, 1, basis[(i, j)]))
-            for key, v in star.components.items():
-                _accumulate(comps, key, v)
+            entries += [(key, 1, v, None) for key, v in star.components.items()]
             for k, f in rows[i]:
-                subtract_scaled(comps, f, k, j)
-                _accumulate(comps, (k,), _apply_vf(anchors[j], f))
+                subtract_scaled(entries, f, k, j)
+                entries += [((k,), 1, xc, d) for xc, d in _apply_vf(anchors[j], f)]
             for k, f in rows[j]:
-                subtract_scaled(comps, f, i, k)
-                _accumulate(comps, (k,), -_apply_vf(anchors[i], f))
-            out[(i, j)] = DiffForm._trusted(chart, 1, comps)
+                subtract_scaled(entries, f, i, k)
+                entries += [((k,), -1, xc, d) for xc, d in _apply_vf(anchors[i], f)]
+            out[(i, j)] = DiffForm._trusted(chart, 1, _collect(entries))
     return out
 
 

@@ -29,18 +29,63 @@ after construction.
 The kernels run on ``int`` only. ``+`` adds numerators directly when the
 denominators agree and rescales both operands to the ``lcm`` when they
 differ; ``*`` sums the products of numerators per exponent vector over the
-product of the denominators; ``-``, ``partial`` and ``embed`` keep the
-denominator; ``gradient`` makes one pass over the terms for every partial
-that does not vanish; ``**`` squares repeatedly. ``substitute`` forms each
-image power once per call and adds every term's numerator times its product
-of powers into one numerator map over a running common denominator. A result
-whose denominator is not 1 is divided by the gcd of its denominator and
-numerators, which restores the canonical form. ``Fraction`` appears only at
-the boundary: the validating constructor, ``constant_value``, printing, and
-``terms``, a read-only map from exponent vectors to ``Fraction``
-coefficients that makes each coefficient when it is read and keeps none;
-its ``len`` and truth read the numerators. Code that needs only the
-exponents reads ``exponents()``.
+product of the denominators, in the tuple loop ``_add_products``; ``-``,
+``partial`` and ``embed`` keep the denominator; ``gradient`` makes one pass
+over the terms for every partial that does not vanish; ``**`` squares
+repeatedly. ``substitute`` forms each image power once per call and adds
+every term's numerator times its product of powers into one numerator map
+over a running common denominator. A result whose denominator is not 1 is
+divided by the gcd of its denominator and numerators, which restores the
+canonical form. ``Fraction`` appears only at the boundary: the validating
+constructor, ``constant_value``, printing, and ``terms``, a read-only map
+from exponent vectors to ``Fraction`` coefficients that makes each
+coefficient when it is read and keeps none; its ``len`` and truth read the
+numerators. Code that needs only the exponents reads ``exponents()``.
+
+The brackets downstream sum products: each component is sum sign * a * b.
+The private ``_sum_of_products(variables, terms)`` forms such a sum in one
+accumulator (Johnson, "Sparse polynomial arithmetic", 1974), where ``terms``
+are ``(sign, a, b)`` entries and ``b`` None reads as 1. The common
+denominator is the ``lcm`` of the product denominators; each product's
+numerators are scaled into it, and the result is reduced once. No
+intermediate polynomial is formed, so a product cancelled by another costs
+its term products and nothing more.
+
+A large call packs exponent vectors (Monagan and Pearce, CASC 2007), with
+widths chosen per call. Slot i gets the radix max_a[i] + max_b[i] + 1, for
+max_a[i] and max_b[i] the largest exponent of slot i over the call's left
+and right operands, and a vector e packs to sum e[i] * R[i], with R[0] = 1
+and R[i+1] = R[i] * radix[i]. A product's exponent in slot i is at most
+max_a[i] + max_b[i], below its radix, so adding two packed vectors never
+carries: the packing is exact, needs no global width and cannot overflow.
+A term product is then one ``int`` addition. Each distinct operand is
+packed once per call, and each result term is unpacked once. A small call
+runs the tuple loop that ``*`` runs.
+
+Packing costs time per operand term and per result term, and saves time per
+term product. So the kernel packs when the ring has 1 to 3 variables and
+the call forms at least ``2 * T + 16`` term products, where T counts the
+terms of the operands entry by entry (``_packs``). The rule was measured on
+the 2,683 kernel calls of one cycle of each benchmark workload that form a
+product or sum two or more polynomials (seed 7, a shared 2-core x86 host,
+Python 3.11), each timed on both paths:
+
+* The 2,543 calls below 2 term products per operand term took 2.45 times
+  as long packed, in total. They include every ``pn_groupoid`` call and
+  every call in 4 or more variables (at most 1.2 term products per operand
+  term, and at least 1.41 times slower packed).
+* At 3 variables and at least 64 term products, packed over tuple time
+  was 0.65 at 2 term products per operand term, 0.57 at 3, 0.38 at 5 and
+  0.33-0.41 from 6 on.
+* Over all ``lie_dense`` calls the tuple loop alone took 69.4 ms and
+  packing alone 64.5 ms; the rule took 40.0 ms, against 39.6 ms for the
+  faster path of each call. A deg-4 ``jacobi check`` spent 17.5 ms in the
+  kernel with the tuple loop and 7.4 ms packed. ``pn_groupoid`` stays on
+  the tuple loop, 0.9 ms against 2.3 ms packed.
+* No real call with 4 or more variables comes near the rule. On random
+  sparse operands, whose products rarely collide, packing lost at 6
+  variables even with 10 term products per operand term, since unpacking
+  each result term costs one ``divmod`` per slot.
 
 Moving a polynomial to another ring by variable name (an embedding, a
 projection, a rename, or a diagonal restriction that sends two variables to
@@ -98,7 +143,7 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import add, or_
+from operator import add, mul, or_
 
 from .errors import InputError, ParseError
 
@@ -113,6 +158,11 @@ MAX_DIGITS = 1000
 MAX_EXPONENT = 100
 MAX_DEGREE = 200
 MAX_TERMS = 5000
+
+# The size rule of _sum_of_products (see the module docstring).
+_PACK_MAX_WIDTH = 3
+_PACK_RATIO = 2
+_PACK_MIN = 16
 
 
 def _check_variables(variables):
@@ -181,6 +231,141 @@ def _reduced(variables, nums, den):
                 den //= g
                 nums = {exps: n // g for exps, n in nums.items()}
     return Polynomial._trusted(variables, nums, den)
+
+
+def _add_products(acc, scale, left, right):
+    """Add ``scale`` times each product of the ``(exps, n)`` items into ``acc``.
+
+    The tuple loop: ``*`` runs it, and so does a small :func:`_sum_of_products`.
+    """
+    get = acc.get
+    for e1, n1 in left:
+        m = scale * n1
+        for e2, n2 in right:
+            exps = tuple(map(add, e1, e2))
+            acc[exps] = get(exps, 0) + m * n2
+
+
+def _packs(products, operand_terms, width):
+    """Whether :func:`_sum_of_products` packs the exponents of a call.
+
+    ``products`` term products against ``operand_terms`` operand terms,
+    counted entry by entry, in ``width`` variables; see the module docstring
+    for the measurements behind the rule.
+    """
+    return 0 < width <= _PACK_MAX_WIDTH and products >= _PACK_RATIO * operand_terms + _PACK_MIN
+
+
+def _sum_of_products(variables, terms):
+    """The canonical sum of ``sign * a * b`` over ``(sign, a, b)`` entries.
+
+    ``sign`` is 1 or -1, ``a`` and ``b`` are polynomials over ``variables``
+    and ``b`` may be ``None``, read as 1. Every product is summed into one
+    accumulator over the ``lcm`` of the product denominators, and the result
+    is reduced once. A call with many term products per operand term packs
+    every exponent vector into one ``int`` (:func:`_packed_sum`); a small
+    one runs the tuple loop of ``*``.
+    """
+    live, den, products, operand_terms = [], 1, 0, 0
+    for sign, a, b in terms:
+        left = a._nums
+        if not left:
+            continue
+        if b is None:
+            d = a._den
+            products += len(left)
+            operand_terms += len(left)
+        else:
+            right = b._nums
+            if not right:
+                continue
+            d = a._den * b._den
+            products += len(left) * len(right)
+            operand_terms += len(left) + len(right)
+        if d != den:
+            den = lcm(den, d)
+        live.append((sign, d, a, b))
+    if not live:
+        return Polynomial._trusted(variables, {}, 1)
+    if len(live) == 1:
+        sign, _, a, b = live[0]
+        if b is None:
+            return a if sign > 0 else -a
+    if _packs(products, operand_terms, len(variables)):
+        nums = _packed_sum(live, den, len(variables))
+    else:
+        acc = {}
+        get = acc.get
+        for sign, d, a, b in live:
+            scale = sign if d == den else sign * (den // d)
+            if b is None:
+                for exps, n in a._nums.items():
+                    acc[exps] = get(exps, 0) + scale * n
+            else:
+                left, right = a._nums, b._nums
+                if len(left) > len(right):
+                    left, right = right, left
+                _add_products(acc, scale, left.items(), right.items())
+        nums = {exps: v for exps, v in acc.items() if v}
+    return _reduced(variables, nums, den)
+
+
+def _packed_sum(live, den, width):
+    """The nonzero numerators of the sum of :func:`_sum_of_products`, packed.
+
+    Slot ``i`` of an exponent vector gets the radix ``max_a[i] + max_b[i] + 1``,
+    the largest exponents over the call's left and right operands, so a
+    product's exponent never reaches its radix and adding two packed vectors
+    never carries.
+    """
+    operands = {}  # id -> each distinct operand, packed once
+    for _, _, a, b in live:
+        operands[id(a)] = a
+        if b is not None:
+            operands[id(b)] = b
+    top_a, top_b = [0] * width, [0] * width  # the largest exponent per slot
+    for _, _, a, b in live:
+        top_a = list(map(max, top_a, *a._nums))
+        if b is not None:
+            top_b = list(map(max, top_b, *b._nums))
+    radices = [x + y + 1 for x, y in zip(top_a, top_b)]
+    weights, w = [], 1
+    for r in radices:
+        weights.append(w)
+        w *= r
+    packed = {
+        key: [(sum(map(mul, exps, weights)), n) for exps, n in poly._nums.items()]
+        for key, poly in operands.items()
+    }
+    acc = {}
+    get = acc.get
+    for sign, d, a, b in live:
+        scale = sign if d == den else sign * (den // d)
+        left = packed[id(a)]
+        if b is None:
+            for k, n in left:
+                acc[k] = get(k, 0) + scale * n
+            continue
+        right = packed[id(b)]
+        if len(left) > len(right):
+            left, right = right, left
+        for k1, n1 in left:
+            m = scale * n1
+            for k2, n2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + m * n2
+    nums = {}
+    lower = radices[:-1]  # the last slot is what is left of the packed int
+    for k, v in acc.items():
+        if v:
+            exps = []
+            for r in lower:
+                k, e = divmod(k, r)
+                exps.append(e)
+            if width:
+                exps.append(k)
+            nums[tuple(exps)] = v
+    return nums
 
 
 class _Terms(Mapping):
@@ -301,6 +486,12 @@ class Polynomial:
     def is_zero(self):
         return not self._nums
 
+    def is_one(self):
+        if self._den != 1 or len(self._nums) != 1:
+            return False
+        ((exps, n),) = self._nums.items()
+        return n == 1 and not any(exps)
+
     def is_constant(self):
         return all(not any(exps) for exps in self._nums)
 
@@ -393,13 +584,8 @@ class Polynomial:
             return Polynomial.constant(other.variables, self.constant_value()) * other
         if not (self._nums and other._nums):
             return Polynomial._trusted(self.variables, {}, 1)
-        right = other._nums.items()
         acc = {}
-        get = acc.get
-        for e1, n1 in self._nums.items():
-            for e2, n2 in right:
-                exps = tuple(map(add, e1, e2))
-                acc[exps] = get(exps, 0) + n1 * n2
+        _add_products(acc, 1, self._nums.items(), other._nums.items())
         nums = {exps: v for exps, v in acc.items() if v}
         return _reduced(self.variables, nums, self._den * other._den)
 
@@ -477,6 +663,8 @@ class Polynomial:
         nonzero exponents in place on one list, one slot at a time; as in
         :meth:`partial`, no two terms collide within one variable.
         """
+        if not self.variables:
+            return []
         parts = {}
         for exps, n in self._nums.items():
             lowered = list(exps)

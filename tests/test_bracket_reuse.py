@@ -37,6 +37,7 @@ from pncalc.algebroid import (
 from pncalc.cartan import Chart, MultiVector
 from pncalc.corpus import R2, R3, R4, point_lie_algebras, random_polynomial, so3_bivector
 from pncalc.polyalg import Polynomial
+from products import spy_products
 
 POINT = Chart(())
 
@@ -302,14 +303,12 @@ def test_gerstenhaber_matches_the_per_term_peel_near_top_degree(frame, seed):
 def _counting_products(monkeypatch):
     # products of two nonconstant polynomials
     counter = [0]
-    original = Polynomial.__mul__
 
-    def spy(a, b):
+    def record(a, b):
         if isinstance(b, Polynomial) and not (a.is_constant() or b.is_constant()):
             counter[0] += 1
-        return original(a, b)
 
-    monkeypatch.setattr(Polynomial, "__mul__", spy)
+    spy_products(monkeypatch, record)
     return counter
 
 

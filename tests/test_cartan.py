@@ -35,6 +35,7 @@ from pncalc.corpus import (
 )
 from pncalc.errors import InputError
 from pncalc.polyalg import Polynomial, parse_polynomial
+from products import spy_products
 
 
 def test_wedge_examples():
@@ -67,17 +68,23 @@ def test_wedge_kind_and_chart_guards():
         wedge(coordinate_vector(R2, 0), coordinate_vector(R3, 0))
 
 
+def test_coordinate_fields_are_canonical_and_refuse_bad_indices():
+    # built unchecked with chart.one(); the index is still checked
+    for i in range(R3.dim):
+        assert coordinate_vector(R3, i) == MultiVector(R3, 1, {(i,): 1})
+        assert coordinate_form(R3, i) == DiffForm(R3, 1, {(i,): 1})
+        assert coordinate_form(R3, i).components[(i,)] == 1
+    for bad in (-1, 3, True, 1.0, "1", None):
+        for build in (coordinate_vector, coordinate_form):
+            with pytest.raises(InputError, match="out of range"):
+                build(R3, bad)
+
+
 def test_wedge_forms_no_product_for_overlapping_keys(monkeypatch):
     # dx_i ^ dx_i vanishes, so only the 6 pairs of distinct indices multiply
     a = one_form(R3, ["x1", "x2 + 1", "2*x3"])
-    original = Polynomial.__mul__
     calls = []
-
-    def counting(self, other):
-        calls.append(1)
-        return original(self, other)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    spy_products(monkeypatch, lambda x, y: calls.append(1))
     assert wedge(a, a).is_zero()
     assert len(calls) == 6
 

@@ -1,7 +1,9 @@
+import itertools
 import operator
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -324,8 +326,92 @@ def assert_terms(p, want):
 @settings(max_examples=200, deadline=None)
 def test_mul_matches_fraction_triple_loop(pair):
     p, q = pair
-    assert_terms(p * q, oracle_mul(p, q))
-    assert_terms(p * (-q), {e: -c for e, c in oracle_mul(p, q).items()})
+    pq = oracle_mul(p, q)
+    assert_terms(p * q, pq)
+    assert_terms(p * (-q), {e: -c for e, c in pq.items()})
+    # the fused kernel on the same draw: one product, a negated one, b = None
+    fused = polyalg._sum_of_products
+    assert_terms(fused(p.variables, [(1, p, q)]), pq)
+    want = {e: -c for e, c in pq.items()}
+    for e, c in q.terms.items():
+        want[e] = want.get(e, 0) + c
+    want = {e: c for e, c in want.items() if c}
+    assert_terms(fused(p.variables, [(-1, p, q), (1, q, None)]), want)
+
+
+def oracle_fused(entries):
+    """sign * a * b summed over the entries, b None read as 1, in Fractions."""
+    acc = {}
+    for sign, a, b in entries:
+        terms = a.terms.items() if b is None else oracle_mul(a, b).items()
+        for exps, c in terms:
+            acc[exps] = acc.get(exps, Fraction(0)) + sign * c
+    return {exps: c for exps, c in acc.items() if c != 0}
+
+
+# Numerators over a denominator from a small set: entries of one call mix
+# denominators, and small numerators make cancellation frequent.
+def fused_operands(ring):
+    numerators = st.integers(-6, 6).filter(bool)
+    sparse = st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in ring)), numerators, max_size=8)
+    # every monomial of degree <= 2: products of these reach the packed side
+    full = [e for e in itertools.product(range(3), repeat=len(ring)) if sum(e) <= 2]
+    dense = st.lists(numerators, min_size=len(full), max_size=len(full)).map(
+        lambda ns: dict(zip(full, ns))
+    )
+    return st.builds(
+        lambda terms, den: Polynomial(ring, {e: Fraction(n, den) for e, n in terms.items()}),
+        st.one_of(sparse, dense),
+        st.sampled_from((1, 1, 2, 3, 35)),
+    )
+
+
+@st.composite
+def fused_calls(draw):
+    ring = draw(st.sampled_from(RINGS))
+    operand = fused_operands(ring)
+    entry = st.tuples(st.sampled_from((1, -1)), operand, st.one_of(st.none(), operand))
+    entries = draw(st.lists(entry, min_size=1, max_size=5))
+    if draw(st.booleans()):  # an entry and its negation cancel exactly
+        sign, a, b = draw(st.sampled_from(entries))
+        entries.append((-sign, b if b is not None else a, a if b is not None else None))
+    return ring, entries
+
+
+@given(fused_calls())
+@settings(max_examples=30, deadline=None)
+def test_sum_of_products_matches_fraction_loop(call):
+    ring, entries = call
+    want = oracle_fused(entries)
+    got = polyalg._sum_of_products(ring, entries)
+    assert_terms(got, want)
+    assert_canonical(got)
+    # both sides of the size rule, whichever side this call falls on
+    for packs in (False, True):
+        with mock.patch.object(polyalg, "_packs", lambda *counts, packs=packs: packs):
+            assert polyalg._sum_of_products(ring, entries) == got
+
+
+def test_sum_of_products_size_rule_and_full_radix_slots():
+    # a call with many term products per operand term packs; one product of
+    # single terms does not, and neither does a ring with no variables
+    dense = P("(x1 + x2 + x3 + 1)^2")  # 10 terms
+    assert polyalg._packs(len(dense.terms) ** 2, 2 * len(dense.terms), 3)
+    assert not polyalg._packs(1, 2, 3)
+    assert not polyalg._packs(10**6, 10, 0)
+    # exponents that reach max_a + max_b in a slot below the last one: a
+    # radix one short would carry into the next slot
+    a, b = P("x1^3*x2 + x1^3 + x2^2*x3 + 2"), P("x1^2 + x2^3*x3^2 + x3")
+    entries = [(1, a, b), (-1, b, dense), (1, dense, dense), (1, a, None)]
+    want = a * b - b * dense + dense * dense + a
+    for packs in (False, True):
+        with mock.patch.object(polyalg, "_packs", lambda *counts, packs=packs: packs):
+            assert polyalg._sum_of_products(VARS, entries) == want
+    assert polyalg._sum_of_products(VARS, entries) == want
+    # zero operands and an empty call are the zero polynomial
+    zero = Polynomial.zero(VARS)
+    assert polyalg._sum_of_products(VARS, [(1, zero, a), (1, a, zero), (-1, zero, None)]) == 0
+    assert polyalg._sum_of_products((), []) == 0
 
 
 @given(any_ring_polys, kernel_coeffs)
