@@ -13,9 +13,13 @@ product (``cartan.wedge``) and the Leibniz recursion of the Gerstenhaber
 bracket are the ones multivectors on a chart use; only the degree-1 step,
 :func:`_section_lie`, reads the structure table and the anchor.
 
-The section bracket, the anchor action and the differential hand their
-products to ``polyalg._sum_of_products`` as factor pairs, one call per
-component, as ``cartan._collect`` does. The anchored field rho(X) of a
+The section bracket (:func:`_bracket_entries`), the lie step
+:func:`_section_lie`, the anchor action and the differential emit factor
+entries, summed by ``cartan._collect`` in one kernel call per component.
+:func:`algebroid_validate` sums the three cyclic brackets of each Jacobi
+triple in one collect, forming no section bracket beyond the basis ones,
+and the Gerstenhaber bracket sums its slot and cross terms in the one
+collect of ``cartan._leibniz``. The anchored field rho(X) of a
 section is formed once per call, only in the components a derivative
 reads, and no product by a factor 1 is formed: on the identity anchors of
 TM and TM x R, a unit section reads its anchor column as it stands.
@@ -43,7 +47,7 @@ from itertools import chain, combinations
 from .errors import InputError, InternalError, PreconditionError
 from .polyalg import Polynomial, Rational, _sum_of_products, is_identifier
 from . import cartan
-from .cartan import Chart, MultiVector
+from .cartan import Chart, MultiVector, _factor
 from . import poisson_nijenhuis as pn
 from .report import Verdict, labelled, matrix_entries, prefixed, rendered
 
@@ -179,15 +183,6 @@ def _view(algebroid, section):
     return AlgebroidSection._trusted(algebroid, section.degree, section.components)
 
 
-def _factor(sign, a, b):
-    """The kernel entry ``(sign, a, b)``, with a factor that is the constant 1 left out."""
-    if b.is_one():
-        return sign, a, None
-    if a.is_one():
-        return sign, b, None
-    return sign, a, b
-
-
 def _anchor_reader(algebroid, section):
     """``a -> rho(X)^a`` for a degree-1 section X, each formed on its first read.
 
@@ -215,16 +210,16 @@ def _anchor_reader(algebroid, section):
     return read
 
 
-def _anchored(rho, func, sign):
-    """sign * rho(X)(func) as kernel entries, for ``rho`` an :func:`_anchor_reader`."""
-    return [(sign, r, d) for a, d in func.gradient() if not (r := rho(a)).is_zero()]
+def _anchored(rho, grad, sign):
+    """sign * rho(X)(f) as kernel entries, from an :func:`_anchor_reader` and f's gradient."""
+    return [_factor(sign, r, d) for a, d in grad if not (r := rho(a)).is_zero()]
 
 
 def rho_function(algebroid, section, func):
     """Apply the anchored vector field of a degree-1 section to a function."""
     rho = _anchor_reader(algebroid, section)
     base = algebroid.base
-    return _sum_of_products(base.coords, _anchored(rho, base.coerce(func), 1))
+    return _sum_of_products(base.coords, _anchored(rho, base.coerce(func).gradient(), 1))
 
 
 def anchor_field_of(algebroid, section):
@@ -235,13 +230,10 @@ def anchor_field_of(algebroid, section):
     return MultiVector._trusted(base, 1, comps)
 
 
-def section_bracket(algebroid, left, right):
-    """Bracket of two degree-1 sections, extended by Leibniz from the table."""
-    left._check_mate(right)
-    if left.degree != 1 or right.degree != 1:
-        raise InputError("section_bracket needs degree-1 sections")
-    rank, table = algebroid.rank, algebroid.structure
-    terms = [[] for _ in range(rank)]  # kernel entries per component k
+def _bracket_entries(algebroid, left, right):
+    """[X, Y] for degree-1 sections as ``cartan._collect`` entries, keyed (k,)."""
+    table = algebroid.structure
+    entries = []
     for (i,), xc in left.components.items():
         for (j,), yc in right.components.items():
             # the table stores [e_i, e_j] for i < j only; c(j, i) = -c(i, j)
@@ -253,25 +245,23 @@ def section_bracket(algebroid, left, right):
             xy = yc if xc.is_one() else xc if yc.is_one() else xc * yc
             if xy.is_one():
                 xy = None
-            for k, entry in enumerate(row):
-                if not entry.is_zero():
-                    terms[k].append((sign, entry, xy))
-    if right.components:
-        rho = _anchor_reader(algebroid, left)
-        for (k,), yc in right.components.items():
-            terms[k] += _anchored(rho, yc, 1)
-    if left.components:
-        rho = _anchor_reader(algebroid, right)
-        for (k,), xc in left.components.items():
-            terms[k] += _anchored(rho, xc, -1)
-    coords = algebroid.base.coords
-    comps = {}
-    for k, entries in enumerate(terms):
-        if entries:
-            poly = _sum_of_products(coords, entries)
-            if not poly.is_zero():
-                comps[(k,)] = poly
-    return AlgebroidSection._trusted(algebroid, 1, comps)
+            entries += [((k,), sign, e, xy) for k, e in enumerate(row) if not e.is_zero()]
+    for sign, rho_of, sections in ((1, left, right), (-1, right, left)):
+        rho = None  # formed on the first coefficient with a nonzero partial
+        for key, coeff in sections.components.items():
+            if grad := coeff.gradient():
+                rho = rho or _anchor_reader(algebroid, rho_of)
+                entries += [(key, *e) for e in _anchored(rho, grad, sign)]
+    return entries
+
+
+def section_bracket(algebroid, left, right):
+    """Bracket of two degree-1 sections, extended by Leibniz from the table."""
+    left._check_mate(right)
+    if left.degree != 1 or right.degree != 1:
+        raise InputError("section_bracket needs degree-1 sections")
+    entries = _bracket_entries(algebroid, left, right)
+    return AlgebroidSection._trusted(algebroid, 1, cartan._collect(entries))
 
 
 @dataclass
@@ -307,7 +297,9 @@ def algebroid_validate(algebroid, brackets=None):
     the bracket, so checking them on basis sections settles them everywhere.
     Each basis bracket [e_a, e_b] is formed once per call: both families read
     ``brackets``, the dict of :func:`basis_brackets`, which a caller that
-    has formed it already passes in.
+    has formed it already passes in. The three cyclic brackets
+    [[e_a, e_b], e_c] of a triple are not formed one by one: their entries
+    are summed in one collect per triple.
     """
     if brackets is None:
         brackets = basis_brackets(algebroid)
@@ -315,15 +307,15 @@ def algebroid_validate(algebroid, brackets=None):
     units = [unit_section(algebroid, a) for a in range(rank)]
     jac = {}
     for i, j, k in combinations(range(rank), 3):
-        total = AlgebroidSection.zero(algebroid, 1)
+        entries = []
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            total = total + section_bracket(algebroid, brackets[(a, b)], units[c])
-        jac[(i, j, k)] = total
+            entries += _bracket_entries(algebroid, brackets[(a, b)], units[c])
+        jac[(i, j, k)] = AlgebroidSection._trusted(algebroid, 1, cartan._collect(entries))
+    fields = [algebroid.anchor_field(a) for a in range(rank)]
     anch = {}
     for i, j in combinations(range(rank), 2):
         lhs = anchor_field_of(algebroid, brackets[(i, j)])
-        rhs = cartan.vf_bracket(algebroid.anchor_field(i), algebroid.anchor_field(j))
-        anch[(i, j)] = lhs - rhs
+        anch[(i, j)] = lhs - cartan.vf_bracket(fields[i], fields[j])
     return AlgebroidVerdict(jac, anch)
 
 
@@ -359,24 +351,26 @@ def algebroid_differential(algebroid, omega):
     return AlgebroidSection._trusted(algebroid, omega.degree + 1, cartan._collect(terms))
 
 
-def _section_lie(vector, other, avoid=frozenset()):
-    """[X, Q] for a degree-1 X: derivation in coefficients and in each slot.
+def _section_lie(vector, other, avoid, grads):
+    """[X, Q] for a degree-1 X as ``cartan._collect`` entries.
 
-    Forms only the terms that survive ``cartan._collect``, by the rule of
-    ``cartan._lie_multivector``: rho(X)(Q_K) when the key K avoids the index
-    set ``avoid``, and the slot-j product of [X, e_j]^a when K with a in
-    place of j has distinct indices (a == j or a not in K) and avoids
-    ``avoid``. The slot bracket [X, e_j] is formed once per call for each
-    slot index j that a product reads.
+    Derivation in coefficients and in each slot. ``grads`` is
+    ``cartan._gradients`` of Q. Forms only the terms that survive
+    ``cartan._collect``, by the rule of ``cartan._lie_entries``:
+    rho(X)(Q_K) when the key K avoids the index set ``avoid``, and the
+    slot-j product of [X, e_j]^a when K with a in place of j has distinct
+    indices (a == j or a not in K) and avoids ``avoid``. The slot bracket
+    [X, e_j] is formed once per call for each slot index j that a product
+    reads.
     """
     algebroid = vector.algebroid
     rho = _anchor_reader(algebroid, vector)
     slot_brackets = {}
-    terms = []
+    entries = []
     for key, poly in other.components.items():
         whole, slots = cartan._live_slots(key, avoid)
         if whole:
-            terms += [(key, *entry) for entry in _anchored(rho, poly, 1)]
+            entries += [(key, *e) for e in _anchored(rho, grads[key], 1)]
         for pos in slots:
             j = key[pos]
             repl = slot_brackets.get(j)
@@ -386,8 +380,8 @@ def _section_lie(vector, other, avoid=frozenset()):
                 )
             for (a,), coeff in repl.components.items():
                 if (a == j or a not in key) and a not in avoid:
-                    terms.append((key[:pos] + (a,) + key[pos + 1:], 1, poly, coeff))
-    return AlgebroidSection._trusted(algebroid, other.degree, cartan._collect(terms))
+                    entries.append((key[:pos] + (a,) + key[pos + 1:], *_factor(1, poly, coeff)))
+    return entries
 
 
 def gerstenhaber_bracket(algebroid, left, right):

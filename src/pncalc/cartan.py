@@ -16,8 +16,11 @@ subclass names the frame type it accepts in ``frame_type``:
 the Leibniz recursion :func:`_leibniz` serve multivectors, forms and
 algebroid multisections alike. The recursion peels P by tail: the components
 of P sharing T = key[1:] form one degree-1 X_T, and P = sum_T X_T ^ e_T. Each
-bracket it needs is formed once per call, and the sign of the cross terms,
-``_leibniz_sign``, meets the same sums as a peel one component at a time,
+[e_T, Q] is formed once per call; each lie step [X_T, Q] returns factor
+entries (:func:`_lie_entries`, ``algebroid._section_lie``), which the
+recursion multiplies by the cross-term sign ``_leibniz_sign``, read at call
+time, and sums with the rest in one :func:`_collect` per bracket. That sign
+meets the same sums as a peel one component at a time,
 so a wrong sign shows wherever it would show there. A term is formed only
 if its final key has distinct indices and avoids the peeled tail; the
 others are the ones :func:`_collect` would drop, so the same surviving
@@ -31,7 +34,7 @@ the entries into canonical form (increasing index tuples of length
 :func:`_normalize`. Which build unchecked: results pncalc computes itself
 from canonical operands of one frame. ``+``, ``-`` and scalar ``*``
 produce canonical dicts directly; :func:`wedge`, :func:`exterior_d`,
-:func:`interior`, :func:`lie_derivative`, :func:`_lie_multivector`,
+:func:`interior`, :func:`lie_derivative`, :func:`_lie_entries`,
 :func:`_leibniz` and :func:`_odd_partial` produce factor entries
 ``(index tuple, sign, a, b)``, standing for sign * a * b (``b`` None reads
 as 1), with indices in range and polynomials over the base. :func:`_collect`
@@ -43,10 +46,12 @@ mutates ``components`` after construction. :func:`_apply_vf` gives X(f) as
 factor pairs (X^a, d f/d x_a) for its callers to sign and key.
 
 The derivative loops (:func:`exterior_d`, :func:`_apply_vf`,
-:func:`lie_derivative` and the slot partials of :func:`_lie_multivector`)
+:func:`lie_derivative` and the slot partials of :func:`_lie_entries`)
 read ``Polynomial.gradient``: one pass over a polynomial's terms gives its
 partials in the variables it has, so no loop runs over every chart
-coordinate to differentiate by variables that do not occur.
+coordinate to differentiate by variables that do not occur. A bracket
+[P, Q] differentiates each coefficient of Q once: :func:`_leibniz` forms
+the table :func:`_gradients` of Q and hands it to every lie step.
 :func:`schouten_direct` keeps ``Polynomial.partial`` on purpose, one
 coordinate at a time, so the two sides of the Schouten cross-check also
 differentiate through different kernels.
@@ -478,6 +483,20 @@ def lie_derivative(X, omega):
     return DiffForm._trusted(omega.chart, omega.degree, _collect(entries))
 
 
+def _factor(sign, a, b):
+    """The kernel entry ``(sign, a, b)``, with a factor that is the constant 1 left out."""
+    if b.is_one():
+        return sign, a, None
+    if a.is_one():
+        return sign, b, None
+    return sign, a, b
+
+
+def _gradients(Q):
+    """The gradient of each coefficient of Q, by key: the table the lie steps read."""
+    return {key: poly.gradient() for key, poly in Q.components.items()}
+
+
 def _live_slots(key, avoid):
     """Whether key avoids ``avoid``, and the slots whose replacement can.
 
@@ -485,46 +504,55 @@ def _live_slots(key, avoid):
     only replacing that slot can give a key that avoids it; if more than
     once, no replacement can.
     """
-    hits = [pos for pos, j in enumerate(key) if j in avoid]
+    hits = [pos for pos, j in enumerate(key) if j in avoid] if avoid else ()
     if not hits:
         return True, range(len(key))
     return False, hits if len(hits) == 1 else ()
 
 
-def _lie_multivector(X, Q, avoid=frozenset()):
-    """[X, Q] for a vector field X: derivation in each slot of Q.
+def _lie_entries(X, Q, avoid, grads):
+    """[X, Q] for a vector field X as factor entries: derivation in each slot of Q.
 
-    Only the terms that survive :func:`_collect` are formed: X(Q_K) when
-    the key K avoids the index set ``avoid``, and the slot-j product of
-    component a when the new key, K with a in place of j, has distinct
-    indices (a == j or a not in K) and avoids ``avoid``. :func:`_leibniz`
-    passes the peeled tail as ``avoid``; the result is [X, Q] with the
-    components whose key meets it left out. Each component X^a is
-    differentiated once per call, by one ``gradient``, when the first slot
-    product is read; the list of partials d_j X^a is then formed once for
-    each slot index j that a product reads.
+    ``grads`` is :func:`_gradients` of Q. Only the terms that survive
+    :func:`_collect` are formed: X(Q_K) when the key K avoids the index set
+    ``avoid``, and the slot-j product of component a when the new key, K
+    with a in place of j, has distinct indices (a == j or a not in K) and
+    avoids ``avoid``. :func:`_leibniz` passes the peeled tail as ``avoid``;
+    the entries sum to [X, Q] with the components whose key meets it left
+    out. Each component X^a is differentiated once per call, by one
+    ``gradient``, when the first slot product is read; the list of partials
+    d_j X^a is then formed once for each slot index j that a product reads.
     """
-    grads = None  # [(a, {j: d_j X^a})], formed on the first slot read
+    comps = X.components
+    slot_grads = None  # [(a, {j: d_j X^a})], formed on the first slot read
     slot_partials = {}  # j -> [(a, d_j X^a)], nonzero entries only
     entries = []
     for key, poly in Q.components.items():
         whole, slots = _live_slots(key, avoid)
         if whole:
-            entries += [(key, 1, xc, d) for xc, d in _apply_vf(X, poly)]
+            entries += [
+                (key, *_factor(1, xc, d))
+                for a, d in grads[key]
+                if (xc := comps.get((a,))) is not None
+            ]
         for pos in slots:
             j = key[pos]
             partials = slot_partials.get(j)
             if partials is None:
-                if grads is None:
-                    grads = [
-                        (a, dict(xc.gradient())) for (a,), xc in X.components.items()
-                    ]
+                if slot_grads is None:
+                    slot_grads = [(a, dict(xc.gradient())) for (a,), xc in comps.items()]
                 partials = slot_partials[j] = [
-                    (a, grad[j]) for a, grad in grads if j in grad
+                    (a, grad[j]) for a, grad in slot_grads if j in grad
                 ]
             for a, dxc in partials:
                 if (a == j or a not in key) and a not in avoid:
-                    entries.append((key[:pos] + (a,) + key[pos + 1 :], -1, poly, dxc))
+                    entries.append((key[:pos] + (a,) + key[pos + 1 :], *_factor(-1, poly, dxc)))
+    return entries
+
+
+def _lie_multivector(X, Q, avoid=frozenset()):
+    """[X, Q] for a vector field X: the entries of :func:`_lie_entries`, collected."""
+    entries = _lie_entries(X, Q, avoid, _gradients(Q))
     return MultiVector._trusted(X.chart, Q.degree, _collect(entries))
 
 
@@ -543,13 +571,16 @@ def _leibniz_sign(p, q):
     return -1 if ((p - 1) * (q - 1)) % 2 else 1
 
 
-def _leibniz(P, Q, lie):
+def _leibniz(P, Q, lie, grads=None):
     """Graded bracket of two multisections of one frame, by recursion.
 
-    ``lie(X, Q, avoid)`` gives the bracket of a degree-1 X with Q, less the
-    components whose key meets the index set ``avoid``; everything else
-    follows from [f, g] = 0 for functions, graded antisymmetry
-    [P,Q] = -(-1)^((p-1)(q-1))[Q,P] and the graded Leibniz rule
+    ``lie(X, Q, avoid, grads)`` gives the bracket of a degree-1 X with Q as
+    :func:`_collect` entries ``(key, sign, a, b)``, less the components whose
+    key meets the index set ``avoid``; ``grads`` is :func:`_gradients` of
+    Q, formed once per call and passed to every lie step and every recursive
+    call, so each coefficient of Q is differentiated once per bracket.
+    Everything else follows from [f, g] = 0 for functions, graded
+    antisymmetry [P,Q] = -(-1)^((p-1)(q-1))[Q,P] and the graded Leibniz rule
     [P, Q^R] = [P,Q]^R + (-1)^((p-1)q) Q^[P,R].
 
     For p >= 2 the components of P are grouped by their tail T = key[1:]:
@@ -558,10 +589,12 @@ def _leibniz(P, Q, lie):
 
         [P, Q] = sum_T ( X_T ^ [e_T, Q] + s [X_T, Q] ^ e_T ),
 
-    s = ``_leibniz_sign(p, q)``, read at call time. Each [e_T, Q] and each
-    [X_T, Q] is formed once per call, and all terms are summed by one
-    :func:`_collect`: f_(a,T) times a component of [e_T, Q] as a factor
-    pair, and a component of [X_T, Q] with the sign s. A term is formed only if its final key has distinct
+    s = ``_leibniz_sign(p, q)``, read at call time. Each [e_T, Q] is formed
+    once per call, by recursion, and each [X_T, Q] is one lie step whose
+    entries, each sign multiplied by s, go straight into the sum: all terms
+    of [P, Q] are summed by one :func:`_collect`, f_(a,T) times a component
+    of [e_T, Q] as a factor pair (a factor 1 left out, so [d_T, Q] forms no
+    product). A term is formed only if its final key has distinct
     indices and avoids the peeled tail: f_(a,T) times a component of
     [e_T, Q] only when a is not in its key, and [X_T, Q] with ``avoid`` the
     indices of T, so the lie step forms none of the products that
@@ -581,8 +614,10 @@ def _leibniz(P, Q, lie):
     if p == 0:
         res = _leibniz(Q, P, lie)
         return res if q % 2 == 0 else -res
+    if grads is None:
+        grads = _gradients(Q)
     if p == 1:
-        return lie(P, Q, frozenset())
+        return P._trusted(frame, q, _collect(lie(P, Q, frozenset(), grads)))
     sign = _leibniz_sign(p, q)
     by_tail = {}
     for key, poly in P.components.items():
@@ -590,15 +625,15 @@ def _leibniz(P, Q, lie):
     one = frame.base.one()
     entries = []
     for tail, heads in by_tail.items():
-        rest = _leibniz(P._trusted(frame, p - 1, {tail: one}), Q, lie)
+        rest = _leibniz(P._trusted(frame, p - 1, {tail: one}), Q, lie, grads)
         for head, f in heads.items():
             entries.extend(
-                (head + key, 1, f, poly)
+                (head + key, *_factor(1, f, poly))
                 for key, poly in rest.components.items()
                 if head[0] not in key
             )
-        cross = lie(P._trusted(frame, 1, heads), Q, frozenset(tail))
-        entries.extend((key + tail, sign, poly, None) for key, poly in cross.components.items())
+        cross = lie(P._trusted(frame, 1, heads), Q, frozenset(tail), grads)
+        entries.extend((key + tail, sign * s, a, b) for key, s, a, b in cross)
     return P._trusted(frame, p + q - 1, _collect(entries))
 
 
@@ -607,13 +642,13 @@ def schouten(P, Q):
 
     Characterized by: [X,Y] is the Lie bracket, [X,f] = X(f), graded
     antisymmetry and the graded Leibniz rule; see :func:`_leibniz`, which
-    this runs with the vector-field step :func:`_lie_multivector`.
+    this runs with the vector-field step :func:`_lie_entries`.
     """
     if not (isinstance(P, MultiVector) and isinstance(Q, MultiVector)):
         raise InputError("schouten acts on multivectors")
     if P.chart != Q.chart:
         raise InputError("chart mismatch")
-    return _leibniz(P, Q, _lie_multivector)
+    return _leibniz(P, Q, _lie_entries)
 
 
 def _odd_partial(P, i):
