@@ -215,13 +215,6 @@ def _anchored(rho, grad, sign):
     return [_factor(sign, r, d) for a, d in grad if not (r := rho(a)).is_zero()]
 
 
-def rho_function(algebroid, section, func):
-    """Apply the anchored vector field of a degree-1 section to a function."""
-    rho = _anchor_reader(algebroid, section)
-    base = algebroid.base
-    return _sum_of_products(base.coords, _anchored(rho, base.coerce(func).gradient(), 1))
-
-
 def anchor_field_of(algebroid, section):
     """rho applied to a degree-1 section, as a vector field on the base."""
     rho = _anchor_reader(algebroid, section)
@@ -230,8 +223,9 @@ def anchor_field_of(algebroid, section):
     return MultiVector._trusted(base, 1, comps)
 
 
-def _bracket_entries(algebroid, left, right):
-    """[X, Y] for degree-1 sections as ``cartan._collect`` entries, keyed (k,)."""
+def _bracket_entries(algebroid, left, right, left_grads=None):
+    """[X, Y] for degree-1 sections as ``cartan._collect`` entries, keyed (k,);
+    ``left_grads`` is ``cartan._gradients(X)`` when the caller has it."""
     table = algebroid.structure
     entries = []
     for (i,), xc in left.components.items():
@@ -246,21 +240,22 @@ def _bracket_entries(algebroid, left, right):
             if xy.is_one():
                 xy = None
             entries += [((k,), sign, e, xy) for k, e in enumerate(row) if not e.is_zero()]
-    for sign, rho_of, sections in ((1, left, right), (-1, right, left)):
+    for sign, rho_of, sections, grads in ((1, left, right, None), (-1, right, left, left_grads)):
         rho = None  # formed on the first coefficient with a nonzero partial
         for key, coeff in sections.components.items():
-            if grad := coeff.gradient():
+            if grad := (coeff.gradient() if grads is None else grads[key]):
                 rho = rho or _anchor_reader(algebroid, rho_of)
                 entries += [(key, *e) for e in _anchored(rho, grad, sign)]
     return entries
 
 
-def section_bracket(algebroid, left, right):
-    """Bracket of two degree-1 sections, extended by Leibniz from the table."""
+def section_bracket(algebroid, left, right, left_grads=None):
+    """Bracket of two degree-1 sections, extended by Leibniz from the table;
+    ``left_grads`` as in :func:`_bracket_entries`."""
     left._check_mate(right)
     if left.degree != 1 or right.degree != 1:
         raise InputError("section_bracket needs degree-1 sections")
-    entries = _bracket_entries(algebroid, left, right)
+    entries = _bracket_entries(algebroid, left, right, left_grads)
     return AlgebroidSection._trusted(algebroid, 1, cartan._collect(entries))
 
 
@@ -361,10 +356,12 @@ def _section_lie(vector, other, avoid, grads):
     slot-j product of [X, e_j]^a when K with a in place of j has distinct
     indices (a == j or a not in K) and avoids ``avoid``. The slot bracket
     [X, e_j] is formed once per call for each slot index j that a product
-    reads.
+    reads, all from one gradient table of X, so each coefficient of X is
+    differentiated once per call.
     """
     algebroid = vector.algebroid
     rho = _anchor_reader(algebroid, vector)
+    vector_grads = None
     slot_brackets = {}
     entries = []
     for key, poly in other.components.items():
@@ -375,8 +372,10 @@ def _section_lie(vector, other, avoid, grads):
             j = key[pos]
             repl = slot_brackets.get(j)
             if repl is None:
+                if vector_grads is None:
+                    vector_grads = cartan._gradients(vector)
                 repl = slot_brackets[j] = section_bracket(
-                    algebroid, vector, unit_section(algebroid, j)
+                    algebroid, vector, unit_section(algebroid, j), vector_grads
                 )
             for (a,), coeff in repl.components.items():
                 if (a == j or a not in key) and a not in avoid:

@@ -149,17 +149,6 @@ def _sort_sign(idx):
     return tuple(lst), sign
 
 
-def _accumulate(comps, key, poly):
-    """Add poly to comps[key], dropping the entry when the sum vanishes."""
-    cur = comps.get(key)
-    if cur is not None:
-        poly = cur + poly
-    if poly.is_zero():
-        comps.pop(key, None)
-    else:
-        comps[key] = poly
-
-
 def _collect(entries):
     """Canonical components from (index tuple, sign, a, b) factor entries, unchecked.
 
@@ -256,10 +245,6 @@ class _Graded:
         return cls(frame, degree, {})
 
     @classmethod
-    def from_function(cls, frame, poly):
-        return cls(frame, 0, {(): poly})
-
-    @classmethod
     def from_terms(cls, frame, degree, entries):
         """Build from (index tuple, coefficient) pairs, keys in any order."""
         return cls._trusted(frame, degree, _normalize(cls, frame, degree, entries))
@@ -297,7 +282,13 @@ class _Graded:
             )
         comps = dict(self.components)
         for key, val in other.components.items():
-            _accumulate(comps, key, val)
+            cur = comps.get(key)
+            if cur is not None:
+                val = cur + val
+                if val.is_zero():
+                    del comps[key]
+                    continue
+            comps[key] = val
         return self._trusted(self.frame, self.degree, comps)
 
     def __neg__(self):
@@ -581,7 +572,9 @@ def _leibniz(P, Q, lie, grads=None):
     call, so each coefficient of Q is differentiated once per bracket.
     Everything else follows from [f, g] = 0 for functions, graded
     antisymmetry [P,Q] = -(-1)^((p-1)(q-1))[Q,P] and the graded Leibniz rule
-    [P, Q^R] = [P,Q]^R + (-1)^((p-1)q) Q^[P,R].
+    [P, Q^R] = [P,Q]^R + (-1)^((p-1)q) Q^[P,R]. A bracket of degree
+    p + q - 1 above the frame's rank is zero, and is returned before any
+    gradient is formed.
 
     For p >= 2 the components of P are grouped by their tail T = key[1:]:
     P = sum_T X_T ^ e_T with the degree-1 X_T = sum_a f_(a,T) e_a and the
@@ -614,6 +607,8 @@ def _leibniz(P, Q, lie, grads=None):
     if p == 0:
         res = _leibniz(Q, P, lie)
         return res if q % 2 == 0 else -res
+    if p + q - 1 > frame.rank:  # no key of that degree has distinct indices
+        return P._trusted(frame, p + q - 1, {})
     if grads is None:
         grads = _gradients(Q)
     if p == 1:

@@ -15,8 +15,9 @@ rational parametrization, whose images are genuine affine polynomials.
 Both certificates are pairings eta.M.v of a polynomial matrix M (N, or the
 matrix of pi sharp) with rational conormals eta and rational vectors v.
 Restriction is a ring homomorphism that fixes rationals, so
-``AffineSubmanifold.pairings`` restricts each entry of M once and combines
-the results: the same polynomials as restricting every pairing.
+``AffineSubmanifold.pairings`` restricts each entry of M once and sums the
+restricted entries times their rational weights in one call of the product
+kernel per pairing: the same polynomials as restricting every pairing.
 
 Every other change of ring only moves variables: the block lifts of pi and
 N to the pair and triple charts (``_block_bivector``, ``_block_tensor``),
@@ -34,7 +35,7 @@ from . import poisson_nijenhuis as pn
 from .cartan import Chart, MultiVector
 from .errors import InputError, InternalError, PreconditionError
 from .linalg import kernel_basis, rref
-from .polyalg import Polynomial
+from .polyalg import Polynomial, _sum_of_products
 from .report import Verdict, prefixed
 
 
@@ -89,11 +90,13 @@ class AffineSubmanifold:
         params = Chart(tuple("s%d" % (j + 1) for j in range(len(tangent))))
         images = {}
         for i, name in enumerate(chart.coords):
-            acc = params.constant(x0[i])
-            for j, vec in enumerate(tangent):
-                if vec[i]:
-                    acc = acc + params.var(params.coords[j]) * vec[i]
-            images[name] = acc
+            terms = [(1, params.constant(x0[i]), None)]
+            terms += [
+                (1, params.var(s), Polynomial._scalar(params.coords, vec[i]))
+                for s, vec in zip(params.coords, tangent)
+                if vec[i]
+            ]
+            images[name] = _sum_of_products(params.coords, terms)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "rhs", tuple(rhs))
@@ -103,10 +106,6 @@ class AffineSubmanifold:
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineSubmanifold is immutable")
-
-    @property
-    def codim(self):
-        return len(self.rows)
 
     @property
     def dim(self):
@@ -133,13 +132,18 @@ class AffineSubmanifold:
             for b, entry in enumerate(row):
                 if not entry.is_zero():
                     columns[b].append((a, self.restrict(entry)))
-        zero = self._params.zero()
+        coords, zero = self._params.coords, self._params.zero()
         out = []
         for i, v in enumerate(vectors):
             live = [(c, columns[b]) for b, c in enumerate(v) if c]
             for j, eta in enumerate(self.rows):
-                terms = (p * (eta[a] * c) for c, column in live for a, p in column if eta[a])
-                out.append((i, j, sum(terms, zero)))
+                terms = [
+                    (1, p, Polynomial._scalar(coords, eta[a] * c))
+                    for c, column in live
+                    for a, p in column
+                    if eta[a]
+                ]
+                out.append((i, j, _sum_of_products(coords, terms) if terms else zero))
         return tuple(out)
 
     def __repr__(self):

@@ -4,6 +4,9 @@ Polynomial matrices are immutable nested tuples, rows outermost. That half
 is what the (1,1)-tensor code still needs: ``mat_mul`` for
 ``TensorOneOne.compose`` and the single product N.pisharp, ``mat_sub`` for
 the holomorphic relation, and ``mat_is_zero`` for the residual matrices.
+Each entry of a polynomial ``mat_mul`` is one call of the product kernel
+``polyalg._sum_of_products`` over the products whose factors are both
+nonzero; a matrix of rationals is summed with ``sum``.
 ``perfbench/tracer.py`` wraps ``linalg.mat_mul`` by that name. Rational row
 reduction works on lists of Fractions and backs the affine submanifold
 computations: ``rref`` reduces once and ``kernel_basis`` reads the kernel
@@ -15,15 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .polyalg import Polynomial
-
-
-def mat(rows):
-    """Freeze a rectangular nested sequence into a tuple-of-tuples matrix."""
-    rows = tuple(tuple(r) for r in rows)
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise InputError("ragged matrix")
-    return rows
+from .polyalg import Polynomial, _sum_of_products
 
 
 def mat_shape(A):
@@ -42,24 +37,21 @@ def mat_mul(A, B):
     if k != k2:
         raise InputError(f"cannot multiply {n}x{k} by {k2}x{m}")
     # Products with a zero factor add nothing, so only the others are formed.
-    # An entry whose products all vanish takes the zero factor of its first
-    # product, A[i][0] or B[0][j]: a zero of the same kind (Polynomial ring
-    # or number) as the full sum.
     b_live = [[not _entry_is_zero(b) for b in row] for row in B]
+    ring = A[0][0].variables if n and k and isinstance(A[0][0], Polynomial) else None
+    zero = Fraction(0) if ring is None else Polynomial._trusted(ring, {}, 1)
     out = []
-    for i in range(n):
-        a_row = A[i]
+    for a_row in A:
         live = [t for t in range(k) if not _entry_is_zero(a_row[t])]
         row = []
         for j in range(m):
-            acc = None
-            for t in live:
-                if b_live[t][j]:
-                    prod = a_row[t] * B[t][j]
-                    acc = prod if acc is None else acc + prod
-            if acc is None:
-                acc = a_row[0] if b_live[0][j] else B[0][j]
-            row.append(acc)
+            terms = [(1, a_row[t], B[t][j]) for t in live if b_live[t][j]]
+            if not terms:
+                row.append(zero)
+            elif ring is None:
+                row.append(sum(a * b for _, a, b in terms))
+            else:
+                row.append(_sum_of_products(ring, terms))
         out.append(tuple(row))
     return tuple(out)
 

@@ -16,9 +16,9 @@ each basis bracket [dx_i, dx_j]_pi and [dx_i, dx_j]_{Npi} once through
 ``koszul_bracket``, read as a module global at call time so a patch of it
 reaches every caller, and expands the brackets of N*dx_i by the Koszul
 Leibniz rule [f alpha, beta]_pi = f[alpha,beta]_pi - (pisharp beta)(f) alpha,
-which holds for any bivector. ``torsion_apply`` and ``magri_morosi`` keep
-the definitions on general fields and forms, one pair per call; the tests
-hold the two maps to them.
+which holds for any bivector. ``magri_morosi`` keeps the definition on
+general forms, one pair per call; the tests hold ``concomitant_map`` to it
+and ``nijenhuis_torsion`` to the torsion's definition in their oracles.
 
 ``koszul_bracket`` is computed in Cartan form,
 
@@ -46,12 +46,13 @@ M[b][a]. The hierarchy applies this step again: (N^k pi)# = N.(N^(k-1) pi)#.
 Work follows the stored entries: N(X), N* alpha, pisharp(alpha),
 pi(alpha, beta), the sharp matrix and the two coordinate tables loop over
 the components X, alpha, beta and pi store and over the nonzero entries of
-N, so none of them multiplies by zero. Which builders validate: the
-TensorOneOne constructor coerces every entry, and i_n goes through the
-validating ``from_terms``. Which build unchecked: N(X), N* alpha,
-pisharp(alpha), N pi and the tables and residuals of the two coordinate
-maps are computed from canonical operands, so they wrap their components
-with ``cartan._Graded._trusted`` (see the :mod:`cartan` module doc).
+N, so none of them multiplies by zero, and each sums its products as
+factor entries in ``cartan._collect`` or one ``polyalg._sum_of_products``
+call. Which builders validate: the TensorOneOne constructor coerces every
+entry. Which build unchecked: N(X), N* alpha, pisharp(alpha), N pi, i_n
+and the tables and residuals of the two coordinate maps are computed from
+canonical operands, so they wrap their components with
+``cartan._Graded._trusted`` (see the :mod:`cartan` module doc).
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ from .cartan import (
     Chart,
     DiffForm,
     MultiVector,
-    _accumulate,
     _apply_vf,
     _collect,
+    _factor,
     coordinate_form,
     exterior_d,
     interior,
@@ -73,6 +74,7 @@ from .cartan import (
 )
 from .errors import InputError, InternalError, PreconditionError
 from .linalg import mat_is_zero, mat_mul, mat_sub
+from .polyalg import _sum_of_products
 from .report import Verdict, labelled, matrix_entries, rendered
 
 
@@ -132,12 +134,13 @@ class TensorOneOne:
             raise InputError("TensorOneOne.apply needs a degree-1 multivector")
         if X.chart != self.chart:
             raise InputError("chart mismatch")
-        out = {}
-        for (j,), xj in X.components.items():
-            for i, row in enumerate(self.entries):
-                if not row[j].is_zero():
-                    _accumulate(out, (i,), row[j] * xj)
-        return MultiVector._trusted(self.chart, 1, out)
+        entries = [
+            ((i,), 1, row[j], xj)
+            for (j,), xj in X.components.items()
+            for i, row in enumerate(self.entries)
+            if not row[j].is_zero()
+        ]
+        return MultiVector._trusted(self.chart, 1, _collect(entries))
 
     def dual_apply(self, alpha):
         """N* on a 1-form: (N*alpha)_j = sum_i alpha_i N^i_j."""
@@ -145,12 +148,13 @@ class TensorOneOne:
             raise InputError("TensorOneOne.dual_apply needs a 1-form")
         if alpha.chart != self.chart:
             raise InputError("chart mismatch")
-        out = {}
-        for (i,), alpha_i in alpha.components.items():
-            for j, entry in enumerate(self.entries[i]):
-                if not entry.is_zero():
-                    _accumulate(out, (j,), alpha_i * entry)
-        return DiffForm._trusted(self.chart, 1, out)
+        entries = [
+            ((j,), 1, alpha_i, entry)
+            for (i,), alpha_i in alpha.components.items()
+            for j, entry in enumerate(self.entries[i])
+            if not entry.is_zero()
+        ]
+        return DiffForm._trusted(self.chart, 1, _collect(entries))
 
     def compose(self, other):
         """Matrix product, self after other."""
@@ -250,34 +254,31 @@ def sharp(pi, alpha):
     # alpha_a pi^{ab} to component b and alpha_b pi^{ba} = -alpha_b pi^{ab}
     # to component a.
     coeffs = alpha.components
-    out = {}
+    entries = []
     for (a, b), p in pi.components.items():
         alpha_a = coeffs.get((a,))
         if alpha_a is not None:
-            _accumulate(out, (b,), alpha_a * p)
+            entries.append(((b,), 1, alpha_a, p))
         alpha_b = coeffs.get((b,))
         if alpha_b is not None:
-            _accumulate(out, (a,), -(alpha_b * p))
-    return MultiVector._trusted(pi.chart, 1, out)
+            entries.append(((a,), -1, alpha_b, p))
+    return MultiVector._trusted(pi.chart, 1, _collect(entries))
 
 
 def bivector_eval(pi, alpha, beta):
     """pi(alpha, beta) as a polynomial."""
     _check_bivector(pi)
     a_comp, b_comp = alpha.components, beta.components
-    out = pi.chart.zero()
+    entries = []
     for (i, j), poly in pi.components.items():
-        # alpha_i beta_j - alpha_j beta_i, from the entries both forms store
+        # pi^{ij} (alpha_i beta_j - alpha_j beta_i), from the entries both forms store
         a_i, a_j = a_comp.get((i,)), a_comp.get((j,))
         b_i, b_j = b_comp.get((i,)), b_comp.get((j,))
-        inner = None
         if a_i is not None and b_j is not None:
-            inner = a_i * b_j
+            entries.append(_factor(1, poly, a_i * b_j))
         if a_j is not None and b_i is not None:
-            inner = -(a_j * b_i) if inner is None else inner - a_j * b_i
-        if inner is not None:
-            out = out + poly * inner
-    return out
+            entries.append(_factor(-1, poly, a_j * b_i))
+    return _sum_of_products(pi.chart.coords, entries) if entries else pi.chart.zero()
 
 
 # -- verdict containers ------------------------------------------------------
@@ -298,14 +299,6 @@ class PNVerdict(Verdict):
     sharp_residual: tuple
     concomitant_residual: dict
     npi: MultiVector = None  # N pi when sharp compatibility holds; not a residual
-
-    @property
-    def poisson_ok(self):
-        return self.poisson_residual.is_zero()
-
-    @property
-    def torsion_ok(self):
-        return all(v.is_zero() for v in self.torsion_residual.values())
 
     @property
     def sharp_ok(self):
@@ -358,21 +351,6 @@ def koszul_bracket(pi, alpha, beta):
     return out
 
 
-def torsion_apply(N, X, Y):
-    """tau_N(X,Y) = [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]).
-
-    The definition on any two vector fields, one pair per call; the tests
-    hold :func:`nijenhuis_torsion` to it on coordinate pairs.
-    """
-    NX, NY = N.apply(X), N.apply(Y)
-    defect = (
-        cartan.vf_bracket(NX, Y)
-        + cartan.vf_bracket(X, NY)
-        - N.apply(cartan.vf_bracket(X, Y))
-    )
-    return cartan.vf_bracket(NX, NY) - N.apply(defect)
-
-
 def nijenhuis_torsion(N):
     """Torsion on all coordinate pairs: {(i,j): tau_N(d_i, d_j)} for i<j.
 
@@ -395,15 +373,10 @@ def nijenhuis_torsion(N):
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
-            defect = {}
-            for r, grad in grads[j]:
-                if i in grad:
-                    _accumulate(defect, (r,), grad[i])
-            for r, grad in grads[i]:
-                if j in grad:
-                    _accumulate(defect, (r,), -grad[j])
+            defect = [((r,), 1, grad[i], None) for r, grad in grads[j] if i in grad]
+            defect += [((r,), -1, grad[j], None) for r, grad in grads[i] if j in grad]
             out[(i, j)] = cartan.vf_bracket(images[i], images[j]) - N.apply(
-                MultiVector._trusted(chart, 1, defect)
+                MultiVector._trusted(chart, 1, _collect(defect))
             )
     return out
 
@@ -458,11 +431,6 @@ def _sharp_product(pi, N):
         (a, b): M[b][a] for a in range(n) for b in range(a + 1, n) if not M[b][a].is_zero()
     }
     return residual, MultiVector._trusted(pi.chart, 2, comps)
-
-
-def sharp_compat_residual(pi, N):
-    """Matrix of N.pisharp - pisharp.N* (zero iff N pi is again a bivector)."""
-    return _sharp_product(pi, N)[0]
 
 
 def n_bivector(pi, N):
@@ -660,9 +628,9 @@ def complementary_build(pi, omega):
     n = chart.dim
     entries = [
         [
-            sum(
-                (pi.component((i, k)) * omega.component((k, j)) for k in range(n)),
-                chart.zero(),
+            _sum_of_products(
+                chart.coords,
+                [(1, pi.component((i, k)), omega.component((k, j))) for k in range(n)],
             )
             for j in range(n)
         ]
@@ -676,10 +644,6 @@ def complementary_build(pi, omega):
 class HolomorphicVerdict(Verdict):
     pn: PNVerdict
     relation_residual: tuple
-
-    @property
-    def relation_ok(self):
-        return mat_is_zero(self.relation_residual)
 
     def families(self):
         yield from self.pn.families()

@@ -28,28 +28,28 @@ after construction.
 
 The kernels run on ``int`` only. ``+`` adds numerators directly when the
 denominators agree and rescales both operands to the ``lcm`` when they
-differ; ``*`` sums the products of numerators per exponent vector over the
-product of the denominators, in the tuple loop ``_add_products``; ``-``,
-``partial`` and ``embed`` keep the denominator; ``gradient`` makes one pass
-over the terms for every partial that does not vanish; ``**`` squares
-repeatedly. ``substitute`` forms each image power once per call and adds
-every term's numerator times its product of powers into one numerator map
-over a running common denominator. A result whose denominator is not 1 is
-divided by the gcd of its denominator and numerators, which restores the
-canonical form. ``Fraction`` appears only at the boundary: the validating
-constructor, ``constant_value``, printing, and ``terms``, a read-only map
-from exponent vectors to ``Fraction`` coefficients that makes each
-coefficient when it is read and keeps none; its ``len`` and truth read the
-numerators. Code that needs only the exponents reads ``exponents()``.
+differ; ``-``, ``partial`` and ``embed`` keep the denominator; ``gradient``
+makes one pass over the terms for every partial that does not vanish;
+``**`` squares repeatedly. ``substitute`` forms each image power once per
+call and adds every term's numerator times its product of powers into one
+numerator map over a running common denominator. A result whose
+denominator is not 1 is divided by the gcd of its denominator and
+numerators, which restores the canonical form. ``Fraction`` appears only at
+the boundary: the validating constructor, ``constant_value``, printing,
+and ``terms``, a read-only map from exponent vectors to ``Fraction``
+coefficients that makes each coefficient when it is read and keeps none;
+its ``len`` and truth read the numerators. Code that needs only the
+exponents reads ``exponents()``.
 
-The brackets downstream sum products: each component is sum sign * a * b.
-The private ``_sum_of_products(variables, terms)`` forms such a sum in one
-accumulator (Johnson, "Sparse polynomial arithmetic", 1974), where ``terms``
-are ``(sign, a, b)`` entries and ``b`` None reads as 1. The common
-denominator is the ``lcm`` of the product denominators; each product's
-numerators are scaled into it, and the result is reduced once. No
-intermediate polynomial is formed, so a product cancelled by another costs
-its term products and nothing more.
+One function multiplies numerators: the private
+``_sum_of_products(variables, terms)`` forms the sum of sign * a * b over
+``(sign, a, b)`` entries, ``b`` None reading as 1, in one accumulator
+(Johnson, "Sparse polynomial arithmetic", 1974). ``*`` is a call with one
+entry; a bracket component, a matrix entry or a pairing downstream is one
+call with an entry per product. The common denominator is the ``lcm`` of
+the product denominators; each product's numerators are scaled into it,
+and the result is reduced once. No intermediate polynomial is formed, so a
+product cancelled by another costs its term products and nothing more.
 
 A large call packs exponent vectors (Monagan and Pearce, CASC 2007), with
 widths chosen per call. Slot i gets the radix max_a[i] + max_b[i] + 1, for
@@ -59,33 +59,28 @@ and R[i+1] = R[i] * radix[i]. A product's exponent in slot i is at most
 max_a[i] + max_b[i], below its radix, so adding two packed vectors never
 carries: the packing is exact, needs no global width and cannot overflow.
 A term product is then one ``int`` addition. Each distinct operand is
-packed once per call, and each result term is unpacked once. A small call
-runs the tuple loop that ``*`` runs.
+packed once per call, and each result term is unpacked once. Any other
+call adds each product of two terms under its exponent tuple.
 
 Packing costs time per operand term and per result term, and saves time per
 term product. So the kernel packs when the ring has 1 to 3 variables and
 the call forms at least ``2 * T + 16`` term products, where T counts the
-terms of the operands entry by entry (``_packs``). The rule was measured on
-the 2,683 kernel calls of one cycle of each benchmark workload that form a
-product or sum two or more polynomials (seed 7, a shared 2-core x86 host,
-Python 3.11), each timed on both paths:
+terms of the operands entry by entry (``_packs``); a call in a wider ring
+does not count its products. The rule was measured, before ``*`` joined
+the kernel, on the 2,683 kernel calls of one cycle of each benchmark
+workload that form a product or sum two or more polynomials (seed 7, a
+shared 2-core x86 host, Python 3.11), each timed on both paths:
 
 * The 2,543 calls below 2 term products per operand term took 2.45 times
-  as long packed, in total. They include every ``pn_groupoid`` call and
-  every call in 4 or more variables (at most 1.2 term products per operand
-  term, and at least 1.41 times slower packed).
+  as long packed, in total; among them every ``pn_groupoid`` call and
+  every call in 4 or more variables.
 * At 3 variables and at least 64 term products, packed over tuple time
   was 0.65 at 2 term products per operand term, 0.57 at 3, 0.38 at 5 and
-  0.33-0.41 from 6 on.
-* Over all ``lie_dense`` calls the tuple loop alone took 69.4 ms and
-  packing alone 64.5 ms; the rule took 40.0 ms, against 39.6 ms for the
-  faster path of each call. A deg-4 ``jacobi check`` spent 17.5 ms in the
-  kernel with the tuple loop and 7.4 ms packed. ``pn_groupoid`` stays on
-  the tuple loop, 0.9 ms against 2.3 ms packed.
-* No real call with 4 or more variables comes near the rule. On random
-  sparse operands, whose products rarely collide, packing lost at 6
-  variables even with 10 term products per operand term, since unpacking
-  each result term costs one ``divmod`` per slot.
+  0.33-0.41 from 6 on. Over all ``lie_dense`` calls the rule took 40.0 ms,
+  against 39.6 ms for the faster path of each call.
+* On random sparse operands, whose products rarely collide, packing lost
+  at 6 variables even with 10 term products per operand term, since
+  unpacking each result term costs one ``divmod`` per slot.
 
 Moving a polynomial to another ring by variable name (an embedding, a
 projection, a rename, or a diagonal restriction that sends two variables to
@@ -233,19 +228,6 @@ def _reduced(variables, nums, den):
     return Polynomial._trusted(variables, nums, den)
 
 
-def _add_products(acc, scale, left, right):
-    """Add ``scale`` times each product of the ``(exps, n)`` items into ``acc``.
-
-    The tuple loop: ``*`` runs it, and so does a small :func:`_sum_of_products`.
-    """
-    get = acc.get
-    for e1, n1 in left:
-        m = scale * n1
-        for e2, n2 in right:
-            exps = tuple(map(add, e1, e2))
-            acc[exps] = get(exps, 0) + m * n2
-
-
 def _packs(products, operand_terms, width):
     """Whether :func:`_sum_of_products` packs the exponents of a call.
 
@@ -260,12 +242,15 @@ def _sum_of_products(variables, terms):
     """The canonical sum of ``sign * a * b`` over ``(sign, a, b)`` entries.
 
     ``sign`` is 1 or -1, ``a`` and ``b`` are polynomials over ``variables``
-    and ``b`` may be ``None``, read as 1. Every product is summed into one
-    accumulator over the ``lcm`` of the product denominators, and the result
-    is reduced once. A call with many term products per operand term packs
-    every exponent vector into one ``int`` (:func:`_packed_sum`); a small
-    one runs the tuple loop of ``*``.
+    and ``b`` may be ``None``, read as 1. The one function that multiplies
+    numerators: ``*`` is a call with one entry. Every product is summed into
+    one accumulator over the ``lcm`` of the product denominators, and the
+    result is reduced once. A call that the size rule :func:`_packs` admits
+    packs every exponent vector into one ``int`` (:func:`_packed_sum`); any
+    other adds each product of two terms under its exponent tuple.
     """
+    width = len(variables)
+    counted = width <= _PACK_MAX_WIDTH  # only a ring _packs can pack counts products
     live, den, products, operand_terms = [], 1, 0, 0
     for sign, a, b in terms:
         left = a._nums
@@ -273,15 +258,17 @@ def _sum_of_products(variables, terms):
             continue
         if b is None:
             d = a._den
-            products += len(left)
-            operand_terms += len(left)
+            if counted:
+                products += len(left)
+                operand_terms += len(left)
         else:
             right = b._nums
             if not right:
                 continue
             d = a._den * b._den
-            products += len(left) * len(right)
-            operand_terms += len(left) + len(right)
+            if counted:
+                products += len(left) * len(right)
+                operand_terms += len(left) + len(right)
         if d != den:
             den = lcm(den, d)
         live.append((sign, d, a, b))
@@ -291,23 +278,25 @@ def _sum_of_products(variables, terms):
         sign, _, a, b = live[0]
         if b is None:
             return a if sign > 0 else -a
-    if _packs(products, operand_terms, len(variables)):
-        nums = _packed_sum(live, den, len(variables))
-    else:
-        acc = {}
-        get = acc.get
-        for sign, d, a, b in live:
-            scale = sign if d == den else sign * (den // d)
-            if b is None:
-                for exps, n in a._nums.items():
-                    acc[exps] = get(exps, 0) + scale * n
-            else:
-                left, right = a._nums, b._nums
-                if len(left) > len(right):
-                    left, right = right, left
-                _add_products(acc, scale, left.items(), right.items())
-        nums = {exps: v for exps, v in acc.items() if v}
-    return _reduced(variables, nums, den)
+    if counted and _packs(products, operand_terms, width):
+        return _reduced(variables, _packed_sum(live, den, width), den)
+    acc = {}
+    get = acc.get
+    for sign, d, a, b in live:
+        scale = sign if d == den else sign * (den // d)
+        if b is None:
+            for exps, n in a._nums.items():
+                acc[exps] = get(exps, 0) + scale * n
+            continue
+        left, right = a._nums.items(), b._nums.items()
+        if len(left) > len(right):
+            left, right = right, left
+        for e1, n1 in left:
+            m = scale * n1
+            for e2, n2 in right:
+                exps = tuple(map(add, e1, e2))
+                acc[exps] = get(exps, 0) + m * n2
+    return _reduced(variables, {exps: v for exps, v in acc.items() if v}, den)
 
 
 def _packed_sum(live, den, width):
@@ -431,10 +420,10 @@ class Polynomial:
         )
         _set_den(self, den)
 
-    @classmethod
-    def _trusted(cls, variables, nums, den):
+    @staticmethod
+    def _trusted(variables, nums, den):
         """Wrap numerators and a denominator in canonical form, unchecked."""
-        poly = object.__new__(cls)
+        poly = _new(Polynomial)
         _set_variables(poly, variables)
         _set_nums(poly, nums)
         _set_den(poly, den)
@@ -582,12 +571,7 @@ class Polynomial:
             return NotImplemented
         if other.variables != self.variables:
             return Polynomial.constant(other.variables, self.constant_value()) * other
-        if not (self._nums and other._nums):
-            return Polynomial._trusted(self.variables, {}, 1)
-        acc = {}
-        _add_products(acc, 1, self._nums.items(), other._nums.items())
-        nums = {exps: v for exps, v in acc.items() if v}
-        return _reduced(self.variables, nums, self._den * other._den)
+        return _sum_of_products(self.variables, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -802,6 +786,7 @@ class Polynomial:
 
 # The slot descriptors' own setters bypass the immutability guard of
 # ``__setattr__``, at a fraction of the cost of ``object.__setattr__``.
+_new = object.__new__
 _set_variables = Polynomial.variables.__set__
 _set_nums = Polynomial._nums.__set__
 _set_den = Polynomial._den.__set__

@@ -1,14 +1,13 @@
-"""Count the polynomial products pncalc forms, by ``*`` or by the fused kernel.
+"""Count the polynomial products pncalc forms.
 
-A product is formed either by ``Polynomial.__mul__`` or as one ``(sign, a, b)``
-entry with ``b`` given in a call of ``polyalg._sum_of_products``. A spy that
-watches only ``__mul__`` would miss the second kind.
+Every product is one ``(sign, a, b)`` entry with ``b`` given in a call of
+the product kernel ``polyalg._sum_of_products``; ``*`` is such a call with
+one entry.
 """
 
 import sys
 
 from pncalc import polyalg
-from pncalc.polyalg import Polynomial
 
 
 def spy_products(monkeypatch, record):
@@ -16,13 +15,6 @@ def spy_products(monkeypatch, record):
 
     The kernel is replaced in every pncalc module that holds it by name.
     """
-    multiply = Polynomial.__mul__
-
-    def mul(self, other):
-        record(self, other)
-        return multiply(self, other)
-
-    monkeypatch.setattr(Polynomial, "__mul__", mul)
     kernel = polyalg._sum_of_products
 
     def fused(variables, terms):

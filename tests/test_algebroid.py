@@ -22,7 +22,6 @@ from pncalc.algebroid import (
     gerstenhaber_bracket,
     linear_poisson_to_algebroid,
     pn_bialgebroid_check,
-    rho_function,
     section_bracket,
     tangent_algebroid,
     tangent_deformed_algebroid,
@@ -32,6 +31,7 @@ from pncalc.cartan import Chart, MultiVector
 from pncalc.corpus import R1, R2, R3, random_multivector, random_polynomial, so3_bivector
 from pncalc.errors import InputError, PreconditionError
 from pncalc.polyalg import Polynomial
+from oracles import rho_function
 
 POINT = Chart(())
 

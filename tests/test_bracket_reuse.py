@@ -29,7 +29,6 @@ from pncalc.algebroid import (
     compat_check,
     cotangent_algebroid,
     gerstenhaber_bracket,
-    rho_function,
     section_bracket,
     tangent_algebroid,
     unit_section,
@@ -37,6 +36,7 @@ from pncalc.algebroid import (
 from pncalc.cartan import Chart, MultiVector
 from pncalc.corpus import R2, R3, R4, point_lie_algebras, random_polynomial, so3_bivector
 from pncalc.polyalg import Polynomial
+from oracles import rho_function
 from products import spy_products
 
 POINT = Chart(())
@@ -386,13 +386,7 @@ def test_validate_jacobi_matches_three_finished_brackets_on_deformed_tangents(se
     assert all(res.is_zero() for res in residuals.values())
 
 
-def test_one_bracket_differentiates_each_coefficient_of_q_once(monkeypatch):
-    # the lie steps of one bracket read one gradient table of Q, so no
-    # coefficient of Q is differentiated once per peeled tail
-    rng = random.Random(6)
-    P, Q = (_dense(rng, MultiVector, R4, d) for d in (3, 2))
-    alg = cotangent_algebroid(so3_bivector())
-    S, T = (_dense(rng, AlgebroidSection, alg, d) for d in (2, 2))
+def _gradient_receivers(monkeypatch):
     receivers = []
     gradient = Polynomial.gradient
 
@@ -401,6 +395,17 @@ def test_one_bracket_differentiates_each_coefficient_of_q_once(monkeypatch):
         return gradient(self)
 
     monkeypatch.setattr(Polynomial, "gradient", spy)
+    return receivers
+
+
+def test_one_bracket_differentiates_each_coefficient_of_q_once(monkeypatch):
+    # the lie steps of one bracket read one gradient table of Q, so no
+    # coefficient of Q is differentiated once per peeled tail
+    rng = random.Random(6)
+    P, Q = (_dense(rng, MultiVector, R4, d) for d in (3, 2))
+    alg = cotangent_algebroid(so3_bivector())
+    S, T = (_dense(rng, AlgebroidSection, alg, d) for d in (2, 2))
+    receivers = _gradient_receivers(monkeypatch)
     for bracket, right in (
         (lambda: cartan.schouten(P, Q), Q),
         (lambda: gerstenhaber_bracket(alg, S, T), T),
@@ -409,3 +414,27 @@ def test_one_bracket_differentiates_each_coefficient_of_q_once(monkeypatch):
         bracket()
         counts = [sum(r is poly for r in receivers) for poly in right.components.values()]
         assert max(counts) == 1, counts
+
+
+def test_one_gerstenhaber_bracket_differentiates_each_coefficient_of_p_once(monkeypatch):
+    # the slot brackets [X, e_j] of a lie step read one gradient table of X,
+    # so no coefficient of P is differentiated once per slot index
+    rng = random.Random(6)
+    alg = cotangent_algebroid(so3_bivector())
+    S, T = (_dense(rng, AlgebroidSection, alg, 2) for _ in range(2))
+    receivers = _gradient_receivers(monkeypatch)
+    gerstenhaber_bracket(alg, S, T)
+    counts = [sum(r is poly for r in receivers) for poly in S.components.values()]
+    assert counts == [1] * len(S.components)
+
+
+def test_bracket_above_the_rank_forms_no_gradient(monkeypatch):
+    # [P, Q] of two bivectors on R^2 has degree 3 > 2: it is zero, and the
+    # recursion returns before it differentiates anything
+    P = MultiVector(R2, 2, {(0, 1): "x1^2*x2 + 1"})
+    Q = MultiVector(R2, 2, {(0, 1): "x2^3 - 3*x1"})
+    receivers = _gradient_receivers(monkeypatch)
+    for left, right in ((P, Q), (P, P)):
+        bracket = cartan.schouten(left, right)
+        assert bracket.is_zero() and bracket.degree == 3
+    assert receivers == []

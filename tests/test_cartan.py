@@ -35,6 +35,7 @@ from pncalc.corpus import (
 )
 from pncalc.errors import InputError
 from pncalc.polyalg import Polynomial, parse_polynomial
+from oracles import from_function
 from products import spy_products
 
 
@@ -178,7 +179,7 @@ def test_exterior_d_examples():
     assert exterior_d(x1 * dx2) == DiffForm(R2, 2, {(0, 1): 1})
     assert exterior_d(coordinate_form(R2, 0)).is_zero()
     f = R2.var("x1") * R2.var("x2")
-    df = exterior_d(DiffForm.from_function(R2, f))
+    df = exterior_d(from_function(DiffForm, R2, f))
     assert df == DiffForm(R2, 1, {(0,): R2.var("x2"), (1,): R2.var("x1")})
 
 
@@ -211,9 +212,9 @@ def test_interior_examples():
     assert interior(d3, dx12).is_zero()
     x2 = R2.var("x2")
     got = interior(x2 * coordinate_vector(R2, 0), coordinate_form(R2, 0))
-    assert got == DiffForm.from_function(R2, x2)
+    assert got == from_function(DiffForm, R2, x2)
     with pytest.raises(InputError):
-        interior(d1, DiffForm.from_function(R3, R3.var("x1")))
+        interior(d1, from_function(DiffForm, R3, R3.var("x1")))
 
 
 def test_interior_is_an_antiderivation():
@@ -279,7 +280,7 @@ def test_schouten_vector_cases():
     for _ in range(10):
         X = random_multivector(rng, R3, 1)
         Y = random_multivector(rng, R3, 1)
-        f = MultiVector.from_function(R3, random_polynomial(rng, R3))
+        f = from_function(MultiVector, R3, random_polynomial(rng, R3))
         assert schouten(X, Y) == vf_bracket(X, Y)
         # [X, f] = X(f)
         got = schouten(X, f)
@@ -290,7 +291,7 @@ def test_schouten_vector_cases():
             ),
             R3.zero(),
         )
-        assert got == MultiVector.from_function(R3, want)
+        assert got == from_function(MultiVector, R3, want)
 
 
 def test_schouten_graded_antisymmetry():

@@ -1,0 +1,32 @@
+"""The layout of ``src/pncalc`` keeps one product path.
+
+``polyalg._sum_of_products`` is the one function that multiplies
+numerators: ``*`` is a call of it with one entry, and every summed product
+elsewhere is one of its entries. So no module but ``polyalg`` reads the
+numerators or the denominator of a polynomial, and neither of the loops
+that once formed products beside the kernel, ``_add_products`` and
+``cartan._accumulate``, is defined or named again.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pncalc"
+RETIRED = {"_accumulate", "_add_products"}
+
+
+def _names(node):
+    return {getattr(node, field, None) for field in ("name", "id", "attr")}
+
+
+def test_only_polyalg_reads_numerators_and_no_retired_product_loop():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_nums", "_den"):
+                if path.name != "polyalg.py":
+                    found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            if _names(node) & RETIRED:
+                found.append(f"{path.name}:{node.lineno} names {_names(node) & RETIRED}")
+    assert found == []
+    assert len(list(SRC.glob("*.py"))) > 1
