@@ -47,7 +47,7 @@ from itertools import chain, combinations
 from .errors import InputError, InternalError, PreconditionError
 from .polyalg import Polynomial, Rational, _sum_of_products, is_identifier
 from . import cartan
-from .cartan import Chart, MultiVector, _factor
+from .cartan import Chart, MultiVector, _factor, _times
 from . import poisson_nijenhuis as pn
 from .report import Verdict, labelled, matrix_entries, prefixed, rendered
 
@@ -235,14 +235,13 @@ def _bracket_entries(algebroid, left, right, left_grads=None):
             if row is None:
                 continue
             sign = 1 if i < j else -1
-            # xc * yc, with no product by a factor 1, and None when it is 1
-            xy = yc if xc.is_one() else xc if yc.is_one() else xc * yc
-            if xy.is_one():
-                xy = None
+            xy = _times(xc, yc)
             entries += [((k,), sign, e, xy) for k, e in enumerate(row) if not e.is_zero()]
     for sign, rho_of, sections, grads in ((1, left, right, None), (-1, right, left, left_grads)):
         rho = None  # formed on the first coefficient with a nonzero partial
         for key, coeff in sections.components.items():
+            if grads is None and coeff.is_constant():  # the 1 of a unit section, say
+                continue
             if grad := (coeff.gradient() if grads is None else grads[key]):
                 rho = rho or _anchor_reader(algebroid, rho_of)
                 entries += [(key, *e) for e in _anchored(rho, grad, sign)]

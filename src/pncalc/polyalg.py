@@ -30,7 +30,8 @@ The kernels run on ``int`` only. ``+`` adds numerators directly when the
 denominators agree and rescales both operands to the ``lcm`` when they
 differ; ``-``, ``partial`` and ``embed`` keep the denominator; ``gradient``
 makes one pass over the terms for every partial that does not vanish;
-``**`` squares repeatedly. ``substitute`` forms each image power once per
+``**`` squares repeatedly, but raises a one-term polynomial directly
+(c^n x^(n e)). ``substitute`` forms each image power once per
 call and adds every term's numerator times its product of powers into one
 numerator map over a running common denominator. A result whose
 denominator is not 1 is divided by the gcd of its denominator and
@@ -48,8 +49,16 @@ One function multiplies numerators: the private
 entry; a bracket component, a matrix entry or a pairing downstream is one
 call with an entry per product. The common denominator is the ``lcm`` of
 the product denominators; each product's numerators are scaled into it,
-and the result is reduced once. No intermediate polynomial is formed, so a
-product cancelled by another costs its term products and nothing more.
+and the result is reduced once.
+
+Entries that share a left operand ``a`` (the same object) of two or more
+terms are factored first: their right operands are summed on the ``b`` None
+path, B = sum s_i b_i, and a * B is one entry, or none when B is zero. That
+never forms more term products, and each term that merges or cancels in B
+saves |a| products for one addition; for a monomial the additions cost what
+they save, so a monomial is left alone, and the rule has no size constant.
+No other intermediate polynomial is formed, so a product cancelled by
+another costs its term products and nothing more.
 
 A large call packs exponent vectors (Monagan and Pearce, CASC 2007), with
 widths chosen per call. Slot i gets the radix max_a[i] + max_b[i] + 1, for
@@ -243,7 +252,9 @@ def _sum_of_products(variables, terms):
 
     ``sign`` is 1 or -1, ``a`` and ``b`` are polynomials over ``variables``
     and ``b`` may be ``None``, read as 1. The one function that multiplies
-    numerators: ``*`` is a call with one entry. Every product is summed into
+    numerators: ``*`` is a call with one entry. Entries sharing a left operand
+    of two or more terms are factored, a * (sum s_i b_i), as the module
+    docstring says. Every product is summed into
     one accumulator over the ``lcm`` of the product denominators, and the
     result is reduced once. A call that the size rule :func:`_packs` admits
     packs every exponent vector into one ``int`` (:func:`_packed_sum`); any
@@ -251,11 +262,25 @@ def _sum_of_products(variables, terms):
     """
     width = len(variables)
     counted = width <= _PACK_MAX_WIDTH  # only a ring _packs can pack counts products
-    live, den, products, operand_terms = [], 1, 0, 0
-    for sign, a, b in terms:
-        left = a._nums
-        if not left:
+    groups, shared = [], {}  # shared: id(a) -> the group of a left operand of 2+ terms
+    for entry in terms:
+        _, a, b = entry
+        if not a._nums or (b is not None and not b._nums):
             continue
+        if b is None or len(a._nums) < 2:
+            groups.append([entry])
+        elif (group := shared.get(id(a))) is not None:
+            group.append(entry)
+        else:
+            groups.append(shared.setdefault(id(a), [entry]))
+    live, den, products, operand_terms = [], 1, 0, 0
+    for group in groups:
+        sign, a, b = group[0]
+        if len(group) > 1:  # a * (sum of s_i b_i), summed on the b=None path
+            sign, b = 1, _sum_of_products(variables, [(s, b, None) for s, _, b in group])
+            if not b._nums:
+                continue
+        left = a._nums
         if b is None:
             d = a._den
             if counted:
@@ -263,8 +288,6 @@ def _sum_of_products(variables, terms):
                 operand_terms += len(left)
         else:
             right = b._nums
-            if not right:
-                continue
             d = a._den * b._den
             if counted:
                 products += len(left) * len(right)
@@ -482,7 +505,8 @@ class Polynomial:
         return n == 1 and not any(exps)
 
     def is_constant(self):
-        return all(not any(exps) for exps in self._nums)
+        nums = self._nums  # canonical: a constant has at most one term
+        return len(nums) < 2 and not any(next(iter(nums), ()))
 
     def constant_value(self):
         if not self._nums:
@@ -576,7 +600,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """``self`` to the ``n``-th power, by repeated squaring.
+        """``self`` to the ``n``-th power, by repeated squaring; a one-term
+        polynomial is raised directly, with no product.
 
         A power of degree above ``MAX_DEGREE``, or one that could have more
         than ``MAX_TERMS`` terms, is refused before any product is formed.
@@ -602,6 +627,11 @@ class Polynomial:
             raise InputError(
                 f"power {n} of a {count}-term polynomial could have {bound} terms, "
                 f"above the budget of {MAX_TERMS}"
+            )
+        if count == 1:  # (c x^e)^n = c^n x^(n e), still in lowest terms
+            ((exps, c),) = self._nums.items()
+            return Polynomial._trusted(
+                self.variables, {tuple(e * n for e in exps): c**n}, self._den**n
             )
         result, square = None, self
         while True:

@@ -11,16 +11,18 @@ call" and the number of products formed exactly.
 """
 
 import contextlib
+import json
 import random
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pncalc import algebroid, cartan, jacobi
+from pncalc import algebroid, cartan, jacobi, polyalg
 from pncalc import poisson_nijenhuis as pn
 from pncalc.algebroid import (
     AlgebroidData,
@@ -341,6 +343,36 @@ def test_is_jacobi_product_count_on_r3(monkeypatch):
     assert not verdict.ok
 
 
+def _dense_jacobi_pair():
+    path = Path(__file__).resolve().parent.parent / "demos" / "documents" / "dense_jacobi.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))["jacobi"]
+    pi = {tuple(int(i) - 1 for i in key.split(",")): v for key, v in doc["bivector"].items()}
+    field = {(int(key) - 1,): v for key, v in doc["field"].items()}
+    return jacobi.JacobiPair(MultiVector(R3, 2, pi), MultiVector(R3, 1, field))
+
+
+def test_dense_jacobi_packed_products_are_factored(monkeypatch):
+    # Each bracket component has entries pi^{ij} * b_k that share the left
+    # operand pi^{ij} (30-31 terms); the kernel sums the b_k first and forms
+    # one product per shared operand. Term products reaching _packed_sum,
+    # product by product before the factoring: 6,868 for [pi, pi] and
+    # 38,658 for the whole check.
+    pair = _dense_jacobi_pair()
+    counted = [0]
+    packed_sum = polyalg._packed_sum
+
+    def spy(live, den, width):
+        counted[0] += sum(len(a.terms) * len(b.terms) for _, _, a, b in live if b is not None)
+        return packed_sum(live, den, width)
+
+    monkeypatch.setattr(polyalg, "_packed_sum", spy)
+    assert cartan.schouten(pair.pi, pair.pi).is_zero()
+    assert counted[0] == 1410
+    counted[0] = 0
+    assert jacobi.is_jacobi(pair).ok
+    assert counted[0] == 22834
+
+
 def _cyclic_sum_oracle(alg):
     # the Jacobi residual of each triple as three finished section brackets added
     units = [unit_section(alg, a) for a in range(alg.rank)]
@@ -426,6 +458,24 @@ def test_one_gerstenhaber_bracket_differentiates_each_coefficient_of_p_once(monk
     gerstenhaber_bracket(alg, S, T)
     counts = [sum(r is poly for r in receivers) for poly in S.components.values()]
     assert counts == [1] * len(S.components)
+
+
+def test_brackets_differentiate_no_constant_coefficient(monkeypatch):
+    # a constant coefficient, such as the 1 of a unit section e_j in a slot
+    # bracket [X, e_j] or of a unit multisection e_T peeled by the recursion,
+    # has no partial, so no gradient is formed for it: 15 of the 20 gradients
+    # of this Gerstenhaber bracket and 6 of the 16 of this Schouten bracket
+    # were on constants
+    rng = random.Random(6)
+    alg = cotangent_algebroid(so3_bivector())
+    S, T = (_dense(rng, AlgebroidSection, alg, 2) for _ in range(2))
+    P, Q = (_dense(rng, MultiVector, R4, d) for d in (3, 2))
+    receivers = _gradient_receivers(monkeypatch)
+    for bracket, count in ((lambda: gerstenhaber_bracket(alg, S, T), 5), (lambda: cartan.schouten(P, Q), 10)):
+        receivers.clear()
+        bracket()
+        assert len(receivers) == count
+        assert not any(poly.is_constant() for poly in receivers)
 
 
 def test_bracket_above_the_rank_forms_no_gradient(monkeypatch):

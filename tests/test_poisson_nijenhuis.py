@@ -753,9 +753,10 @@ def test_is_pn_pair_multiplies_few_zero_operands(monkeypatch):
     # derivative, where the Lie-derivative form took 105 products in all.
     # The Lie steps leave out a factor 1, here d(1 + l1)/dl1 (39 before), and
     # so does pi(dx_i, dx_j): pi^{ij} is not multiplied by the product 1 of
-    # the two coordinate-form entries (38 before).
+    # the two coordinate-form entries (38 before), and that product 1 * 1 is
+    # not formed either (32 before).
     assert counts["zero"] == 0
-    assert counts["calls"] == 32
+    assert counts["calls"] == 26
 
 
 def test_is_pn_pair_differentiates_through_gradients_only(monkeypatch):

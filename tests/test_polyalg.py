@@ -393,6 +393,63 @@ def test_sum_of_products_matches_fraction_loop(call):
             assert polyalg._sum_of_products(ring, entries) == got
 
 
+def one_term(ring):
+    return st.builds(
+        lambda exps, c: Polynomial(ring, {exps: c}),
+        st.tuples(*(st.integers(0, 3) for _ in ring)),
+        kernel_coeffs,
+    )
+
+
+@st.composite
+def shared_calls(draw):
+    """Calls whose entries share left operands: the kernel factors each shared
+    operand of two or more terms, a * (sum of s_i b_i)."""
+    ring = draw(st.sampled_from(RINGS))
+    pool = draw(st.lists(st.one_of(fused_operands(ring), one_term(ring)), min_size=1, max_size=3))
+    shared = st.sampled_from(pool)
+    right = st.one_of(st.none(), shared, fused_operands(ring), one_term(ring))
+    entries = draw(st.lists(st.tuples(st.sampled_from((1, -1)), shared, right), max_size=8))
+    a = pool[0]
+    entries.append((draw(st.sampled_from((1, -1))), a, a))  # a is b
+    if draw(st.booleans()):  # a group whose right operands cancel: b + c - (b + c)
+        a, b, c = (draw(fused_operands(ring)) for _ in range(3))
+        entries += [(1, a, b), (1, a, c), (-1, a, b + c)]
+    if draw(st.booleans()):  # a shared right operand is no group
+        a, b, c = (draw(fused_operands(ring)) for _ in range(3))
+        entries += [(1, a, c), (-1, b, c)]
+    return ring, draw(st.permutations(entries))
+
+
+_SHARED, _MONOMIAL, _RIGHT = P("x1 + 1/2"), P("2*x2"), P("x3 - 2")
+
+
+@given(shared_calls())
+@example(
+    (
+        VARS,
+        [
+            (1, _SHARED, P("1/3*x2 - 1")),
+            (-1, _SHARED, P("1/5*x3^2")),
+            (1, _SHARED, None),
+            (1, _MONOMIAL, _SHARED),
+            (-1, _MONOMIAL, P("x3")),
+            (1, P("x2^2 - x1"), _RIGHT),
+            (1, P("x1*x3 + 3"), _RIGHT),
+        ],
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_factored_shared_operands_match_fraction_loop(call):
+    ring, entries = call
+    want = oracle_fused(entries)
+    for packs in (False, True):
+        with mock.patch.object(polyalg, "_packs", lambda *counts, packs=packs: packs):
+            got = polyalg._sum_of_products(ring, entries)
+        assert_terms(got, want)
+        assert_canonical(got)
+
+
 def test_sum_of_products_size_rule_and_full_radix_slots():
     # a call with many term products per operand term packs; one product of
     # single terms does not, and neither does a ring with no variables
@@ -877,6 +934,22 @@ def test_reader_keeps_the_digits_int_reads():
 @settings(max_examples=15, deadline=None)
 def test_pow_matches_repeated_products(n, p):
     got = p**n
+    assert got == _repeated(p, n)
+    assert_canonical(got)
+
+
+@given(
+    st.integers(0, 9),
+    one_term(VARS).filter(lambda p: p.terms),
+    st.sampled_from((-1, Fraction(-2, 3), Fraction(5, 4))),
+)
+@settings(max_examples=30, deadline=None)
+def test_pow_of_one_term_matches_repeated_products_and_forms_none(n, p, c):
+    p = c * p  # a negative or fractional coefficient
+    products = []
+    with mock.patch.object(polyalg, "_sum_of_products", lambda *call: products.append(call)):
+        got = p**n
+    assert products == []
     assert got == _repeated(p, n)
     assert_canonical(got)
 
