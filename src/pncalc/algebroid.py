@@ -240,8 +240,6 @@ def _bracket_entries(algebroid, left, right, left_grads=None):
     for sign, rho_of, sections, grads in ((1, left, right, None), (-1, right, left, left_grads)):
         rho = None  # formed on the first coefficient with a nonzero partial
         for key, coeff in sections.components.items():
-            if grads is None and coeff.is_constant():  # the 1 of a unit section, say
-                continue
             if grad := (coeff.gradient() if grads is None else grads[key]):
                 rho = rho or _anchor_reader(algebroid, rho_of)
                 entries += [(key, *e) for e in _anchored(rho, grad, sign)]

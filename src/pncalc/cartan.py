@@ -492,9 +492,8 @@ def _times(a, b):
 
 
 def _gradients(Q):
-    """The gradient of each coefficient of Q, by key: the table the lie steps read.
-    A constant, such as the 1 of a unit multisection, is not differentiated."""
-    return {key: [] if p.is_constant() else p.gradient() for key, p in Q.components.items()}
+    """The gradient of each coefficient of Q, by key: the table the lie steps read."""
+    return {key: poly.gradient() for key, poly in Q.components.items()}
 
 
 def _live_slots(key, avoid):
@@ -519,8 +518,8 @@ def _lie_entries(X, Q, avoid, grads):
     with a in place of j, has distinct indices (a == j or a not in K) and
     avoids ``avoid``. :func:`_leibniz` passes the peeled tail as ``avoid``;
     the entries sum to [X, Q] with the components whose key meets it left
-    out. Each nonconstant component X^a is differentiated once per call, by
-    :func:`_gradients`, when the first slot product is read; the list of partials
+    out. Each component X^a is differentiated once per call, by one
+    ``gradient``, when the first slot product is read; the list of partials
     d_j X^a is then formed once for each slot index j that a product reads.
     """
     comps = X.components
@@ -540,7 +539,7 @@ def _lie_entries(X, Q, avoid, grads):
             partials = slot_partials.get(j)
             if partials is None:
                 if slot_grads is None:
-                    slot_grads = [(a, dict(grad)) for (a,), grad in _gradients(X).items()]
+                    slot_grads = [(a, dict(xc.gradient())) for (a,), xc in comps.items()]
                 partials = slot_partials[j] = [
                     (a, grad[j]) for a, grad in slot_grads if j in grad
                 ]

@@ -30,8 +30,7 @@ The kernels run on ``int`` only. ``+`` adds numerators directly when the
 denominators agree and rescales both operands to the ``lcm`` when they
 differ; ``-``, ``partial`` and ``embed`` keep the denominator; ``gradient``
 makes one pass over the terms for every partial that does not vanish;
-``**`` squares repeatedly, but raises a one-term polynomial directly
-(c^n x^(n e)). ``substitute`` forms each image power once per
+``**`` squares repeatedly. ``substitute`` forms each image power once per
 call and adds every term's numerator times its product of powers into one
 numerator map over a running common denominator. A result whose
 denominator is not 1 is divided by the gcd of its denominator and
@@ -252,35 +251,22 @@ def _sum_of_products(variables, terms):
 
     ``sign`` is 1 or -1, ``a`` and ``b`` are polynomials over ``variables``
     and ``b`` may be ``None``, read as 1. The one function that multiplies
-    numerators: ``*`` is a call with one entry. Entries sharing a left operand
-    of two or more terms are factored, a * (sum s_i b_i), as the module
-    docstring says. Every product is summed into
-    one accumulator over the ``lcm`` of the product denominators, and the
-    result is reduced once. A call that the size rule :func:`_packs` admits
-    packs every exponent vector into one ``int`` (:func:`_packed_sum`); any
-    other adds each product of two terms under its exponent tuple.
+    numerators: ``*`` is a call with one entry. Entries that share a left
+    operand of two or more terms are factored first, as the module docstring
+    says. Every product is summed into one accumulator over the ``lcm`` of
+    the product denominators, and the result is reduced once. A call that
+    the size rule :func:`_packs` admits packs every exponent vector into one
+    ``int`` (:func:`_packed_sum`); any other adds each product of two terms
+    under its exponent tuple.
     """
     width = len(variables)
     counted = width <= _PACK_MAX_WIDTH  # only a ring _packs can pack counts products
-    groups, shared = [], {}  # shared: id(a) -> the group of a left operand of 2+ terms
-    for entry in terms:
-        _, a, b = entry
-        if not a._nums or (b is not None and not b._nums):
-            continue
-        if b is None or len(a._nums) < 2:
-            groups.append([entry])
-        elif (group := shared.get(id(a))) is not None:
-            group.append(entry)
-        else:
-            groups.append(shared.setdefault(id(a), [entry]))
     live, den, products, operand_terms = [], 1, 0, 0
-    for group in groups:
-        sign, a, b = group[0]
-        if len(group) > 1:  # a * (sum of s_i b_i), summed on the b=None path
-            sign, b = 1, _sum_of_products(variables, [(s, b, None) for s, _, b in group])
-            if not b._nums:
-                continue
+    shared = {} if len(terms) > 1 else None  # id(a) -> [a, (s_i, b_i), ...], |a| >= 2
+    for sign, a, b in terms:
         left = a._nums
+        if not left:
+            continue
         if b is None:
             d = a._den
             if counted:
@@ -288,10 +274,33 @@ def _sum_of_products(variables, terms):
                 operand_terms += len(left)
         else:
             right = b._nums
+            if not right:
+                continue
+            if shared is not None and len(left) > 1:
+                group = shared.get(id(a))
+                if group is None:
+                    shared[id(a)] = [a, (sign, b)]
+                else:
+                    group.append((sign, b))
+                continue
             d = a._den * b._den
             if counted:
                 products += len(left) * len(right)
                 operand_terms += len(left) + len(right)
+        if d != den:
+            den = lcm(den, d)
+        live.append((sign, d, a, b))
+    for a, *group in shared.values() if shared else ():
+        sign, b = group[0]
+        if len(group) > 1:  # a * (sum of s_i b_i), summed on the b=None path
+            sign, b = 1, _sum_of_products(variables, [(s, b, None) for s, b in group])
+            if not b._nums:
+                continue
+        left, right = a._nums, b._nums
+        d = a._den * b._den
+        if counted:
+            products += len(left) * len(right)
+            operand_terms += len(left) + len(right)
         if d != den:
             den = lcm(den, d)
         live.append((sign, d, a, b))
@@ -505,8 +514,7 @@ class Polynomial:
         return n == 1 and not any(exps)
 
     def is_constant(self):
-        nums = self._nums  # canonical: a constant has at most one term
-        return len(nums) < 2 and not any(next(iter(nums), ()))
+        return all(not any(exps) for exps in self._nums)
 
     def constant_value(self):
         if not self._nums:
@@ -600,8 +608,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """``self`` to the ``n``-th power, by repeated squaring; a one-term
-        polynomial is raised directly, with no product.
+        """``self`` to the ``n``-th power, by repeated squaring.
 
         A power of degree above ``MAX_DEGREE``, or one that could have more
         than ``MAX_TERMS`` terms, is refused before any product is formed.
@@ -627,11 +634,6 @@ class Polynomial:
             raise InputError(
                 f"power {n} of a {count}-term polynomial could have {bound} terms, "
                 f"above the budget of {MAX_TERMS}"
-            )
-        if count == 1:  # (c x^e)^n = c^n x^(n e), still in lowest terms
-            ((exps, c),) = self._nums.items()
-            return Polynomial._trusted(
-                self.variables, {tuple(e * n for e in exps): c**n}, self._den**n
             )
         result, square = None, self
         while True:

@@ -460,24 +460,6 @@ def test_one_gerstenhaber_bracket_differentiates_each_coefficient_of_p_once(monk
     assert counts == [1] * len(S.components)
 
 
-def test_brackets_differentiate_no_constant_coefficient(monkeypatch):
-    # a constant coefficient, such as the 1 of a unit section e_j in a slot
-    # bracket [X, e_j] or of a unit multisection e_T peeled by the recursion,
-    # has no partial, so no gradient is formed for it: 15 of the 20 gradients
-    # of this Gerstenhaber bracket and 6 of the 16 of this Schouten bracket
-    # were on constants
-    rng = random.Random(6)
-    alg = cotangent_algebroid(so3_bivector())
-    S, T = (_dense(rng, AlgebroidSection, alg, 2) for _ in range(2))
-    P, Q = (_dense(rng, MultiVector, R4, d) for d in (3, 2))
-    receivers = _gradient_receivers(monkeypatch)
-    for bracket, count in ((lambda: gerstenhaber_bracket(alg, S, T), 5), (lambda: cartan.schouten(P, Q), 10)):
-        receivers.clear()
-        bracket()
-        assert len(receivers) == count
-        assert not any(poly.is_constant() for poly in receivers)
-
-
 def test_bracket_above_the_rank_forms_no_gradient(monkeypatch):
     # [P, Q] of two bivectors on R^2 has degree 3 > 2: it is zero, and the
     # recursion returns before it differentiates anything

@@ -938,22 +938,6 @@ def test_pow_matches_repeated_products(n, p):
     assert_canonical(got)
 
 
-@given(
-    st.integers(0, 9),
-    one_term(VARS).filter(lambda p: p.terms),
-    st.sampled_from((-1, Fraction(-2, 3), Fraction(5, 4))),
-)
-@settings(max_examples=30, deadline=None)
-def test_pow_of_one_term_matches_repeated_products_and_forms_none(n, p, c):
-    p = c * p  # a negative or fractional coefficient
-    products = []
-    with mock.patch.object(polyalg, "_sum_of_products", lambda *call: products.append(call)):
-        got = p**n
-    assert products == []
-    assert got == _repeated(p, n)
-    assert_canonical(got)
-
-
 def test_pow_forms_log_many_products(monkeypatch):
     count = [0]
     original = Polynomial.__mul__
