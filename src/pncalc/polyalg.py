@@ -247,7 +247,7 @@ def _packs(products, operand_terms, width):
 
 
 def _sum_of_products(variables, terms):
-    """The canonical sum of ``sign * a * b`` over ``(sign, a, b)`` entries.
+    """The canonical sum of ``sign * a * b`` over a sequence of ``(sign, a, b)`` entries.
 
     ``sign`` is 1 or -1, ``a`` and ``b`` are polynomials over ``variables``
     and ``b`` may be ``None``, read as 1. The one function that multiplies
