@@ -21,8 +21,7 @@ triple in one collect, forming no section bracket beyond the basis ones,
 and the Gerstenhaber bracket sums its slot and cross terms in the one
 collect of ``cartan._leibniz``. The anchored field rho(X) of a
 section is formed once per call, only in the components a derivative
-reads, and no product by a factor 1 is formed: on the identity anchors of
-TM and TM x R, a unit section reads its anchor column as it stands.
+reads.
 
 Two structures on one frame are compatible when their sum
 (:func:`algebroid_sum`) is again an algebroid. :func:`compat_check` requires
@@ -47,7 +46,7 @@ from itertools import chain, combinations
 from .errors import InputError, InternalError, PreconditionError
 from .polyalg import Polynomial, Rational, _sum_of_products, is_identifier
 from . import cartan
-from .cartan import Chart, MultiVector, _factor, _times
+from .cartan import Chart, MultiVector
 from . import poisson_nijenhuis as pn
 from .report import Verdict, labelled, matrix_entries, prefixed, rendered
 
@@ -186,24 +185,18 @@ def _view(algebroid, section):
 def _anchor_reader(algebroid, section):
     """``a -> rho(X)^a`` for a degree-1 section X, each formed on its first read.
 
-    rho(X)^a = sum_i X^i anchor[i][a]. A section with one component whose
-    coefficient is 1, such as a unit section, reads its anchor column and
-    forms no product, and an anchor entry 1 adds X^i without a product.
+    rho(X)^a = sum_i X^i anchor[i][a], one kernel call per component.
     """
     if section.degree != 1:
         raise InputError("anchor application needs a degree-1 section")
     anchor, comps = algebroid.anchor, section.components
-    if len(comps) == 1:
-        ((i,), coeff), = comps.items()
-        if coeff.is_one():
-            return anchor[i].__getitem__
     coords, formed = algebroid.base.coords, {}
 
     def read(a):
         poly = formed.get(a)
         if poly is None:
             poly = formed[a] = _sum_of_products(
-                coords, [_factor(1, coeff, anchor[i][a]) for (i,), coeff in comps.items()]
+                coords, [(1, coeff, anchor[i][a]) for (i,), coeff in comps.items()]
             )
         return poly
 
@@ -212,7 +205,7 @@ def _anchor_reader(algebroid, section):
 
 def _anchored(rho, grad, sign):
     """sign * rho(X)(f) as kernel entries, from an :func:`_anchor_reader` and f's gradient."""
-    return [_factor(sign, r, d) for a, d in grad if not (r := rho(a)).is_zero()]
+    return [(sign, r, d) for a, d in grad if not (r := rho(a)).is_zero()]
 
 
 def anchor_field_of(algebroid, section):
@@ -235,7 +228,7 @@ def _bracket_entries(algebroid, left, right, left_grads=None):
             if row is None:
                 continue
             sign = 1 if i < j else -1
-            xy = _times(xc, yc)
+            xy = xc * yc
             entries += [((k,), sign, e, xy) for k, e in enumerate(row) if not e.is_zero()]
     for sign, rho_of, sections, grads in ((1, left, right, None), (-1, right, left, left_grads)):
         rho = None  # formed on the first coefficient with a nonzero partial
@@ -331,7 +324,7 @@ def algebroid_differential(algebroid, omega):
         for i, column in enumerate(algebroid.anchor):
             if i not in key:
                 terms.extend(
-                    ((i,) + key, *_factor(1, column[a], d))
+                    ((i,) + key, 1, column[a], d)
                     for a, d in partials
                     if not column[a].is_zero()
                 )
@@ -339,7 +332,7 @@ def algebroid_differential(algebroid, omega):
             for (i, j), row in algebroid.structure.items():
                 if not row[t].is_zero():
                     sign = 1 if p % 2 else -1
-                    terms.append((key[:p] + (i, j) + key[p + 1:], *_factor(sign, row[t], poly)))
+                    terms.append((key[:p] + (i, j) + key[p + 1:], sign, row[t], poly))
     return AlgebroidSection._trusted(algebroid, omega.degree + 1, cartan._collect(terms))
 
 
@@ -376,7 +369,7 @@ def _section_lie(vector, other, avoid, grads):
                 )
             for (a,), coeff in repl.components.items():
                 if (a == j or a not in key) and a not in avoid:
-                    entries.append((key[:pos] + (a,) + key[pos + 1:], *_factor(1, poly, coeff)))
+                    entries.append((key[:pos] + (a,) + key[pos + 1:], 1, poly, coeff))
     return entries
 
 
@@ -486,10 +479,8 @@ def algebroid_pencil(first, second, weight):
     lam = weight if isinstance(weight, Rational) else Rational(weight)
 
     def plus(p, q):
-        # p + lam * q, forming no product by a zero q or by lam == 1
-        if q.is_zero():
-            return p
-        return p + (q if lam == 1 else q * lam)
+        # p + lam * q, forming no product by a zero q
+        return p if q.is_zero() else p + q * lam
 
     cols = [tuple(map(plus, col1, col2)) for col1, col2 in zip(first.anchor, second.anchor)]
     table = {}

@@ -36,8 +36,8 @@ from canonical operands of one frame. ``+``, ``-`` and scalar ``*``
 produce canonical dicts directly; :func:`wedge`, :func:`exterior_d`,
 :func:`interior`, :func:`lie_derivative`, :func:`_lie_entries`,
 :func:`_leibniz` and :func:`_odd_partial` produce factor entries
-``(index tuple, sign, a, b)``, standing for sign * a * b (``b`` None reads
-as 1), with indices in range and polynomials over the base. :func:`_collect`
+``(index tuple, sign, a, b)``, standing for the kernel entry
+``(sign, a, b)``, with indices in range and polynomials over the base. :func:`_collect`
 sorts and signs the index tuples and sums each key's entries in one call of
 the fused kernel ``polyalg._sum_of_products``, so no product is formed
 outside the sum it belongs to. Both wrap their dicts with the private
@@ -152,8 +152,8 @@ def _sort_sign(idx):
 def _collect(entries):
     """Canonical components from (index tuple, sign, a, b) factor entries, unchecked.
 
-    An entry stands for ``sign * a * b`` at its index tuple, ``b`` None
-    reading as 1. Drops tuples with a repeated index, sorts the others with
+    An entry stands for the kernel entry ``(sign, a, b)`` at its index
+    tuple. Drops tuples with a repeated index, sorts the others with
     their permutation sign and sums each key's entries in one
     ``polyalg._sum_of_products`` call, dropping keys whose sum vanishes. So
     a product is formed only for a key that survives, and only inside the
@@ -176,12 +176,7 @@ def _collect(entries):
             terms.append(term)
     comps = {}
     for key, terms in groups.items():
-        if len(terms) == 1 and terms[0][2] is None:  # one polynomial, signed
-            sign, poly, _ = terms[0]
-            if sign < 0:
-                poly = -poly
-        else:
-            poly = _sum_of_products(terms[0][1].variables, terms)
+        poly = _sum_of_products(terms[0][1].variables, terms)
         if not poly.is_zero():
             comps[key] = poly
     return comps
@@ -474,23 +469,6 @@ def lie_derivative(X, omega):
     return DiffForm._trusted(omega.chart, omega.degree, _collect(entries))
 
 
-def _factor(sign, a, b):
-    """The kernel entry ``(sign, a, b)``, a factor that is the constant 1 left out; ``b`` may be None."""
-    if b is None or b.is_one():
-        return sign, a, None
-    if a.is_one():
-        return sign, b, None
-    return sign, a, b
-
-
-def _times(a, b):
-    """``a * b`` with no product by a factor that is the constant 1: the other
-    factor, or None (read as 1 by :func:`_factor` and the kernel) when both are 1."""
-    if a.is_one():
-        return None if b.is_one() else b
-    return a if b.is_one() else a * b
-
-
 def _gradients(Q):
     """The gradient of each coefficient of Q, by key: the table the lie steps read."""
     return {key: poly.gradient() for key, poly in Q.components.items()}
@@ -530,7 +508,7 @@ def _lie_entries(X, Q, avoid, grads):
         whole, slots = _live_slots(key, avoid)
         if whole:
             entries += [
-                (key, *_factor(1, xc, d))
+                (key, 1, xc, d)
                 for a, d in grads[key]
                 if (xc := comps.get((a,))) is not None
             ]
@@ -545,7 +523,7 @@ def _lie_entries(X, Q, avoid, grads):
                 ]
             for a, dxc in partials:
                 if (a == j or a not in key) and a not in avoid:
-                    entries.append((key[:pos] + (a,) + key[pos + 1 :], *_factor(-1, poly, dxc)))
+                    entries.append((key[:pos] + (a,) + key[pos + 1 :], -1, poly, dxc))
     return entries
 
 
@@ -594,11 +572,10 @@ def _leibniz(P, Q, lie, grads=None):
     once per call, by recursion, and each [X_T, Q] is one lie step whose
     entries, each sign multiplied by s, go straight into the sum: all terms
     of [P, Q] are summed by one :func:`_collect`, f_(a,T) times a component
-    of [e_T, Q] as a factor pair (a factor 1 left out, so [d_T, Q] forms no
-    product). A term is formed only if its final key has distinct
-    indices and avoids the peeled tail: f_(a,T) times a component of
-    [e_T, Q] only when a is not in its key, and [X_T, Q] with ``avoid`` the
-    indices of T, so the lie step forms none of the products that
+    of [e_T, Q] as a factor pair. A term is formed only if its final key
+    has distinct indices and avoids the peeled tail: f_(a,T) times a
+    component of [e_T, Q] only when a is not in its key, and [X_T, Q] with
+    ``avoid`` the indices of T, so the lie step forms none of the products that
     ``_collect`` would drop for meeting T. The same surviving terms meet
     the same s. The bracket is linear in its first slot, so the cross
     terms s [X_T, Q] ^ e_T sum to those of peeling one component at a time,
@@ -631,7 +608,7 @@ def _leibniz(P, Q, lie, grads=None):
         rest = _leibniz(P._trusted(frame, p - 1, {tail: one}), Q, lie, grads)
         for head, f in heads.items():
             entries.extend(
-                (head + key, *_factor(1, f, poly))
+                (head + key, 1, f, poly)
                 for key, poly in rest.components.items()
                 if head[0] not in key
             )

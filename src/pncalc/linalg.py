@@ -4,9 +4,9 @@ Polynomial matrices are immutable nested tuples, rows outermost. That half
 is what the (1,1)-tensor code still needs: ``mat_mul`` for
 ``TensorOneOne.compose`` and the single product N.pisharp, ``mat_sub`` for
 the holomorphic relation, and ``mat_is_zero`` for the residual matrices.
-Each entry of a polynomial ``mat_mul`` is one call of the product kernel
+Each entry of ``mat_mul`` is one call of the product kernel
 ``polyalg._sum_of_products`` over the products whose factors are both
-nonzero; a matrix of rationals is summed with ``sum``.
+nonzero.
 ``perfbench/tracer.py`` wraps ``linalg.mat_mul`` by that name. Rational row
 reduction works on lists of Fractions and backs the affine submanifold
 computations: ``rref`` reduces once and ``kernel_basis`` reads the kernel
@@ -37,33 +37,22 @@ def mat_mul(A, B):
     if k != k2:
         raise InputError(f"cannot multiply {n}x{k} by {k2}x{m}")
     # Products with a zero factor add nothing, so only the others are formed.
-    b_live = [[not _entry_is_zero(b) for b in row] for row in B]
-    ring = A[0][0].variables if n and k and isinstance(A[0][0], Polynomial) else None
-    zero = Fraction(0) if ring is None else Polynomial._trusted(ring, {}, 1)
+    b_live = [[not b.is_zero() for b in row] for row in B]
+    ring = A[0][0].variables if n and k else None
+    zero = Polynomial._trusted(ring, {}, 1)
     out = []
     for a_row in A:
-        live = [t for t in range(k) if not _entry_is_zero(a_row[t])]
+        live = [t for t in range(k) if not a_row[t].is_zero()]
         row = []
         for j in range(m):
             terms = [(1, a_row[t], B[t][j]) for t in live if b_live[t][j]]
-            if not terms:
-                row.append(zero)
-            elif ring is None:
-                row.append(sum(a * b for _, a, b in terms))
-            else:
-                row.append(_sum_of_products(ring, terms))
+            row.append(_sum_of_products(ring, terms) if terms else zero)
         out.append(tuple(row))
     return tuple(out)
 
 
 def mat_is_zero(A):
-    return all(_entry_is_zero(a) for row in A for a in row)
-
-
-def _entry_is_zero(a):
-    if isinstance(a, Polynomial):
-        return a.is_zero()
-    return a == 0
+    return all(a.is_zero() for row in A for a in row)
 
 
 def rref(rows):

@@ -66,8 +66,6 @@ from .cartan import (
     MultiVector,
     _apply_vf,
     _collect,
-    _factor,
-    _times,
     coordinate_form,
     exterior_d,
     interior,
@@ -276,9 +274,9 @@ def bivector_eval(pi, alpha, beta):
         a_i, a_j = a_comp.get((i,)), a_comp.get((j,))
         b_i, b_j = b_comp.get((i,)), b_comp.get((j,))
         if a_i is not None and b_j is not None:
-            entries.append(_factor(1, poly, _times(a_i, b_j)))
+            entries.append((1, poly, a_i * b_j))
         if a_j is not None and b_i is not None:
-            entries.append(_factor(-1, poly, _times(a_j, b_i)))
+            entries.append((-1, poly, a_j * b_i))
     return _sum_of_products(pi.chart.coords, entries) if entries else pi.chart.zero()
 
 

@@ -26,13 +26,9 @@ its results with the private ``Polynomial._trusted``, which stores the given
 numerators and denominator as they are. Nothing mutates a numerator dict
 after construction.
 
-The kernels run on ``int`` only. ``+`` adds numerators directly when the
-denominators agree and rescales both operands to the ``lcm`` when they
-differ; ``-``, ``partial`` and ``embed`` keep the denominator; ``gradient``
-makes one pass over the terms for every partial that does not vanish;
-``**`` squares repeatedly. ``substitute`` forms each image power once per
-call and adds every term's numerator times its product of powers into one
-numerator map over a running common denominator. A result whose
+The kernels run on ``int`` only. ``-``, ``partial`` and ``embed`` keep the
+denominator; ``gradient`` makes one pass over the terms for every partial
+that does not vanish; ``**`` squares repeatedly. A result whose
 denominator is not 1 is divided by the gcd of its denominator and
 numerators, which restores the canonical form. ``Fraction`` appears only at
 the boundary: the validating constructor, ``constant_value``, printing,
@@ -41,18 +37,24 @@ coefficients that makes each coefficient when it is read and keeps none;
 its ``len`` and truth read the numerators. Code that needs only the
 exponents reads ``exponents()``.
 
-One function multiplies numerators: the private
-``_sum_of_products(variables, terms)`` forms the sum of sign * a * b over
-``(sign, a, b)`` entries, ``b`` None reading as 1, in one accumulator
-(Johnson, "Sparse polynomial arithmetic", 1974). ``*`` is a call with one
-entry; a bracket component, a matrix entry or a pairing downstream is one
-call with an entry per product. The common denominator is the ``lcm`` of
-the product denominators; each product's numerators are scaled into it,
-and the result is reduced once.
+One function multiplies and sums numerators after parsing: the private
+``_sum_of_products(variables, terms)`` forms the sum of weight * a * b over
+``(weight, a, b)`` entries, in one accumulator (Johnson, "Sparse
+polynomial arithmetic", 1974). The weight is a nonzero ``int`` and ``b``
+None reads as 1. An entry whose ``a`` or ``b`` is the constant 1 is read
+as the other operand with ``b`` None, so no product by a factor 1 is
+formed, and no caller needs to test a factor for 1. ``*`` is a call with
+one entry and ``+`` a call with two, ``(1, p, None)`` and ``(1, q, None)``;
+``substitute`` forms each image power once per call and sums one entry per
+term, its numerator times its product of powers, then divides by its own
+denominator once. A bracket component, a matrix entry or a pairing
+downstream is one call with an entry per product. The common denominator
+is the ``lcm`` of the product denominators; each product's numerators are
+scaled into it, and the result is reduced once.
 
 Entries that share a left operand ``a`` (the same object) of two or more
 terms are factored first: their right operands are summed on the ``b`` None
-path, B = sum s_i b_i, and a * B is one entry, or none when B is zero. That
+path, B = sum w_i b_i, and a * B is one entry, or none when B is zero. That
 never forms more term products, and each term that merges or cancels in B
 saves |a| products for one addition; for a monomial the additions cost what
 they save, so a monomial is left alone, and the rule has no size constant.
@@ -247,41 +249,54 @@ def _packs(products, operand_terms, width):
 
 
 def _sum_of_products(variables, terms):
-    """The canonical sum of ``sign * a * b`` over a sequence of ``(sign, a, b)`` entries.
+    """The canonical sum of ``weight * a * b`` over a sequence of ``(weight, a, b)`` entries.
 
-    ``sign`` is 1 or -1, ``a`` and ``b`` are polynomials over ``variables``
-    and ``b`` may be ``None``, read as 1. The one function that multiplies
-    numerators: ``*`` is a call with one entry. Entries that share a left
-    operand of two or more terms are factored first, as the module docstring
-    says. Every product is summed into one accumulator over the ``lcm`` of
-    the product denominators, and the result is reduced once. A call that
-    the size rule :func:`_packs` admits packs every exponent vector into one
-    ``int`` (:func:`_packed_sum`); any other adds each product of two terms
-    under its exponent tuple.
+    ``weight`` is a nonzero ``int``, ``a`` and ``b`` are polynomials over
+    ``variables`` and ``b`` may be ``None``, read as 1. An entry whose ``a``
+    or ``b`` is the constant 1 is read as the other operand with ``b`` None,
+    so no product by a factor 1 is formed. The one function that multiplies
+    and sums numerators after parsing: ``*`` is a call with one entry and
+    ``+`` a call with two, and one entry ``(1, a, None)`` or
+    ``(-1, a, None)`` returns ``a`` or ``-a`` as it stands. Entries that
+    share a left operand of two or more terms are factored first, as the
+    module docstring says. Every product is summed into one accumulator
+    over the ``lcm`` of the product denominators, and the result is reduced
+    once. A call that the size rule :func:`_packs` admits packs every
+    exponent vector into one ``int`` (:func:`_packed_sum`); any other adds
+    each product of two terms under its exponent tuple.
     """
     width = len(variables)
     counted = width <= _PACK_MAX_WIDTH  # only a ring _packs can pack counts products
+    groups = len(terms) > 1  # whether an entry can share its left operand
     live, den, products, operand_terms = [], 1, 0, 0
-    shared = {} if len(terms) > 1 else None  # id(a) -> [a, (s_i, b_i), ...], |a| >= 2
-    for sign, a, b in terms:
+    shared = None  # id(a) -> [a, (w_i, b_i), ...], |a| >= 2, made on the first such entry
+    for weight, a, b in terms:
         left = a._nums
         if not left:
             continue
+        if b is not None:
+            right = b._nums
+            if not right:
+                continue
+            # the constant 1 is the one term (0, ..., 0): 1 over denominator 1
+            if len(right) == 1 and b._den == 1 and right.get((0,) * width) == 1:
+                b = None
+            elif len(left) == 1 and a._den == 1 and left.get((0,) * width) == 1:
+                a, left, b = b, right, None
         if b is None:
             d = a._den
             if counted:
                 products += len(left)
                 operand_terms += len(left)
         else:
-            right = b._nums
-            if not right:
-                continue
-            if shared is not None and len(left) > 1:
+            if groups and len(left) > 1:
+                if shared is None:
+                    shared = {}
                 group = shared.get(id(a))
                 if group is None:
-                    shared[id(a)] = [a, (sign, b)]
+                    shared[id(a)] = [a, (weight, b)]
                 else:
-                    group.append((sign, b))
+                    group.append((weight, b))
                 continue
             d = a._den * b._den
             if counted:
@@ -289,11 +304,11 @@ def _sum_of_products(variables, terms):
                 operand_terms += len(left) + len(right)
         if d != den:
             den = lcm(den, d)
-        live.append((sign, d, a, b))
+        live.append((weight, d, a, b))
     for a, *group in shared.values() if shared else ():
-        sign, b = group[0]
-        if len(group) > 1:  # a * (sum of s_i b_i), summed on the b=None path
-            sign, b = 1, _sum_of_products(variables, [(s, b, None) for s, b in group])
+        weight, b = group[0]
+        if len(group) > 1:  # a * (sum of w_i b_i), summed on the b=None path
+            weight, b = 1, _sum_of_products(variables, [(w, b, None) for w, b in group])
             if not b._nums:
                 continue
         left, right = a._nums, b._nums
@@ -303,20 +318,25 @@ def _sum_of_products(variables, terms):
             operand_terms += len(left) + len(right)
         if d != den:
             den = lcm(den, d)
-        live.append((sign, d, a, b))
+        live.append((weight, d, a, b))
     if not live:
         return Polynomial._trusted(variables, {}, 1)
     if len(live) == 1:
-        sign, _, a, b = live[0]
-        if b is None:
-            return a if sign > 0 else -a
+        weight, _, a, b = live[0]
+        if b is None and weight == 1:
+            return a
+        if b is None and weight == -1:
+            return -a
     if counted and _packs(products, operand_terms, width):
         return _reduced(variables, _packed_sum(live, den, width), den)
     acc = {}
     get = acc.get
-    for sign, d, a, b in live:
-        scale = sign if d == den else sign * (den // d)
+    for weight, d, a, b in live:
+        scale = weight if d == den else weight * (den // d)
         if b is None:
+            if not acc and scale == 1:  # the first summand seeds the accumulator
+                acc.update(a._nums)
+                continue
             for exps, n in a._nums.items():
                 acc[exps] = get(exps, 0) + scale * n
             continue
@@ -328,7 +348,9 @@ def _sum_of_products(variables, terms):
             for e2, n2 in right:
                 exps = tuple(map(add, e1, e2))
                 acc[exps] = get(exps, 0) + m * n2
-    return _reduced(variables, {exps: v for exps, v in acc.items() if v}, den)
+    if not all(acc.values()):  # drop the numerators that cancelled
+        acc = {exps: v for exps, v in acc.items() if v}
+    return _reduced(variables, acc, den)
 
 
 def _packed_sum(live, den, width):
@@ -360,8 +382,8 @@ def _packed_sum(live, den, width):
     }
     acc = {}
     get = acc.get
-    for sign, d, a, b in live:
-        scale = sign if d == den else sign * (den // d)
+    for weight, d, a, b in live:
+        scale = weight if d == den else weight * (den // d)
         left = packed[id(a)]
         if b is None:
             for k, n in left:
@@ -507,12 +529,6 @@ class Polynomial:
     def is_zero(self):
         return not self._nums
 
-    def is_one(self):
-        if self._den != 1 or len(self._nums) != 1:
-            return False
-        ((exps, n),) = self._nums.items()
-        return n == 1 and not any(exps)
-
     def is_constant(self):
         return all(not any(exps) for exps in self._nums)
 
@@ -559,27 +575,7 @@ class Polynomial:
             return NotImplemented
         if other.variables != self.variables:
             return Polynomial.constant(other.variables, self.constant_value()) + other
-        if not other._nums:
-            return self
-        if not self._nums:
-            return other
-        den1, den2 = self._den, other._den
-        den = den1 if den1 == den2 else lcm(den1, den2)
-        scale1, scale2 = den // den1, den // den2
-        if scale1 == 1:
-            nums = dict(self._nums)
-        else:
-            nums = {exps: n * scale1 for exps, n in self._nums.items()}
-        for exps, n in other._nums.items():
-            if scale2 != 1:
-                n *= scale2
-            if exps in nums:
-                n += nums[exps]
-                if not n:
-                    del nums[exps]
-                    continue
-            nums[exps] = n
-        return _reduced(self.variables, nums, den)
+        return _sum_of_products(self.variables, ((1, self, None), (1, other, None)))
 
     __radd__ = __add__
 
@@ -760,11 +756,11 @@ class Polynomial:
             )
 
         # Each image power is formed once; every term's product of powers is
-        # added into one numerator map over a running common denominator.
-        images, powers, nums, den = {}, {}, {}, 1
-        one = {(0,) * len(target_variables): 1}
+        # one kernel entry, weighted by the term's numerator.
+        images, powers, entries = {}, {}, []
+        one = Polynomial._scalar(target_variables, 1)
         for exps, n in self._nums.items():
-            product = None
+            product = one
             for v, e in zip(self.variables, exps):
                 if e:
                     power = powers.get((v, e))
@@ -772,13 +768,10 @@ class Polynomial:
                         if v not in images:
                             images[v] = image_of(v)
                         power = powers[v, e] = images[v] ** e
-                    product = power if product is None else product * power
-            if product is None:
-                den = _add_scaled(nums, den, one, n, 1)
-            else:
-                den = _add_scaled(nums, den, product._nums, n, product._den)
-        nums = {exps: n for exps, n in nums.items() if n}
-        return _reduced(target_variables, nums, den * self._den)
+                    product = power if product is one else product * power
+            entries.append((n, product, None))
+        total = _sum_of_products(target_variables, entries)
+        return _reduced(target_variables, total._nums, total._den * self._den)
 
     # -- printing ----------------------------------------------------------
 

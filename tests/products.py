@@ -1,8 +1,9 @@
 """Count the polynomial products pncalc forms.
 
-Every product is one ``(sign, a, b)`` entry with ``b`` given in a call of
-the product kernel ``polyalg._sum_of_products``; ``*`` is such a call with
-one entry.
+Every product is one ``(weight, a, b)`` entry with ``b`` given in a call
+of the product kernel ``polyalg._sum_of_products``; ``*`` is such a call
+with one entry. The kernel reads an entry with a factor that is the
+constant 1 as the other factor alone, so such an entry is no product.
 """
 
 import sys
@@ -20,7 +21,7 @@ def spy_products(monkeypatch, record):
     def fused(variables, terms):
         terms = list(terms)
         for _, a, b in terms:
-            if b is not None:
+            if b is not None and a != 1 and b != 1:
                 record(a, b)
         return kernel(variables, terms)
 

@@ -751,12 +751,13 @@ def test_is_pn_pair_multiplies_few_zero_operands(monkeypatch):
     # Koszul brackets are taken in Cartan form: coordinate forms are closed,
     # so [dx_i, dx_j] is d(pi(dx_i, dx_j)) and forms no sharp and no Lie
     # derivative, where the Lie-derivative form took 105 products in all.
-    # The Lie steps leave out a factor 1, here d(1 + l1)/dl1 (39 before), and
-    # so does pi(dx_i, dx_j): pi^{ij} is not multiplied by the product 1 of
-    # the two coordinate-form entries (38 before), and that product 1 * 1 is
-    # not formed either (32 before).
+    # The product kernel reads an entry with a factor 1 as the other factor
+    # alone, so no product by 1 is formed anywhere: not d(1 + l1)/dl1 in the
+    # Lie steps (39 before), not the coordinate-form entries of pi(dx_i, dx_j)
+    # (32 before), and not the unit entries of N and of the Darboux sharp
+    # matrix in N(X), pisharp(alpha) and N.pisharp (26 before).
     assert counts["zero"] == 0
-    assert counts["calls"] == 26
+    assert counts["calls"] == 9
 
 
 def test_is_pn_pair_differentiates_through_gradients_only(monkeypatch):
