@@ -557,9 +557,10 @@ def hierarchy(pi, N, kmax):
     """Bivectors pi_k = N^k pi for k <= kmax plus all pairwise Schouten residuals.
 
     Refuses unless (pi, N) is a Poisson-Nijenhuis pair. pi_1 is the N pi of
-    that verdict; each later pi_k is n_bivector(pi_{k-1}, N), whose sharp
-    matrix N.(N^(k-1) pi)# = N^k.pisharp is re-checked for antisymmetry,
-    which the PN hypothesis guarantees.
+    that verdict and [pi_0, pi_0] its Poisson residual; each later pi_k is
+    n_bivector(pi_{k-1}, N), whose sharp matrix N.(N^(k-1) pi)# =
+    N^k.pisharp is re-checked for antisymmetry, which the PN hypothesis
+    guarantees.
     """
     if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 1:
         raise InputError("kmax must be a positive integer")
@@ -575,9 +576,9 @@ def hierarchy(pi, N, kmax):
             raise InternalError(
                 f"N^{k}.pisharp lost antisymmetry for a PN pair: {exc}"
             ) from exc
-    residuals = {}
+    residuals = {(0, 0): verdict.poisson_residual}
     for k in range(kmax + 1):
-        for l in range(k, kmax + 1):
+        for l in range(max(k, 1), kmax + 1):
             residuals[(k, l)] = schouten(bivectors[k], bivectors[l])
     return HierarchyResult(tuple(bivectors), residuals)
 

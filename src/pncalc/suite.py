@@ -17,6 +17,7 @@ the failure mode where a convention error cancels out of every test.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 
@@ -33,19 +34,37 @@ from .polyalg import Polynomial
 from .report import Report
 
 
-def _finish(command, failures, checked, started):
-    elapsed = time.perf_counter() - started
-    if failures:
-        return Report(command, "fail", failures, elapsed)
-    return Report(command, "pass", {"checked": checked}, elapsed)
+def _criterion(name):
+    """Make a criterion of ``check``, reported under ``name``.
+
+    ``check()`` returns ``(failures, checked)``, and the criterion returns
+    a fail report of the failures or a pass report saying what was checked,
+    timed from the call. ``run_all`` reports a criterion that raises under
+    the same ``report_name``.
+    """
+
+    def register(check):
+        @functools.wraps(check)
+        def criterion():
+            started = time.perf_counter()
+            failures, checked = check()
+            elapsed = time.perf_counter() - started
+            if failures:
+                return Report(name, "fail", failures, elapsed)
+            return Report(name, "pass", {"checked": checked}, elapsed)
+
+        criterion.report_name = name
+        return criterion
+
+    return register
 
 
 # -- criterion 1: bracket oracle agreement ------------------------------------
 
 
+@_criterion("criterion-1-bracket-oracle")
 def criterion_1():
     """Recursion and superpartial expansion agree; graded Jacobi holds."""
-    started = time.perf_counter()
     failures = {}
     pairs = corpus.schouten_sample(20260816, 100)
     for i, (P, Q) in enumerate(pairs):
@@ -77,20 +96,15 @@ def criterion_1():
             total = total + term
         if total is not None and not total.is_zero():
             failures[f"graded jacobi triple {i}"] = str(total)
-    return _finish(
-        "criterion-1-bracket-oracle",
-        failures,
-        "100 oracle pairs, 30 graded identity triples",
-        started,
-    )
+    return failures, "100 oracle pairs, 30 graded identity triples"
 
 
 # -- criterion 2: deformation hierarchy ----------------------------------------
 
 
+@_criterion("criterion-2-hierarchy")
 def criterion_2():
     """Corpus pairs give a silent hierarchy; the diagonal counterexample fails."""
-    started = time.perf_counter()
     failures = {}
     for label, pi, tensor in corpus.pn_pairs():
         result = pn.hierarchy(pi, tensor, 3)
@@ -107,12 +121,7 @@ def criterion_2():
         failures["counterexample hierarchy"] = "hierarchy accepted a non-compatible pair"
     except PreconditionError:
         pass
-    return _finish(
-        "criterion-2-hierarchy",
-        failures,
-        "3 corpus pairs to order 3, diagonal counterexample rejected",
-        started,
-    )
+    return failures, "3 corpus pairs to order 3, diagonal counterexample rejected"
 
 
 # -- criterion 3: compatibility certificates -----------------------------------
@@ -150,9 +159,9 @@ def _compat_fixtures():
     )
 
 
+@_criterion("criterion-3-compatibility-certificates")
 def criterion_3():
     """Three compatibility certificates return identical verdicts on 12 pairs."""
-    started = time.perf_counter()
     failures = {}
     fixtures = _compat_fixtures()
     for label, first, second, expected in fixtures:
@@ -162,20 +171,15 @@ def criterion_3():
             failures[label] = f"certificates disagree: {votes}"
         elif verdict.ok is not expected:
             failures[label] = f"expected ok={expected}, got {verdict.ok}"
-    return _finish(
-        "criterion-3-compatibility-certificates",
-        failures,
-        f"{len(fixtures)} pairs, 10 compatible and 2 not, 3 certificates each",
-        started,
-    )
+    return failures, f"{len(fixtures)} pairs, 10 compatible and 2 not, 3 certificates each"
 
 
 # -- criterion 4: dual differentials as derivations -----------------------------
 
 
+@_criterion("criterion-4-dual-derivation")
 def criterion_4():
     """Tangent/cotangent pairs pass; a corrupted table fails with a residual."""
-    started = time.perf_counter()
     failures = {}
     R2, R3 = corpus.R2, corpus.R3
     pi2 = corpus.unit_bivector_r2()
@@ -201,12 +205,9 @@ def criterion_4():
     corrupted = ab.bialgebroid_check(lie["so3"], lie["affine"])
     if corrupted.ok or not corrupted.residuals():
         failures["corrupted table"] = "sabotaged dual structure passed the derivation check"
-    return _finish(
-        "criterion-4-dual-derivation",
-        failures,
+    return failures, (
         f"{len(cases)} pairs pass, corrupted table fails with "
-        f"{len(corrupted.residuals()) or 'no'} residuals",
-        started,
+        f"{len(corrupted.residuals()) or 'no'} residuals"
     )
 
 
@@ -219,9 +220,9 @@ def _random_field_pair(rng, chart):
     return jc.JacobiPair(pi, field)
 
 
+@_criterion("criterion-5-extended-bracket")
 def criterion_5():
     """Direct and twisted-diagonal characterizations agree; jets validate."""
-    started = time.perf_counter()
     failures = {}
     rng = random.Random(515151)
     samples = [p for _, p in corpus.jacobi_pairs() if p.chart.dim > 0]
@@ -259,50 +260,44 @@ def criterion_5():
             rhs = jc.twisted_gerstenhaber(structure, section)
             if lhs != rhs:
                 failures[f"differential {label} {j}"] = "differential and bracket disagree"
-    return _finish(
-        "criterion-5-extended-bracket",
-        failures,
-        "26 characterization pairs, 6 jets validated, 16 differential probes",
-        started,
-    )
+    return failures, "26 characterization pairs, 6 jets validated, 16 differential probes"
 
 
 # -- criterion 6: pair-groupoid round trip --------------------------------------
 
 
+def _swap_names(G):
+    """The renames that exchange each base coordinate with its ``y_`` copy."""
+    names = {c: "y_" + c for c in G.base.coords}
+    names.update({y: c for c, y in names.items()})
+    return names
+
+
 def _swap_bivector(G, pi):
-    n = G.base.dim
-    names = {}
-    for c in G.base.coords:
-        names[c] = Polynomial.variable(G.total.coords, "y_" + c)
-        names["y_" + c] = Polynomial.variable(G.total.coords, c)
+    n, names = G.base.dim, _swap_names(G)
     comps = {}
     for (a, b), poly in pi.components.items():
         key = ((a + n) % (2 * n), (b + n) % (2 * n))
-        comps[key] = poly.substitute(G.total.coords, names)
+        comps[key] = poly.embed(G.total.coords, names)
     return MultiVector(G.total, 2, comps)
 
 
 def _swap_tensor(G, tensor):
-    n = G.base.dim
-    names = {}
-    for c in G.base.coords:
-        names[c] = Polynomial.variable(G.total.coords, "y_" + c)
-        names["y_" + c] = Polynomial.variable(G.total.coords, c)
+    n, names = G.base.dim, _swap_names(G)
     m = 2 * n
     zero = G.total.zero()
     entries = [[zero] * m for _ in range(m)]
     for a in range(m):
         for b in range(m):
-            entries[(a + n) % m][(b + n) % m] = tensor.entries[a][b].substitute(
+            entries[(a + n) % m][(b + n) % m] = tensor.entries[a][b].embed(
                 G.total.coords, names
             )
     return pn.TensorOneOne(G.total, entries)
 
 
+@_criterion("criterion-6-groupoid-round-trip")
 def criterion_6():
     """Lift, check, and project back: the base pair returns unchanged."""
-    started = time.perf_counter()
     failures = {}
     for label, pi, tensor in corpus.pn_pairs():
         G = gd.PairGroupoid(pi.chart)
@@ -343,20 +338,15 @@ def criterion_6():
     sign_check = gd.poisson_groupoid_check(G, wrong_sign)
     if sign_check.ok or not sign_check.residuals():
         failures["wrong-sign lift"] = "same-sign lift escaped the coisotropy check"
-    return _finish(
-        "criterion-6-groupoid-round-trip",
-        failures,
-        "3 pairs lifted, checked, recovered; 2 sabotages rejected",
-        started,
-    )
+    return failures, "3 pairs lifted, checked, recovered; 2 sabotages rejected"
 
 
 # -- criterion 7: lifted pair on the dual chart ---------------------------------
 
 
+@_criterion("criterion-7-lifted-pair")
 def criterion_7():
     """The tangent/cotangent construction passes all stages for corpus pairs."""
-    started = time.perf_counter()
     failures = {}
     for label, pi, tensor in corpus.pn_pairs():
         verdict = ab.pn_bialgebroid_check(pi, tensor, hierarchy_orders=2)
@@ -364,20 +354,15 @@ def criterion_7():
             failures[f"{label} {key}"] = value
         if not verdict.lift_pair.ok:
             failures[f"{label} lift"] = "lifted pair is not compatible"
-    return _finish(
-        "criterion-7-lifted-pair",
-        failures,
-        "3 corpus pairs through all four stages, hierarchy order 2",
-        started,
-    )
+    return failures, "3 corpus pairs through all four stages, hierarchy order 2"
 
 
 # -- criterion 8: deformed differential coherence -------------------------------
 
 
+@_criterion("criterion-8-deformed-differential")
 def criterion_8():
     """The contraction-commutator differential matches the deformed structure."""
-    started = time.perf_counter()
     failures = {}
     rng = random.Random(818283)
     for label, tensor in corpus.nijenhuis_tensors():
@@ -397,12 +382,7 @@ def criterion_8():
                 )
                 if not anti.is_zero():
                     failures[f"{label} anticommutator degree {degree} sample {i}"] = str(anti)
-    return _finish(
-        "criterion-8-deformed-differential",
-        failures,
-        "5 tensors, degrees 0..2, 2 samples each, anticommutator included",
-        started,
-    )
+    return failures, "5 tensors, degrees 0..2, 2 samples each, anticommutator included"
 
 
 # -- criterion 9: mutation sensitivity ------------------------------------------
@@ -448,9 +428,9 @@ MUTATIONS = (
 )
 
 
+@_criterion("criterion-9-mutation-sensitivity")
 def criterion_9():
     """Each single-sign sabotage of a core convention trips the battery."""
-    started = time.perf_counter()
     failures = {}
     for label, patcher, criterion in MUTATIONS:
         with patcher():
@@ -461,12 +441,7 @@ def criterion_9():
                 detected = True
         if not detected:
             failures[label] = "sabotage went unnoticed"
-    return _finish(
-        "criterion-9-mutation-sensitivity",
-        failures,
-        f"{len(MUTATIONS)} sign mutations, each detected by an earlier criterion",
-        started,
-    )
+    return failures, f"{len(MUTATIONS)} sign mutations, each detected by an earlier criterion"
 
 
 ALL_CRITERIA = (
@@ -490,10 +465,9 @@ def run_all():
         try:
             reports.append(criterion())
         except (InternalError, PreconditionError, InputError) as exc:
-            name = criterion.__name__.replace("_", "-")
             reports.append(
                 Report(
-                    name,
+                    criterion.report_name,
                     "fail",
                     {"unexpected " + type(exc).__name__: str(exc)},
                     time.perf_counter() - started,

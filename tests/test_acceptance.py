@@ -77,8 +77,11 @@ def test_run_all_shields_exceptions(monkeypatch):
     def boom():
         raise suite.InternalError("synthetic disagreement")
 
-    monkeypatch.setattr(suite, "ALL_CRITERIA", (boom,))
+    # criterion 3 raises before it checks anything, and keeps its report name
+    monkeypatch.setattr(suite, "_compat_fixtures", boom)
+    monkeypatch.setattr(suite, "ALL_CRITERIA", (suite.criterion_3,))
     reports = suite.run_all()
     assert len(reports) == 1
     assert reports[0].verdict == "fail"
     assert "unexpected InternalError" in reports[0].residuals
+    assert reports[0].command == "criterion-3-compatibility-certificates"

@@ -823,6 +823,21 @@ def test_hierarchy_reuses_the_verdicts_n_pi(monkeypatch):
     assert is_pn_pair(unit_bivector(), TensorOneOne.diagonal(R2, [2, 3])).npi is None
 
 
+@pytest.mark.parametrize("order, brackets", [(2, 6), (3, 10)])
+def test_hierarchy_reads_pi_pi_off_the_verdict(monkeypatch, order, brackets):
+    # is_pn_pair forms [pi, pi] once; hierarchy reads it as the (0, 0)
+    # residual, so order k costs (k + 1)(k + 2)/2 brackets in all
+    from pncalc import poisson_nijenhuis as pn
+
+    original = pn.schouten
+    calls = []
+    monkeypatch.setattr(pn, "schouten", lambda P, Q: calls.append(1) or original(P, Q))
+    conformal = TensorOneOne.scalar(R2, 1 + R2.var("x1"))
+    result = hierarchy(unit_bivector(), conformal, order)
+    assert len(calls) == brackets
+    assert result.bracket_residuals[(0, 0)] == original(unit_bivector(), unit_bivector())
+
+
 def _sharp_compatible_pairs(seed, count):
     """(pi, N) on R^2..R^4, pi random (so not Poisson in general) and
     N = S.B + f.Id with S the sharp matrix of pi and B antisymmetric:

@@ -89,6 +89,30 @@ def test_parse_examples():
     with pytest.raises(ParseError) as err:
         parse_polynomial("x3", ("x1", "x2"))
     assert "x3" in str(err.value)
+    # terms that cancel, a group among them, sum to the zero polynomial
+    cancelled = P("2/3*x1*x2 + (x1 - x2)*x3 - 4/6*x2*x1 + x2*x3 - x1*x3 + 1/2 - 3/6")
+    assert Fraction(2, 3) - Fraction(4, 6) == 0 and Fraction(1, 2) - Fraction(3, 6) == 0
+    assert cancelled.is_zero() and cancelled == 0
+    assert_canonical(cancelled)
+    # a numerator and a denominator of several hundred digits each
+    num, den = 7**400 + 2, 6 * 11**300
+    assert len(str(num)) > 300 and len(str(den)) > 300
+    big = P(f"{num}/{den}*x1^2 - 5/{den}*x1^2 + 1/6*x1^2 - {num}/{den}")
+    assert dict(big.terms) == {
+        (2, 0, 0): Fraction(num, den) - Fraction(5, den) + Fraction(1, 6),
+        (0, 0, 0): -Fraction(num, den),
+    }
+    assert_canonical(big)
+
+
+def test_constructor_brings_coefficients_to_canonical_form():
+    p = Polynomial(
+        ("x", "y"), {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3), (0, 0): Fraction(-5, 6)}
+    )
+    assert p._den == 6 and p._nums == {(1, 0): 3, (0, 1): 2, (0, 0): -5}
+    assert_canonical(p)
+    zero = Polynomial(("x", "y"), {(1, 0): 0, (0, 1): Fraction(0)})
+    assert zero.is_zero() and zero._nums == {} and zero._den == 1
 
 
 def test_parse_error_positions():
