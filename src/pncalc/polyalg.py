@@ -76,24 +76,28 @@ packed once per call, and each result term is unpacked once. Any other
 call adds each product of two terms under its exponent tuple.
 
 Packing costs time per operand term and per result term, and saves time per
-term product. So the kernel packs when the ring has 1 to 3 variables and
-the call forms at least ``2 * T + 16`` term products, where T counts the
-terms of the operands entry by entry (``_packs``); a call in a wider ring
-does not count its products. The rule was measured, before ``*`` joined
-the kernel, on the 2,683 kernel calls of one cycle of each benchmark
-workload that form a product or sum two or more polynomials (seed 7, a
-shared 2-core x86 host, Python 3.11), each timed on both paths:
+term product. So the kernel packs a call in a ring of at least one variable
+that forms at least ``2 * T + 16`` term products, T the operand terms
+counted entry by entry (``_packs``). Measured on both paths (a shared 2-core
+x86 host, Python 3.11):
 
-* The 2,543 calls below 2 term products per operand term took 2.45 times
-  as long packed, in total; among them every ``pn_groupoid`` call and
-  every call in 4 or more variables.
+* Over the 2,683 kernel calls of one seed-7 cycle of each benchmark workload
+  that form a product or sum two or more polynomials (before ``*`` joined
+  the kernel), the 2,543 below 2 term products per operand term took 2.45
+  times as long packed; among them every call in 4 or more variables.
 * At 3 variables and at least 64 term products, packed over tuple time
   was 0.65 at 2 term products per operand term, 0.57 at 3, 0.38 at 5 and
   0.33-0.41 from 6 on. Over all ``lie_dense`` calls the rule took 40.0 ms,
   against 39.6 ms for the faster path of each call.
-* On random sparse operands, whose products rarely collide, packing lost
-  at 6 variables even with 10 term products per operand term, since
-  unpacking each result term costs one ``divmod`` per slot.
+* On one call a * b - c * d in 3 to 8 variables, best of 5: 0.24-0.97 on
+  the powers (x_1 + ... + x_n + 1)^k, k = 1 to 4, that the rule admits, but
+  on random operands of 8 to 80 terms with exponents 0 to 3, whose products
+  rarely collide, 0.32-1.13 in 3 variables, 1.08-1.57 in 6 and 1.22-1.80
+  in 8 (4 to 40 term products per operand term): unpacking a result term
+  costs one ``divmod`` per slot. The counts cannot tell these shapes apart,
+  so the rule reads no width cap. No benchmark call in 4 or more variables
+  meets it: in two cycles of seeds 3, 17 and 101 each formed at most 1.5
+  term products per operand term.
 
 Moving a polynomial to another ring by variable name (an embedding, a
 projection, a rename, or a diagonal restriction that sends two variables to
@@ -173,7 +177,6 @@ MAX_DEGREE = 200
 MAX_TERMS = 5000
 
 # The size rule of _sum_of_products (see the module docstring).
-_PACK_MAX_WIDTH = 3
 _PACK_RATIO = 2
 _PACK_MIN = 16
 
@@ -233,7 +236,7 @@ def _packs(products, operand_terms, width):
     counted entry by entry, in ``width`` variables; see the module docstring
     for the measurements behind the rule.
     """
-    return 0 < width <= _PACK_MAX_WIDTH and products >= _PACK_RATIO * operand_terms + _PACK_MIN
+    return 0 < width and products >= _PACK_RATIO * operand_terms + _PACK_MIN
 
 
 def _sum_of_products(variables, terms):
@@ -249,13 +252,12 @@ def _sum_of_products(variables, terms):
     as it stands. Entries that share a left operand of two or more terms
     are factored first, as the module docstring says. Every product is
     summed into one accumulator over the ``lcm`` of the product
-    denominators, and the result is reduced once. A call that the size rule
-    :func:`_packs` admits packs every exponent vector into one ``int``
-    (:func:`_packed_sum`); any other adds each product of two terms under
-    its exponent tuple.
+    denominators, and the result is reduced once. Every call counts its term
+    products for the size rule :func:`_packs`; one it admits packs each
+    exponent vector into one ``int`` (:func:`_packed_sum`), and any other
+    adds each product of two terms under its exponent tuple.
     """
     width = len(variables)
-    counted = width <= _PACK_MAX_WIDTH  # only a ring _packs can pack counts products
     groups = len(terms) > 1  # whether an entry can share its left operand
     live, den, products, operand_terms = [], 1, 0, 0
     shared = None  # id(a) -> [a, (w_i, b_i), ...], |a| >= 2, made on the first such entry
@@ -274,9 +276,8 @@ def _sum_of_products(variables, terms):
                 a, left, b = b, right, None
         if b is None:
             d = a._den
-            if counted:
-                products += len(left)
-                operand_terms += len(left)
+            products += len(left)
+            operand_terms += len(left)
         else:
             if groups and len(left) > 1:
                 if shared is None:
@@ -288,9 +289,8 @@ def _sum_of_products(variables, terms):
                     group.append((weight, b))
                 continue
             d = a._den * b._den
-            if counted:
-                products += len(left) * len(right)
-                operand_terms += len(left) + len(right)
+            products += len(left) * len(right)
+            operand_terms += len(left) + len(right)
         if d != den:
             den = lcm(den, d)
         live.append((weight, d, a, b))
@@ -302,9 +302,8 @@ def _sum_of_products(variables, terms):
                 continue
         left, right = a._nums, b._nums
         d = a._den * b._den
-        if counted:
-            products += len(left) * len(right)
-            operand_terms += len(left) + len(right)
+        products += len(left) * len(right)
+        operand_terms += len(left) + len(right)
         if d != den:
             den = lcm(den, d)
         live.append((weight, d, a, b))
@@ -316,7 +315,7 @@ def _sum_of_products(variables, terms):
             return a
         if b is None and weight == -1:
             return -a
-    if counted and _packs(products, operand_terms, width):
+    if _packs(products, operand_terms, width):
         return _reduced(variables, _packed_sum(live, den, width), den)
     acc = {}
     get = acc.get

@@ -11,6 +11,7 @@ call" and the number of products formed exactly.
 """
 
 import contextlib
+import io
 import json
 import random
 from itertools import combinations
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pncalc import algebroid, cartan, jacobi, polyalg
+from pncalc import algebroid, cartan, cli, jacobi, polyalg
 from pncalc import poisson_nijenhuis as pn
 from pncalc.algebroid import (
     AlgebroidData,
@@ -351,6 +352,20 @@ def _dense_jacobi_pair():
     return jacobi.JacobiPair(MultiVector(R3, 2, pi), MultiVector(R3, 1, field))
 
 
+def _spy_packed_sum(monkeypatch):
+    # one (ring width, term products) pair per call of _packed_sum, the
+    # products counted entry by entry after the factoring
+    calls = []
+    packed_sum = polyalg._packed_sum
+
+    def spy(live, den, width):
+        calls.append((width, sum(len(a.terms) * len(b.terms) for _, _, a, b in live if b is not None)))
+        return packed_sum(live, den, width)
+
+    monkeypatch.setattr(polyalg, "_packed_sum", spy)
+    return calls
+
+
 def test_dense_jacobi_packed_products_are_factored(monkeypatch):
     # Each bracket component has entries pi^{ij} * b_k that share the left
     # operand pi^{ij} (30-31 terms); the kernel sums the b_k first and forms
@@ -358,19 +373,23 @@ def test_dense_jacobi_packed_products_are_factored(monkeypatch):
     # product by product before the factoring: 6,868 for [pi, pi] and
     # 38,658 for the whole check.
     pair = _dense_jacobi_pair()
-    counted = [0]
-    packed_sum = polyalg._packed_sum
-
-    def spy(live, den, width):
-        counted[0] += sum(len(a.terms) * len(b.terms) for _, _, a, b in live if b is not None)
-        return packed_sum(live, den, width)
-
-    monkeypatch.setattr(polyalg, "_packed_sum", spy)
+    calls = _spy_packed_sum(monkeypatch)
     assert cartan.schouten(pair.pi, pair.pi).is_zero()
-    assert counted[0] == 1410
-    counted[0] = 0
+    assert sum(products for _, products in calls) == 1410
+    calls.clear()
     assert jacobi.is_jacobi(pair).ok
-    assert counted[0] == 22834
+    assert sum(products for _, products in calls) == 22834
+
+
+def test_dense_r4_poisson_check_packs_in_four_variables(monkeypatch):
+    # The size rule reads no width: the four [pi, pi] sums of the dense R^4
+    # document, six entries each after the factoring, meet the ratio and
+    # pack like those on R^3.
+    path = Path(__file__).resolve().parent.parent / "demos" / "documents" / "dense_r4.json"
+    calls = _spy_packed_sum(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check-poisson", "--input", str(path), "--json"]) == 0
+    assert calls == [(4, 1246), (4, 1344), (4, 1167), (4, 954)]
 
 
 def _cyclic_sum_oracle(alg):

@@ -10,14 +10,19 @@ loops that once formed products or sums beside the kernel,
 ``_add_scaled``, is defined or named again. The kernel reads a factor that
 is the constant 1 as no factor, so neither are the helpers that once
 tested a factor for 1 outside it: ``cartan._factor``, ``cartan._times``
-and ``Polynomial.is_one``.
+and ``Polynomial.is_one``. The kernel's one size rule, the ratio of
+``_packs``, holds in a ring of any width, so ``_PACK_MAX_WIDTH``, the cap
+that once kept every ring of more than 3 variables on the tuple path, is not
+named again.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pncalc"
-RETIRED = {"_accumulate", "_add_products", "_add_scaled", "_factor", "_times", "is_one"}
+RETIRED = {
+    "_PACK_MAX_WIDTH", "_accumulate", "_add_products", "_add_scaled", "_factor", "_times", "is_one"
+}
 
 
 def _names(node):

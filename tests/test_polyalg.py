@@ -395,10 +395,15 @@ def fused_operands(ring):
 weights = st.sampled_from((1, -1, 1, -1, 2, -3, 35))
 
 
+# The kernel properties also draw rings of 4 to 6 variables, where the
+# packed path spans more radix slots.
+KERNEL_RINGS = RINGS + tuple(tuple(f"x{i}" for i in range(1, n + 1)) for n in (4, 5, 6))
+
+
 @st.composite
 def fused_calls(draw):
     """Calls whose operands include the constant 1, as ``a``, as ``b`` or as both."""
-    ring = draw(st.sampled_from(RINGS))
+    ring = draw(st.sampled_from(KERNEL_RINGS))
     operand = st.one_of(fused_operands(ring), st.just(Polynomial.constant(ring, 1)))
     entry = st.tuples(weights, operand, st.one_of(st.none(), operand))
     entries = draw(st.lists(entry, min_size=1, max_size=5))
@@ -434,7 +439,7 @@ def one_term(ring):
 def shared_calls(draw):
     """Calls whose entries share left operands: the kernel factors each shared
     operand of two or more terms, a * (sum of s_i b_i)."""
-    ring = draw(st.sampled_from(RINGS))
+    ring = draw(st.sampled_from(KERNEL_RINGS))
     one = Polynomial.constant(ring, 1)
     pool = draw(st.lists(st.one_of(fused_operands(ring), one_term(ring)), min_size=1, max_size=3))
     shared = st.sampled_from(pool)
@@ -490,10 +495,13 @@ def test_a_factor_one_returns_the_other_operand_itself():
 
 
 def test_sum_of_products_size_rule_and_full_radix_slots():
-    # a call with many term products per operand term packs; one product of
-    # single terms does not, and neither does a ring with no variables
+    # a call with many term products per operand term packs, in any ring of
+    # at least one variable; one product of single terms does not, and
+    # neither does a ring with no variables
     dense = P("(x1 + x2 + x3 + 1)^2")  # 10 terms
     assert polyalg._packs(len(dense.terms) ** 2, 2 * len(dense.terms), 3)
+    wide = parse_polynomial("(x1 + x2 + x3 + x4 + x5 + x6 + 1)^2", [f"x{i}" for i in range(1, 7)])
+    assert polyalg._packs(len(wide.terms) ** 2, 2 * len(wide.terms), 6)  # 28 terms
     assert not polyalg._packs(1, 2, 3)
     assert not polyalg._packs(10**6, 10, 0)
     # exponents that reach max_a + max_b in a slot below the last one: a
