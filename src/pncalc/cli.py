@@ -15,12 +15,15 @@ the hypotheses.
 ``COMMANDS`` is the single command table: each handler registers itself
 with ``@_command``, giving its argv words, help line and option adders.
 The parser tree, the one-leaf fast path of ``main`` and ``HANDLERS`` are
-all read from it, so a command is named and described in one place.
+all read from it, so a command is named and described in one place. The
+parser of each leaf command is built once per process (``_leaf_parser``);
+it holds options only, never a result, so no cached state reaches a check.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -329,22 +332,29 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _leaf_parser(words):
+    """The parser of the leaf command ``words``, built from ``COMMANDS`` once per process."""
+    leaf = argparse.ArgumentParser(prog=" ".join(("pncalc",) + words))
+    for add_option in COMMANDS[words][2]:
+        add_option(leaf)
+    return leaf
+
+
 def _parse_command(argv):
     """The argv words of the command and its parsed options.
 
     When argv starts with the words of a leaf command and its options parse
-    completely, only that leaf's parser is built. Anything else (help at a
-    group or the top, unknown commands, unrecognized arguments, which the
-    top-level parser reports) goes through the full tree of build_parser(),
-    so help and error output are the same either way.
+    completely, only that leaf's parser is read, built on its first use.
+    Anything else (help at a group or the top, unknown commands,
+    unrecognized arguments, which the top-level parser reports) goes
+    through the full tree of build_parser(), so help and error output are
+    the same either way.
     """
     for size in (1, 2):
         words = tuple(argv[:size])
         if words in COMMANDS:
-            leaf = argparse.ArgumentParser(prog=" ".join(("pncalc",) + words))
-            for add_option in COMMANDS[words][2]:
-                add_option(leaf)
-            args, unknown = leaf.parse_known_args(argv[size:])
+            args, unknown = _leaf_parser(words).parse_known_args(argv[size:])
             if not unknown:
                 return words, args
             break

@@ -9,16 +9,25 @@ failure is a checkable witness rather than a bare boolean.
 
 The torsion and the concomitant on coordinate pairs are assembled from
 tables formed once per call, not from one evaluation of the definition per
-pair. ``nijenhuis_torsion`` reads the columns N d_a off N once, takes one
-gradient of each of their entries, and uses [d_i, d_j] = 0 and
-[N d_i, d_j] = -d_j(N d_i). ``concomitant_map`` forms
-each basis bracket [dx_i, dx_j]_pi and [dx_i, dx_j]_{Npi} once through
-``koszul_bracket``, read as a module global at call time so a patch of it
-reaches every caller, and expands the brackets of N*dx_i by the Koszul
-Leibniz rule [f alpha, beta]_pi = f[alpha,beta]_pi - (pisharp beta)(f) alpha,
-which holds for any bivector. ``magri_morosi`` keeps the definition on
-general forms, one pair per call; the tests hold ``concomitant_map`` to it
-and ``nijenhuis_torsion`` to the torsion's definition in their oracles.
+pair. Both read their partials of N off one derivative table,
+``_gradient_table``: one ``gradient`` of each nonzero entry N^r_c, so each
+entry is differentiated once per call. ``nijenhuis_torsion`` sums the
+component formula
+
+    T^k_ij = sum_l (N^l_i d_l N^k_j - N^l_j d_l N^k_i)
+             - sum_m N^k_m (d_i N^m_j - d_j N^m_i),
+
+which is tau_N(d_i, d_j) for commuting coordinate fields, in one
+``_collect`` per pair. ``concomitant_map`` forms each basis bracket
+[dx_i, dx_j]_pi and [dx_i, dx_j]_{Npi} once through ``koszul_bracket``, read
+as a module global at call time so a patch of it reaches every caller, and
+expands the brackets of N*dx_i by the Koszul Leibniz rule
+[f alpha, beta]_pi = f[alpha,beta]_pi - (pisharp beta)(f) alpha, which holds
+for any bivector; the anchor derivatives (pisharp dx_a)(N^b_k) are read off
+the table. ``magri_morosi`` keeps the definition on general forms, one pair
+per call; the tests hold ``concomitant_map`` to it and
+``nijenhuis_torsion`` to the torsion's definition, through ``vf_bracket``,
+in their oracles.
 
 ``koszul_bracket`` is computed in Cartan form,
 
@@ -42,6 +51,7 @@ antisymmetric, so pisharp.N* = -(N.pisharp)^T and the residual
 N.pisharp - pisharp.N* is the symmetric part M + M^T. When it vanishes M is
 antisymmetric and is the sharp matrix of N pi, whose component (a, b) is
 M[b][a]. The hierarchy applies this step again: (N^k pi)# = N.(N^(k-1) pi)#.
+The residual is formed once per unordered pair (i, j), i <= j, and mirrored.
 
 Work follows the stored entries: N(X), N* alpha, pisharp(alpha),
 pi(alpha, beta), the sharp matrix and the two coordinate tables loop over
@@ -64,7 +74,6 @@ from .cartan import (
     Chart,
     DiffForm,
     MultiVector,
-    _apply_vf,
     _collect,
     coordinate_form,
     exterior_d,
@@ -350,33 +359,55 @@ def koszul_bracket(pi, alpha, beta):
     return out
 
 
+def _gradient_table(N):
+    """{(r, c): {l: d_l N^r_c}} over the nonzero entries of N, one gradient each."""
+    return {
+        (r, c): dict(entry.gradient())
+        for r, row in enumerate(N.entries)
+        for c, entry in enumerate(row)
+        if not entry.is_zero()
+    }
+
+
 def nijenhuis_torsion(N):
     """Torsion on all coordinate pairs: {(i,j): tau_N(d_i, d_j)} for i<j.
 
-    Built from the columns N d_a, read off N once per call. Coordinate
-    fields commute and [N d_i, d_j] = -d_j(N d_i), so
+    Coordinate fields commute, so tau_N(d_i, d_j) = [N d_i, N d_j] -
+    N(d_i(N d_j) - d_j(N d_i)), whose component k is
 
-        tau_N(d_i, d_j) = [N d_i, N d_j] - N(d_i(N d_j) - d_j(N d_i)),
+        T^k_ij = sum_l (N^l_i d_l N^k_j - N^l_j d_l N^k_i)
+                 - sum_m N^k_m (d_i N^m_j - d_j N^m_i).
 
-    and the partials d_b(N d_a) are read off one gradient of each entry
-    of N d_a, formed once per call.
+    Every partial is read off :func:`_gradient_table`, one gradient of each
+    nonzero entry of N per call, and each pair is one ``_collect``.
     """
     chart = N.chart
     n = chart.dim
-    images = [N.apply(cartan.coordinate_vector(chart, a)) for a in range(n)]
-    # grads[a] = [(r, {b: d_b (N d_a)^r})], over the stored entries of N d_a
-    grads = [
-        [(r, dict(entry.gradient())) for (r,), entry in image.components.items()]
-        for image in images
-    ]
+    # cols[c] = [(r, N^r_c)], col_grads[c] = [(r, {l: d_l N^r_c})]: column c's
+    # nonzero entries, and those of them that are not constant
+    cols = [[] for _ in range(n)]
+    col_grads = [[] for _ in range(n)]
+    for (r, c), grad in _gradient_table(N).items():
+        cols[c].append((r, N.entries[r][c]))
+        if grad:
+            col_grads[c].append((r, grad))
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
-            defect = [((r,), 1, grad[i], None) for r, grad in grads[j] if i in grad]
-            defect += [((r,), -1, grad[j], None) for r, grad in grads[i] if j in grad]
-            out[(i, j)] = cartan.vf_bracket(images[i], images[j]) - N.apply(
-                MultiVector._trusted(chart, 1, _collect(defect))
-            )
+            entries = []
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                # sign * sum_l N^l_a d_l N^k_b, a half of [N d_i, N d_j]
+                for l, f in cols[a]:
+                    for k, grad in col_grads[b]:
+                        d = grad.get(l)
+                        if d is not None:
+                            entries.append(((k,), sign, f, d))
+                # -sign * sum_m N^k_m d_a N^m_b, a half of N(d_i(N d_j) - d_j(N d_i))
+                for m, grad in col_grads[b]:
+                    d = grad.get(a)
+                    if d is not None:
+                        entries += [((k,), -sign, g, d) for k, g in cols[m]]
+            out[(i, j)] = MultiVector._trusted(chart, 1, _collect(entries))
     return out
 
 
@@ -423,7 +454,11 @@ def _sharp_product(pi, N):
         raise InputError("expected a (1,1)-tensor on the bivector's chart")
     M = mat_mul(N.entries, sharp_matrix(pi))
     n = len(M)
-    residual = tuple(tuple(M[i][j] + M[j][i] for j in range(n)) for i in range(n))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):  # the residual is symmetric: one sum per unordered pair
+            rows[i][j] = rows[j][i] = M[i][j] + M[j][i]
+    residual = tuple(map(tuple, rows))
     if not mat_is_zero(residual):
         return residual, None
     comps = {
@@ -483,9 +518,10 @@ def concomitant_map(pi, N, npi):
             - sum_k (N^i_k B(k,j) + N^j_k B(i,k))
             + sum_k ((pisharp dx_j)(N^i_k) - (pisharp dx_i)(N^j_k)) dx_k.
 
-    Only nonzero entries of N are read, and each anchor derivative
+    Only nonzero entries of N are read. Each anchor derivative
     (pisharp dx_a)(N^b_k), a != b, is formed once, for the one pair that
-    reads it.
+    reads it, from the partials of N^b_k in :func:`_gradient_table`, so each
+    entry of N is differentiated once per call.
     """
     chart = pi.chart
     n = chart.dim
@@ -495,8 +531,17 @@ def concomitant_map(pi, N, npi):
         for i in range(n)
         for j in range(i + 1, n)
     }
-    anchors = [sharp(pi, form) for form in forms]
+    anchors = [sharp(pi, form).components for form in forms]
     rows = [[(k, f) for k, f in enumerate(row) if not f.is_zero()] for row in N.entries]
+    grads = _gradient_table(N)
+
+    def add_derivative(entries, sign, anchor, b, k):
+        # entries += sign * (anchor)(N^b_k) dx_k, read off the gradient of N^b_k
+        entries += [
+            ((k,), sign, xc, d)
+            for a, d in grads[b, k].items()
+            if (xc := anchor.get((a,))) is not None
+        ]
 
     def subtract_scaled(entries, f, a, b):
         # entries -= f * B(a, b)
@@ -515,10 +560,10 @@ def concomitant_map(pi, N, npi):
             entries += [(key, 1, v, None) for key, v in star.components.items()]
             for k, f in rows[i]:
                 subtract_scaled(entries, f, k, j)
-                entries += [((k,), 1, xc, d) for xc, d in _apply_vf(anchors[j], f)]
+                add_derivative(entries, 1, anchors[j], i, k)
             for k, f in rows[j]:
                 subtract_scaled(entries, f, i, k)
-                entries += [((k,), -1, xc, d) for xc, d in _apply_vf(anchors[i], f)]
+                add_derivative(entries, -1, anchors[i], j, k)
             out[(i, j)] = DiffForm._trusted(chart, 1, _collect(entries))
     return out
 

@@ -133,8 +133,11 @@ The reader tokenizes the text once with one compiled pattern and makes one
 pass over the tokens. A term goes straight into one exponent vector e and
 one numerator/denominator pair n/d, and is one kernel entry: n times the
 monomial x^e over d, times the product of the term's parenthesized groups
-when it has any. The terms of a sum are one kernel call. ``Polynomial``
-arithmetic runs only for a parenthesized group: the group is raised to its
+when it has any. The terms of a sum are one kernel call, except when no
+term or one term without groups is left: zero, or n x^e over d reduced,
+with no call. Most coefficients in use are one such term: of the 4,482
+coefficient strings of 150 ``lie_dense`` documents, 3,870 are a single
+constant, 2,604 of them ``0``. ``Polynomial`` arithmetic runs only for a parenthesized group: the group is raised to its
 power and multiplied into the term's product of groups.
 
 Input budgets bound the work one coefficient can ask for. Going past one is
@@ -870,7 +873,8 @@ class _Reader:
         term's product of groups; only then does ``Polynomial`` arithmetic
         run. Each term is one kernel entry, ``(n, x^e over d, groups or
         None)``, and the sum is one kernel call; ``MAX_TERMS`` is checked on
-        its result.
+        its result. No term, or one term without groups, is its own sum and
+        makes no call.
         """
         tokens, slots, variables = self.tokens, self.slots, self.variables
         end, width = len(tokens), len(variables)
@@ -962,6 +966,13 @@ class _Reader:
                 i += 1
                 continue
             break
+        if not entries:
+            return Polynomial._trusted(variables, {}, 1), i
+        if len(entries) == 1 and entries[0][2] is None:
+            # one term without groups, such as a literal: n x^e over d, reduced
+            num, monomial, _ = entries[0]
+            (exps,) = monomial._nums
+            return _reduced(variables, {exps: num}, monomial._den), i
         value = _sum_of_products(variables, entries)
         count = len(value._nums)
         if count > MAX_TERMS:

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report shape, byte-stable JSON."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -113,6 +114,26 @@ def test_leaf_parsing_matches_the_full_parser(capsys, monkeypatch, words):
         want = _parse_outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
         assert _parse_outcome(capsys, cli.main, argv) == want, argv
         assert want[0] in (0, 2)
+
+
+def test_a_leaf_parser_is_built_once_per_process(capsys, monkeypatch, write_doc):
+    # two checks of one command parse with one leaf parser
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._leaf_parser.cache_clear()
+    path = write_doc(CONFORMAL_DOC)
+    try:
+        for _ in range(2):
+            assert run_cli(capsys, ["check-pn", "--input", path, "--json"])[0] == 0
+    finally:
+        cli._leaf_parser.cache_clear()
+    assert built == ["pncalc check-pn"]
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from pncalc.linalg import mat_is_zero
 from pncalc.polyalg import Polynomial, _sum_of_products
 from pncalc.poisson_nijenhuis import (
     TensorOneOne,
+    _sharp_product,
     bivector_eval,
     complementary_build,
     concomitant_map,
@@ -745,8 +746,8 @@ def test_is_pn_pair_multiplies_few_zero_operands(monkeypatch):
     # the 6x6 product N.pisharp) reuse their zero factor instead of
     # multiplying by it. That one product gives both the sharp-compatibility
     # residual and N pi, where five products were formed before. The torsion
-    # and the concomitant are assembled from per-call tables (N d_a, the basis
-    # Koszul brackets, the anchor derivatives of N), where a pair-by-pair
+    # and the concomitant are assembled from per-call tables (the gradients of
+    # the entries of N, the basis Koszul brackets), where a pair-by-pair
     # evaluation of their definitions formed 234 products in all. The basis
     # Koszul brackets are taken in Cartan form: coordinate forms are closed,
     # so [dx_i, dx_j] is d(pi(dx_i, dx_j)) and forms no sharp and no Lie
@@ -774,6 +775,60 @@ def test_is_pn_pair_differentiates_through_gradients_only(monkeypatch):
     monkeypatch.setattr(Polynomial, "partial", counting)
     assert is_pn_pair(pi, N).ok
     assert calls == []
+
+
+def _count_gradients(monkeypatch):
+    calls = []
+    original = Polynomial.gradient
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Polynomial, "gradient", counting)
+    return calls
+
+
+def test_nijenhuis_torsion_differentiates_each_entry_of_n_once(monkeypatch):
+    # the component formula reads every partial off one gradient of each of
+    # the 6 nonzero entries of N; a vf_bracket per pair took 36
+    pi, N = _darboux_nijenhuis_dim6()
+    calls = _count_gradients(monkeypatch)
+    assert all(v.is_zero() for v in nijenhuis_torsion(N).values())
+    assert len(calls) == 6
+    assert sorted(map(str, calls)) == sorted(str(N.entries[a][a]) for a in range(6))
+
+
+def test_concomitant_map_differentiates_each_entry_of_n_once(monkeypatch):
+    # 30 basis brackets, each one gradient of pi(dx_i, dx_j) and one of each
+    # coordinate form's coefficient, plus one gradient of each of the 6
+    # nonzero entries of N for every anchor derivative; one per pair took 120
+    pi, N = _darboux_nijenhuis_dim6()
+    npi = n_bivector(pi, N)
+    calls = _count_gradients(monkeypatch)
+    assert all(v.is_zero() for v in concomitant_map(pi, N, npi).values())
+    assert len(calls) == 30 * 3 + 6
+
+
+def test_sharp_residual_sums_each_unordered_pair_once(monkeypatch):
+    # M + M^T is symmetric: n(n+1)/2 = 21 sums on dim 6, mirrored, not 36
+    from pncalc import linalg
+
+    pi, N = _darboux_nijenhuis_dim6()
+    M = linalg.mat_mul(N.entries, sharp_matrix(pi))
+    want = tuple(tuple(M[i][j] + M[j][i] for j in range(6)) for i in range(6))
+    calls = []
+    original = Polynomial.__add__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__add__", counting)
+    residual, npi = _sharp_product(pi, N)
+    assert residual == want
+    assert len(calls) == 21
+    assert npi == n_bivector(pi, N)
 
 
 def test_is_pn_pair_forms_one_product(monkeypatch):

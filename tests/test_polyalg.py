@@ -962,6 +962,38 @@ def test_reader_forms_no_products_without_parentheses(monkeypatch):
     assert got == want
 
 
+def test_reader_returns_a_one_term_sum_without_a_kernel_call(monkeypatch):
+    # a literal or a single monomial is its own canonical form; only a sum of
+    # two or more terms, or a term with groups, reaches the kernel
+    half = Fraction(1, 2)
+    cases = {
+        "0": Polynomial.zero(VARS),
+        "0*x1 + 0 - 0": Polynomial.zero(VARS),
+        "7": Polynomial.constant(VARS, 7),
+        "-2/4": Polynomial.constant(VARS, -half),
+        "x2 + 0": Polynomial.variable(VARS, "x2"),
+        "0 - x2": -Polynomial.variable(VARS, "x2"),
+        "3/6*x1^2*x3": Polynomial(VARS, {(2, 0, 1): half}),
+        "-4/2*x3": Polynomial(VARS, {(0, 0, 1): -2}),
+    }
+    sums = {
+        "x1 + 1": Polynomial(VARS, {(1, 0, 0): 1, (0, 0, 0): 1}),
+        "2*(x1)": Polynomial(VARS, {(1, 0, 0): 2}),
+    }
+    calls = []
+    kernel = polyalg._sum_of_products
+    monkeypatch.setattr(
+        polyalg, "_sum_of_products", lambda v, t: calls.append(1) or kernel(v, t)
+    )
+    got = {text: P(text) for text in cases}
+    assert calls == []
+    assert {text: P(text) for text in sums} == sums
+    assert len(calls) == 2  # the sum, and the term 2*(x1); its group x1 is one term
+    for text, want in cases.items():
+        assert got[text] == want, text
+        assert_canonical(got[text])
+
+
 def test_reader_keeps_the_digits_int_reads():
     # int() reads every Unicode decimal digit, so these parse as before
     assert P("x1^١٢") == P("x1^12")
