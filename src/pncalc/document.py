@@ -105,14 +105,25 @@ def _parse_key(key, bound, where, increasing):
     if key == "":
         return ()
     parts = key.split(",")
+    width = len(str(bound))
     idx = []
     for part in parts:
         part = part.strip()
-        if not part or not (part.isdigit() or (part[0] == "-" and part[1:].isdigit())):
+        digits = part[1:] if part[:1] == "-" else part
+        # the digits int reads: str.isdigit also accepts superscripts
+        if not digits.isdecimal():
             raise InputError(f"{where}: bad index {part!r} in key {key!r}")
+        if len(digits) > width:  # drop leading zeros before int reads it
+            lead = 0
+            while lead < len(digits) - 1 and not int(digits[lead]):
+                lead += 1
+            part = part[: len(part) - len(digits)] + digits[lead:]
+            if len(digits) - lead > width:  # more digits than the bound: out of range
+                idx.append(part)
+                continue
         idx.append(int(part))
     for i in idx:
-        if not 1 <= i <= bound:
+        if isinstance(i, str) or not 1 <= i <= bound:
             raise InputError(f"{where}: index {i} out of range 1..{bound} in key {key!r}")
     if increasing and any(a >= b for a, b in zip(idx, idx[1:])):
         raise InputError(f"{where}: key {key!r} must be strictly increasing")

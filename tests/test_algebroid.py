@@ -30,8 +30,8 @@ from pncalc.algebroid import (
 from pncalc.cartan import Chart, MultiVector
 from pncalc.corpus import R1, R2, R3, random_multivector, random_polynomial, so3_bivector
 from pncalc.errors import InputError, PreconditionError
-from pncalc.polyalg import Polynomial
 from oracles import rho_function
+from strategies import polynomials
 
 POINT = Chart(())
 
@@ -201,12 +201,7 @@ def test_section_bracket_leibniz():
 
 
 base_polys = st.one_of(
-    st.just(R2.zero()),
-    st.dictionaries(
-        st.tuples(st.integers(0, 2), st.integers(0, 2)),
-        st.integers(-3, 3).filter(bool),
-        max_size=3,
-    ).map(lambda terms: Polynomial(R2.coords, terms)),
+    st.just(R2.zero()), polynomials(R2.coords, numerators=3, denominators=(1,), terms=3)
 )
 
 
@@ -251,19 +246,18 @@ def _per_term_differential(alg, omega):
     return AlgebroidSection(alg, k + 1, out)
 
 
-def _chart_polys(chart):
-    exponents = st.tuples(*[st.integers(0, 2)] * chart.dim)
-    return st.dictionaries(exponents, st.integers(-3, 3).filter(bool), max_size=2).map(
-        lambda terms: Polynomial(chart.coords, terms)
-    )
+# integer coefficients up to 3, at most two terms
+_CHART_POLYS = {
+    c: polynomials(c.coords, numerators=3, denominators=(1,), terms=2) for c in (POINT, R1, R2, R3)
+}
 
 
 @st.composite
 def _algebroid_sections(draw):
     # any anchor and table, Jacobi or not: the differential is a formula
-    chart = draw(st.sampled_from((POINT, R1, R2, R3)))
+    chart = draw(st.sampled_from(list(_CHART_POLYS)))
     rank = draw(st.integers(1, 3))
-    polys = _chart_polys(chart)
+    polys = _CHART_POLYS[chart]
     anchor = [draw(st.lists(polys, min_size=chart.dim, max_size=chart.dim)) for _ in range(rank)]
     table = {
         pair: draw(st.lists(polys, min_size=rank, max_size=rank))

@@ -204,6 +204,29 @@ class TestExitCodes:
         assert data["verdict"] == "error"
         assert "nested more than 100 deep" in data["residuals"]["error"]
 
+    @pytest.mark.parametrize("index", ["\u00b2", "1" * 5000], ids=["superscript", "5000-digit"])
+    @pytest.mark.parametrize(
+        "argv, block",
+        [
+            (["check-poisson"], lambda key: {"bivector": {key: "x1"}}),
+            (["check-nijenhuis"], lambda key: {"tensor11": {key: "x1"}}),
+            (["algebroid", "validate"], lambda key: {"structure": {key: ["0", "0", "1"]}}),
+            (["algebroid", "diff"], lambda key: {"section": {"degree": 2, "components": {key: "1"}}}),
+        ],
+        ids=["bivector", "tensor11", "structure", "section"],
+    )
+    def test_an_index_int_cannot_read_is_two(self, capsys, write_doc, argv, block, index):
+        # str.isdigit accepts a superscript, and int refuses over 4300 digits
+        key = f"1,{index}"
+        if argv[0] == "algebroid":
+            doc = {"chart": {"coordinates": []}, "algebroid": {**SO3_LIE, **block(key)}}
+        else:
+            doc = {"chart": {"coordinates": ["x1", "x2"]}, **block(key)}
+        code, out = run_cli(capsys, [*argv, "--input", write_doc(doc), "--json"])
+        assert code == 2
+        assert "Traceback" not in out
+        assert repr(key) in json.loads(out)["residuals"]["error"]
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -823,6 +846,8 @@ broken_texts = st.one_of(
     st.text(alphabet="x123 +-*^/()_\u00b2\u0661", max_size=12),
 )
 fuzz_entries = st.one_of(broken_texts, st.integers(-2, 2), st.none(), st.booleans())
+# Index keys int() cannot read: a superscript digit, and more digits than it reads.
+BAD_INDEX_KEYS = ("1,\u00b2", "\u00b9,2", "1," + "1" * 5000)
 
 
 def sound_document(n):
@@ -844,13 +869,15 @@ broken_documents = st.fixed_dictionaries(
     },
     optional={
         "bivector": st.dictionaries(
-            st.sampled_from(["1,2", "1,3", "2,1", "1,4", "1", "a,b", "1,2,3"]),
+            st.sampled_from(["1,2", "1,3", "2,1", "1,4", "1", "a,b", "1,2,3", *BAD_INDEX_KEYS]),
             st.one_of(sound_texts, fuzz_entries),
             max_size=3,
         ),
         "tensor11": st.one_of(
             st.lists(st.lists(st.one_of(sound_texts, fuzz_entries), max_size=3), max_size=3),
-            st.dictionaries(st.sampled_from(["1,1", "1,2", "4,1", "x"]), fuzz_entries, max_size=3),
+            st.dictionaries(
+                st.sampled_from(["1,1", "1,2", "4,1", "x", *BAD_INDEX_KEYS]), fuzz_entries, max_size=3
+            ),
         ),
         "bogus": st.just(1),
     },

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -62,6 +61,7 @@ from oracles import (
     torsion_ok,
 )
 from products import spy_products
+from strategies import polynomials
 
 
 def unit_bivector(chart=R2):
@@ -171,33 +171,26 @@ def test_koszul_antisymmetry_and_exact_form_identity():
         )
 
 
-_SMALL_COEFFS = tuple(Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 3))
-
-
-def _chart_polys(chart, min_size=0):
-    # an exponent vector with entries 0..2 is drawn as one base-3 number
-    n = chart.dim
-    term = st.tuples(st.integers(0, 3**n - 1), st.sampled_from(_SMALL_COEFFS))
-    return st.lists(term, min_size=min_size, max_size=2).map(
-        lambda terms: Polynomial(
-            chart.coords, {tuple(code // 3**i % 3 for i in range(n)): c for code, c in terms}
-        )
-    )
+# Components of at most two terms, numerators up to 3 over 1, 2 or 3; each
+# component of the bivector has a term.
+_KOSZUL_POLYS = {
+    c: [polynomials(c.coords, numerators=3, denominators=(1, 2, 3), terms=t) for t in (2, (1, 2))]
+    for c in (R2, R3, R4)
+}
 
 
 @st.composite
 def _koszul_cases(draw):
     """A bivector and two 1-forms on R^2..R^4, the forms not closed and, from
     R^3 on, where a bivector can fail to be Poisson, the bivector not Poisson."""
-    chart = draw(st.sampled_from((R2, R3, R4)))
+    chart = draw(st.sampled_from(list(_KOSZUL_POLYS)))
     n = chart.dim
-    polys = _chart_polys(chart)
+    polys, pi_polys = _KOSZUL_POLYS[chart]
     x2_dx1 = DiffForm(chart, 1, {(0,): chart.var("x2")})  # d(x2 dx1) = -dx1^dx2
     forms = []
     for _ in range(2):
         alpha = DiffForm(chart, 1, {(a,): draw(polys) for a in range(n)})
         forms.append(alpha + x2_dx1 if exterior_d(alpha).is_zero() else alpha)
-    pi_polys = _chart_polys(chart, min_size=1)
     pi = MultiVector(chart, 2, {key: draw(pi_polys) for key in combinations(range(n), 2)})
     if n > 2:
         assume(not is_poisson(pi).ok)
@@ -594,28 +587,19 @@ def test_sharp_matches_contraction_definition():
 # -- zero-skipping kernels against dense definitions --------------------------
 
 VARS3 = R3.coords
-_dense_terms = st.dictionaries(
-    st.tuples(*(st.integers(0, 2) for _ in VARS3)),
-    st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(lambda c: c != 0),
-    max_size=2,
-)
 # Mostly zero, as in the tensors and forms of a chart.
-_entries = st.one_of(
-    st.just({}), st.just({}), _dense_terms
-).map(lambda terms: Polynomial(VARS3, terms))
+_polys = polynomials(VARS3, numerators=3, denominators=(1, 2, 3), terms=2)
+_entries = st.one_of(st.just(R3.zero()), st.just(R3.zero()), _polys)
 
 
 @st.composite
 def _sparse_matrices(draw):
     """A 3x3 matrix with mostly zero entries and, often, a zero row and column."""
-    rows = [[draw(_entries) for _ in range(3)] for _ in range(3)]
-    zero_row = draw(st.one_of(st.none(), st.integers(0, 2)))
-    zero_col = draw(st.one_of(st.none(), st.integers(0, 2)))
-    for i in range(3):
-        for j in range(3):
-            if i == zero_row or j == zero_col:
-                rows[i][j] = R3.zero()
-    return rows
+    zero_row, zero_col = (draw(st.one_of(st.none(), st.integers(0, 2))) for _ in range(2))
+    return [
+        [R3.zero() if zero_row == i or zero_col == j else draw(_entries) for j in range(3)]
+        for i in range(3)
+    ]
 
 
 def _vector(comps):

@@ -1,4 +1,3 @@
-import itertools
 import operator
 from fractions import Fraction
 from math import gcd
@@ -14,6 +13,7 @@ from pncalc.errors import InputError, ParseError
 from pncalc.linalg import mat_mul
 from pncalc.polyalg import Polynomial, parse_polynomial
 from oracles import mat
+from strategies import KERNEL, polynomials
 
 VARS = ("x1", "x2", "x3")
 
@@ -22,13 +22,8 @@ def P(text, variables=VARS):
     return parse_polynomial(text, variables)
 
 
-exponents = st.tuples(*(st.integers(0, 3) for _ in VARS))
-coeffs = st.fractions(
-    min_value=-9, max_value=9, max_denominator=9
-).filter(lambda f: f != 0)
-polys = st.dictionaries(exponents, coeffs, max_size=4).map(
-    lambda terms: Polynomial(VARS, terms)
-)
+SMALL = {"numerators": 9, "denominators": range(1, 10)}
+polys = polynomials(VARS, terms=4, degree=3, **SMALL)
 
 
 @given(polys, polys, polys)
@@ -189,10 +184,9 @@ def test_exponent_validation_checks_type_before_sign():
 
 # -- the trusted construction path of the arithmetic -------------------------
 
-scalars = st.one_of(st.integers(-3, 3), coeffs)
-small_polys = st.dictionaries(
-    st.tuples(*(st.integers(0, 2) for _ in VARS)), coeffs, max_size=3
-).map(lambda terms: Polynomial(VARS, terms))
+small_polys = polynomials(VARS, terms=3, **SMALL)
+# a scalar is an int, or the ints (n, d) of the Fraction n/d that the step makes
+scalars = st.one_of(st.integers(-3, 3), st.tuples(st.integers(-9, 9), st.sampled_from(range(1, 10))))
 STEPS = {
     "add": operator.add,
     "sub": operator.sub,
@@ -223,6 +217,13 @@ steps = st.one_of(
 )
 
 
+def _operand(arg):
+    """A step's argument, each drawn scalar (n, d) made the Fraction n/d."""
+    if isinstance(arg, dict):
+        return {v: _operand(c) for v, c in arg.items()}
+    return Fraction(*arg) if isinstance(arg, tuple) else arg
+
+
 def assert_canonical(p):
     assert p == Polynomial(p.variables, p.terms)
     assert p.terms == Polynomial(p.variables, p.terms).terms
@@ -249,7 +250,7 @@ def test_arithmetic_results_are_canonical(p, chain):
     budgets = tuple(f"above the budget of {b}" for b in (polyalg.MAX_TERMS, polyalg.MAX_DEGREE))
     for op, arg in chain:
         try:
-            p = STEPS[op](p, arg)
+            p = STEPS[op](p, _operand(arg))
         except InputError as refusal:
             # repeated squaring can ask for a power over a budget of
             # Polynomial.__pow__, which refuses it; that ends the chain
@@ -270,23 +271,15 @@ def _naive_mat_mul(A, B, zero):
     )
 
 
-def _matrix(entry, rows, cols):
-    row = st.lists(entry, min_size=cols, max_size=cols)
-    return st.lists(row, min_size=rows, max_size=rows)
+@st.composite
+def _matrix_pairs(draw):
+    """Matrices of 1-3 rows and columns that multiply, mostly zero as in a chart."""
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    entry = st.one_of(st.just(Polynomial.zero(VARS)), st.just(Polynomial.zero(VARS)), small_polys)
+    return [[[draw(entry) for _ in range(cols)] for _ in range(rows)] for rows, cols in ((n, k), (k, m))]
 
 
-def _matrix_pairs(entries, zero):
-    # Mostly-zero entries, as in the sharp and tensor matrices of a chart.
-    entry = st.one_of(st.just(zero), st.just(zero), entries)
-    sizes = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
-    return sizes.flatmap(
-        lambda nkm: st.tuples(
-            _matrix(entry, nkm[0], nkm[1]), _matrix(entry, nkm[1], nkm[2])
-        )
-    )
-
-
-@given(_matrix_pairs(small_polys, Polynomial.zero(VARS)))
+@given(_matrix_pairs())
 @settings(max_examples=60, deadline=None)
 def test_mat_mul_skipping_zeros_matches_triple_sum_polynomial(pair):
     A, B = (mat(M) for M in pair)
@@ -298,48 +291,45 @@ def test_mat_mul_skipping_zeros_matches_triple_sum_polynomial(pair):
 
 
 # -- the integer-numerator kernels against plain Fraction oracles ------------
+#
+# Each oracle reads the drawn coefficients as Fractions (``fractions``) and
+# computes with plain Fraction loops; none calls the arithmetic it checks.
 
 RINGS = ((), ("x1",), ("x1", "x2"), VARS)
-# A few small coefficients with mixed denominators make exact cancellation
-# inside one product frequent; wide fractions exercise the common denominator.
-kernel_coeffs = st.one_of(
-    st.sampled_from([Fraction(c) for c in (1, -1, 2, "1/2", "-1/2", "2/3", "-3/4", "5/6")]),
-    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60).filter(
-        lambda f: f != 0
-    ),
-)
 
 
-def ring_polys(ring):
-    return st.dictionaries(
-        st.tuples(*(st.integers(0, 2) for _ in ring)), kernel_coeffs, max_size=5
-    ).map(lambda terms: Polynomial(ring, terms))
+def fractions(p):
+    """The coefficients of ``p``, read off its stored numerators and denominator."""
+    return {exps: Fraction(n, p._den) for exps, n in p._nums.items()}
 
 
-any_ring_polys = st.sampled_from(RINGS).flatmap(ring_polys)
-any_ring_pairs = st.sampled_from(RINGS).flatmap(
-    lambda ring: st.tuples(ring_polys(ring), ring_polys(ring))
-)
+def nonzero(acc):
+    return {exps: c for exps, c in acc.items() if c != 0}
 
 
-def oracle_mul(p, q):
+def oracle_sum(a, b, sign):
+    acc = dict(a)
+    for exps, c in b.items():
+        acc[exps] = acc.get(exps, Fraction(0)) + sign * c
+    return nonzero(acc)
+
+
+def oracle_product(a, b):
     acc = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            exps = tuple(a + b for a, b in zip(e1, e2))
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
             acc[exps] = acc.get(exps, Fraction(0)) + c1 * c2
-    return {exps: c for exps, c in acc.items() if c != 0}
+    return nonzero(acc)
 
 
-def oracle_partial(p, i):
+def oracle_fused(entries):
+    """sign * a * b summed over the entries, b None read as 1, in Fractions."""
     acc = {}
-    for exps, c in p.terms.items():
-        if exps[i]:
-            lowered = list(exps)
-            lowered[i] -= 1
-            lowered = tuple(lowered)
-            acc[lowered] = acc.get(lowered, Fraction(0)) + c * exps[i]
-    return {exps: c for exps, c in acc.items() if c != 0}
+    for sign, a, b in entries:
+        term = fractions(a) if b is None else oracle_product(fractions(a), fractions(b))
+        acc = oracle_sum(acc, term, sign)
+    return acc
 
 
 def assert_terms(p, want):
@@ -347,64 +337,52 @@ def assert_terms(p, want):
     assert all(type(c) is Fraction for c in p.terms.values())
 
 
-@given(any_ring_pairs)
+def pairs(rings, **shape):
+    """Two polynomials over one ring of ``rings``."""
+    return st.one_of(*(st.tuples(polynomials(r, **shape), polynomials(r, **shape)) for r in rings))
+
+
+@given(pairs(RINGS, **KERNEL), st.integers(-(10**6), 10**6), st.sampled_from(KERNEL["denominators"]))
 @settings(max_examples=200, deadline=None)
-def test_mul_matches_fraction_triple_loop(pair):
+def test_mul_matches_fraction_triple_loop(pair, n, d):
     p, q = pair
-    pq = oracle_mul(p, q)
+    pq = oracle_product(fractions(p), fractions(q))
     assert_terms(p * q, pq)
     assert_terms(p * (-q), {e: -c for e, c in pq.items()})
     # the fused kernel on the same draw: one product, a negated one, b = None
     fused = polyalg._sum_of_products
     assert_terms(fused(p.variables, [(1, p, q)]), pq)
-    want = {e: -c for e, c in pq.items()}
-    for e, c in q.terms.items():
-        want[e] = want.get(e, 0) + c
-    want = {e: c for e, c in want.items() if c}
-    assert_terms(fused(p.variables, [(-1, p, q), (1, q, None)]), want)
+    assert_terms(fused(p.variables, [(-1, p, q), (1, q, None)]), oracle_sum(fractions(q), pq, -1))
+    # a scalar factor on either side: a Fraction and an int
+    for c in (Fraction(n, d), n):
+        want = nonzero({e: v * c for e, v in fractions(p).items()})
+        assert_terms(p * c, want)
+        assert_terms(c * p, want)
 
 
-def oracle_fused(entries):
-    """sign * a * b summed over the entries, b None read as 1, in Fractions."""
-    acc = {}
-    for sign, a, b in entries:
-        terms = a.terms.items() if b is None else oracle_mul(a, b).items()
-        for exps, c in terms:
-            acc[exps] = acc.get(exps, Fraction(0)) + sign * c
-    return {exps: c for exps, c in acc.items() if c != 0}
-
-
-# Numerators over a denominator from a small set: entries of one call mix
-# denominators, and small numerators make cancellation frequent.
-def fused_operands(ring):
-    numerators = st.integers(-6, 6).filter(bool)
-    sparse = st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in ring)), numerators, max_size=8)
-    # every monomial of degree <= 2: products of these reach the packed side
-    full = [e for e in itertools.product(range(3), repeat=len(ring)) if sum(e) <= 2]
-    dense = st.lists(numerators, min_size=len(full), max_size=len(full)).map(
-        lambda ns: dict(zip(full, ns))
+# The kernel properties also draw rings of 4 to 6 variables, where the packed
+# path spans more radix slots. Small numerators over a few denominators mix
+# denominators within a call and cancel often; dense operands reach the
+# packed side; a one-term operand has a wide coefficient.
+KERNEL_RINGS = RINGS + tuple(tuple(f"x{i}" for i in range(1, n + 1)) for n in (4, 5, 6))
+_FUSED = {"numerators": 6, "denominators": (1, 1, 2, 3, 35)}
+OPERANDS = {
+    ring: st.one_of(
+        polynomials(ring, terms=8, degree=3, **_FUSED), polynomials(ring, dense=True, **_FUSED)
     )
-    return st.builds(
-        lambda terms, den: Polynomial(ring, {e: Fraction(n, den) for e, n in terms.items()}),
-        st.one_of(sparse, dense),
-        st.sampled_from((1, 1, 2, 3, 35)),
-    )
-
-
+    for ring in KERNEL_RINGS
+}
+ONE_TERM = {ring: polynomials(ring, terms=(1, 1), degree=3, **KERNEL) for ring in KERNEL_RINGS}
+ONES = {ring: Polynomial.constant(ring, 1) for ring in KERNEL_RINGS}
 # Entry weights: the signs, and other nonzero integers.
 weights = st.sampled_from((1, -1, 1, -1, 2, -3, 35))
-
-
-# The kernel properties also draw rings of 4 to 6 variables, where the
-# packed path spans more radix slots.
-KERNEL_RINGS = RINGS + tuple(tuple(f"x{i}" for i in range(1, n + 1)) for n in (4, 5, 6))
 
 
 @st.composite
 def fused_calls(draw):
     """Calls whose operands include the constant 1, as ``a``, as ``b`` or as both."""
     ring = draw(st.sampled_from(KERNEL_RINGS))
-    operand = st.one_of(fused_operands(ring), st.just(Polynomial.constant(ring, 1)))
+    operand = st.one_of(OPERANDS[ring], st.just(ONES[ring]))
     entry = st.tuples(weights, operand, st.one_of(st.none(), operand))
     entries = draw(st.lists(entry, min_size=1, max_size=5))
     if draw(st.booleans()):  # an entry and its negation cancel exactly
@@ -413,47 +391,25 @@ def fused_calls(draw):
     return ring, entries
 
 
-@given(fused_calls())
-@settings(max_examples=30, deadline=None)
-def test_sum_of_products_matches_fraction_loop(call):
-    ring, entries = call
-    want = oracle_fused(entries)
-    got = polyalg._sum_of_products(ring, entries)
-    assert_terms(got, want)
-    assert_canonical(got)
-    # both sides of the size rule, whichever side this call falls on
-    for packs in (False, True):
-        with mock.patch.object(polyalg, "_packs", lambda *counts, packs=packs: packs):
-            assert polyalg._sum_of_products(ring, entries) == got
-
-
-def one_term(ring):
-    return st.builds(
-        lambda exps, c: Polynomial(ring, {exps: c}),
-        st.tuples(*(st.integers(0, 3) for _ in ring)),
-        kernel_coeffs,
-    )
-
-
 @st.composite
 def shared_calls(draw):
     """Calls whose entries share left operands: the kernel factors each shared
     operand of two or more terms, a * (sum of s_i b_i)."""
     ring = draw(st.sampled_from(KERNEL_RINGS))
-    one = Polynomial.constant(ring, 1)
-    pool = draw(st.lists(st.one_of(fused_operands(ring), one_term(ring)), min_size=1, max_size=3))
+    one, operands = ONES[ring], OPERANDS[ring]
+    pool = draw(st.lists(st.one_of(operands, ONE_TERM[ring]), min_size=1, max_size=3))
     shared = st.sampled_from(pool)
-    right = st.one_of(st.none(), shared, fused_operands(ring), one_term(ring), st.just(one))
+    right = st.one_of(st.none(), shared, operands, ONE_TERM[ring], st.just(one))
     entries = draw(st.lists(st.tuples(weights, shared, right), max_size=8))
     a = pool[0]
     entries.append((draw(weights), a, a))  # a is b
     if draw(st.booleans()):  # a factor 1 inside a group of a, on either side
         entries += [(draw(weights), a, one), (draw(weights), one, a), (draw(weights), a, pool[-1])]
     if draw(st.booleans()):  # a group whose right operands cancel: b + c - (b + c)
-        a, b, c = (draw(fused_operands(ring)) for _ in range(3))
+        a, b, c = (draw(operands) for _ in range(3))
         entries += [(1, a, b), (1, a, c), (-1, a, b + c)]
     if draw(st.booleans()):  # a shared right operand is no group
-        a, b, c = (draw(fused_operands(ring)) for _ in range(3))
+        a, b, c = (draw(operands) for _ in range(3))
         entries += [(1, a, c), (-1, b, c)]
     return ring, draw(st.permutations(entries))
 
@@ -461,8 +417,9 @@ def shared_calls(draw):
 _SHARED, _MONOMIAL, _RIGHT = P("x1 + 1/2"), P("2*x2"), P("x3 - 2")
 
 
-@given(shared_calls())
+@given(fused_calls(), shared_calls())
 @example(
+    (VARS, [(1, ONES[VARS], ONES[VARS]), (-1, _SHARED, ONES[VARS])]),
     (
         VARS,
         [
@@ -474,17 +431,20 @@ _SHARED, _MONOMIAL, _RIGHT = P("x1 + 1/2"), P("2*x2"), P("x3 - 2")
             (1, P("x2^2 - x1"), _RIGHT),
             (1, P("x1*x3 + 3"), _RIGHT),
         ],
-    )
+    ),
 )
-@settings(max_examples=25, deadline=None)
-def test_factored_shared_operands_match_fraction_loop(call):
-    ring, entries = call
-    want = oracle_fused(entries)
-    for packs in (False, True):
-        with mock.patch.object(polyalg, "_packs", lambda *counts, packs=packs: packs):
-            got = polyalg._sum_of_products(ring, entries)
-        assert_terms(got, want)
-        assert_canonical(got)
+@settings(max_examples=30, deadline=None)
+def test_sum_of_products_matches_fraction_loop(fused, shared):
+    for ring, entries in (fused, shared):
+        want = oracle_fused(entries)
+        results = [polyalg._sum_of_products(ring, entries)]
+        # both sides of the size rule, whichever side this call falls on
+        for packs in (False, True):
+            with mock.patch.object(polyalg, "_packs", lambda *counts, packs=packs: packs):
+                results.append(polyalg._sum_of_products(ring, entries))
+        for got in results:
+            assert_terms(got, want)
+            assert_canonical(got)
 
 
 def test_a_factor_one_returns_the_other_operand_itself():
@@ -519,20 +479,20 @@ def test_sum_of_products_size_rule_and_full_radix_slots():
     assert polyalg._sum_of_products((), []) == 0
 
 
-@given(any_ring_polys, kernel_coeffs)
-@settings(max_examples=100, deadline=None)
-def test_mul_by_scalar_and_constant_matches_oracle(p, c):
-    const = Polynomial.constant(p.variables, c)
-    assert_terms(p * c, oracle_mul(p, const))
-    assert_terms(c * p, oracle_mul(const, p))
-    assert_terms(p * c.numerator, oracle_mul(p, Polynomial.constant(p.variables, c.numerator)))
-
-
-@given(any_ring_polys)
+@given(st.one_of(*(polynomials(ring, **KERNEL) for ring in RINGS)))
 @settings(max_examples=100, deadline=None)
 def test_partial_matches_fraction_loop(p):
+    # small and wide numerators over denominators up to 60: the terms of
+    # one polynomial have different reduced denominators
+    a = fractions(p)
     for i, name in enumerate(p.variables):
-        assert_terms(p.partial(name), oracle_partial(p, i))
+        want = {}
+        for exps, c in a.items():
+            if exps[i]:
+                want[exps[:i] + (exps[i] - 1,) + exps[i + 1 :]] = c * exps[i]
+        got = p.partial(name)
+        assert_terms(got, want)
+        assert_canonical(got)
 
 
 def test_mul_cancels_to_zero_and_drops_zero_totals():
@@ -581,14 +541,7 @@ def test_parse_nesting_is_bounded():
 
 PAIR = ("x1", "x2", "y_x1", "y_x2")
 SWAP = {"x1": "y_x1", "y_x1": "x1", "x2": "y_x2", "y_x2": "x2"}
-pair_exponents = st.tuples(*(st.integers(0, 2) for _ in PAIR))
-source_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0), st.just(0))
-
-
-def pair_polys(exponents=pair_exponents):
-    return st.dictionaries(exponents, kernel_coeffs, max_size=5).map(
-        lambda terms: Polynomial(PAIR, terms)
-    )
+pair_polys = polynomials(PAIR, **KERNEL)
 
 
 def _oracle_embed(p, variables, renames):
@@ -599,11 +552,11 @@ def _oracle_embed(p, variables, renames):
 EMBED_CASES = st.one_of(
     # a larger ring, variables reordered, nothing renamed
     st.tuples(
-        pair_polys(), st.permutations(PAIR + ("u", "v")).map(tuple), st.just({})
+        pair_polys, st.permutations(PAIR + ("u", "v")).map(tuple), st.just({})
     ),
     # permutation renames within the ring, among them the x <-> y_x swap
     st.tuples(
-        pair_polys(),
+        pair_polys,
         st.just(PAIR),
         st.one_of(
             st.just(SWAP),
@@ -612,39 +565,35 @@ EMBED_CASES = st.one_of(
     ),
     # merging renames: y_x -> x, as on the diagonal, into either ring order
     st.tuples(
-        pair_polys(),
+        pair_polys,
         st.sampled_from([PAIR, PAIR[::-1], ("x1", "x2"), ("x2", "x1")]),
         st.dictionaries(st.sampled_from(PAIR[2:]), st.sampled_from(PAIR[:2]), min_size=1),
     ).filter(lambda case: len(case[1]) == 4 or len(case[2]) == 2),
     # projections: the dropped y variables do not occur
     st.tuples(
-        pair_polys(source_exponents),
+        polynomials(PAIR, degree=(2, 2, 0, 0), **KERNEL),
         st.sampled_from([("x1", "x2"), ("x2", "x1"), ("x2", "u", "x1")]),
         st.just({}),
     ),
 )
 
 
-@given(EMBED_CASES)
+@given(EMBED_CASES, st.lists(st.sampled_from(PAIR + ("u",)), unique=True).map(tuple))
 @settings(max_examples=200, deadline=None)
-def test_embed_matches_substitute(case):
+def test_embed_matches_substitute(case, ring):
     p, variables, renames = case
     got = p.embed(variables, renames)
     assert got == _oracle_embed(p, variables, renames)
     assert got.variables == variables
     assert_canonical(got)
-
-
-@given(pair_polys(), st.lists(st.sampled_from(PAIR + ("u",)), unique=True).map(tuple))
-@settings(max_examples=100, deadline=None)
-def test_embed_refuses_what_substitute_refuses(p, variables):
+    # into any ring, nothing renamed, embed refuses what substitute refuses
     try:
-        want = p.substitute(variables, {})
+        want = p.substitute(ring, {})
     except InputError:
         with pytest.raises(InputError, match="has no image"):
-            p.embed(variables)
+            p.embed(ring)
     else:
-        assert p.embed(variables) == want
+        assert p.embed(ring) == want
 
 
 def test_embed_examples():
@@ -666,85 +615,26 @@ def test_embed_examples():
         Polynomial.zero(PAIR).embed(("u", "u"))
 
 
-# -- mixed denominators: +, -, neg, embed, partial, substitute ---------------
+# -- mixed denominators: +, -, neg, embed, gradient, substitute --------------
 #
-# Each operand has its own common denominator, drawn from (1, 2, 3, 4, 6), so
-# the kernels meet at an lcm, and sums such as 1/2 + 1/3 + 1/6 reduce or
-# cancel. The oracles below run on the raw Fraction dicts the strategies
-# draw, with plain Fraction loops, and never read the polynomial's own terms.
-
-DENOMINATORS = (1, 2, 3, 4, 6)
+# Each operand has its own denominator, so the kernels meet at an lcm, and
+# sums such as 1/2 + 1/3 + 1/6 reduce or cancel.
 
 
-def terms_over(ring, den):
-    numerators = st.integers(-7, 7).filter(bool)
-    return st.dictionaries(
-        st.tuples(*(st.integers(0, 2) for _ in ring)),
-        numerators.map(lambda n: Fraction(n, den)),
-        max_size=5,
-    )
-
-
-def mixed_terms(ring):
-    return st.sampled_from(DENOMINATORS).flatmap(lambda den: terms_over(ring, den))
-
-
-mixed_pairs = st.sampled_from(RINGS).flatmap(
-    lambda ring: st.tuples(st.just(ring), mixed_terms(ring), mixed_terms(ring))
-)
-
-
-def nonzero(acc):
-    return {exps: c for exps, c in acc.items() if c != 0}
-
-
-def oracle_sum(a, b, sign):
-    acc = dict(a)
-    for exps, c in b.items():
-        acc[exps] = acc.get(exps, Fraction(0)) + sign * c
-    return nonzero(acc)
-
-
-def oracle_product(a, b):
-    acc = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            exps = tuple(x + y for x, y in zip(e1, e2))
-            acc[exps] = acc.get(exps, Fraction(0)) + c1 * c2
-    return nonzero(acc)
-
-
-@given(mixed_pairs)
+@given(pairs(RINGS))
 @settings(max_examples=200, deadline=None)
-def test_add_sub_neg_match_fraction_loops_across_denominators(case):
-    ring, a, b = case
-    p, q = Polynomial(ring, a), Polynomial(ring, b)
+def test_add_sub_neg_match_fraction_loops_across_denominators(pair):
+    p, q = pair
+    a, b = fractions(p), fractions(q)
     for got, want in (
         (p + q, oracle_sum(a, b, 1)),
         (q + p, oracle_sum(a, b, 1)),
         (p - q, oracle_sum(a, b, -1)),
         (q - p, oracle_sum(b, a, -1)),
         (-p, oracle_sum({}, a, -1)),
-        (p + q - q, nonzero(a)),
+        (p + q - q, a),
     ):
         assert_terms(got, want)
-        assert_canonical(got)
-
-
-@given(mixed_pairs)
-@settings(max_examples=100, deadline=None)
-def test_partial_matches_fraction_loop_across_denominators(case):
-    ring, a, b = case
-    a = oracle_sum(a, b, 1)
-    p = Polynomial(ring, a)
-    for i, name in enumerate(ring):
-        want = {}
-        for exps, c in a.items():
-            if exps[i]:
-                lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-                want[lowered] = c * exps[i]
-        got = p.partial(name)
-        assert_terms(got, nonzero(want))
         assert_canonical(got)
 
 
@@ -753,29 +643,13 @@ def test_partial_matches_fraction_loop_across_denominators(case):
 WIDE_RINGS = tuple(tuple(f"w{i}" for i in range(width)) for width in (0, 1, 3, 16))
 
 
-def sparse_terms(ring):
-    width = len(ring)
-    slots = st.dictionaries(st.integers(0, width - 1), st.integers(1, 3), max_size=3)
-    exps = (slots if width else st.just({})).map(
-        lambda slots: tuple(slots.get(i, 0) for i in range(width))
-    )
-    numerators = st.sampled_from((-7, -3, -2, -1, 1, 2, 5))
-    return st.sampled_from(DENOMINATORS).flatmap(
-        lambda den: st.lists(st.tuples(exps, numerators), max_size=4).map(
-            lambda terms: {e: Fraction(n, den) for e, n in terms}
-        )
-    )
-
-
-@given(st.sampled_from(WIDE_RINGS).flatmap(lambda ring: st.tuples(st.just(ring), sparse_terms(ring))))
-@example((WIDE_RINGS[3], {}))
-@example((WIDE_RINGS[3], {(0,) * 16: Fraction(5, 6)}))
-@example((WIDE_RINGS[2], {(3, 1, 0): Fraction(1, 2), (0, 2, 2): Fraction(-3, 4)}))
+@given(st.one_of(*(polynomials(ring, terms=4, degree=3, slots=3) for ring in WIDE_RINGS)))
+@example(Polynomial.zero(WIDE_RINGS[3]))
+@example(Polynomial.constant(WIDE_RINGS[3], Fraction(5, 6)))
+@example(parse_polynomial("1/2*w0^3*w1 - 3/4*w1^2*w2^2", WIDE_RINGS[2]))
 @settings(max_examples=80, deadline=None)
-def test_gradient_matches_the_nonzero_partials(case):
-    ring, terms = case
-    p = Polynomial(ring, terms)
-    want = [(i, p.partial(name)) for i, name in enumerate(ring)]
+def test_gradient_matches_the_nonzero_partials(p):
+    want = [(i, p.partial(name)) for i, name in enumerate(p.variables)]
     got = p.gradient()
     assert got == [(i, d) for i, d in want if not d.is_zero()]
     for _, d in got:
@@ -790,61 +664,57 @@ MERGES = (
 )
 
 
-@given(mixed_terms(PAIR), mixed_terms(PAIR), st.sampled_from(MERGES))
+@given(polynomials(PAIR), polynomials(PAIR), st.sampled_from(MERGES))
 # merging x and y_x halves the denominator: (1/2 + 1/2)*x1 - (3/4 - 1/4)*x2^2
 @example(
-    {(1, 0, 0, 0): Fraction(1, 2), (0, 2, 0, 0): Fraction(-3, 4)},
-    {(0, 0, 1, 0): Fraction(1, 2), (0, 0, 0, 2): Fraction(1, 4)},
+    parse_polynomial("1/2*x1 - 3/4*x2^2", PAIR),
+    parse_polynomial("1/2*y_x1 + 1/4*y_x2^2", PAIR),
     MERGES[1],
 )
 @settings(max_examples=150, deadline=None)
-def test_embed_matches_fraction_loop_across_denominators(a, b, merge):
+def test_embed_matches_fraction_loop_across_denominators(p, q, merge):
     variables, renames = merge
-    for terms in (a, oracle_sum(a, b, 1)):
+    # p itself, and the polynomial of the Fraction sum of p and q
+    for terms in (fractions(p), oracle_sum(fractions(p), fractions(q), 1)):
         want = {}
         for exps, c in terms.items():
             moved = [0] * len(variables)
             for v, e in zip(PAIR, exps):
                 moved[variables.index(renames.get(v, v))] += e
-            moved = tuple(moved)
-            want[moved] = want.get(moved, Fraction(0)) + c
+            want = oracle_sum(want, {tuple(moved): c}, 1)
         got = Polynomial(PAIR, terms).embed(variables, renames)
-        assert_terms(got, nonzero(want))
+        assert_terms(got, want)
         assert_canonical(got)
 
 
-TARGET = ("u", "v")
-small_fractions = st.sampled_from(DENOMINATORS).flatmap(
-    lambda den: st.integers(-3, 3).map(lambda n: Fraction(n, den))
-)
-affine_images = st.tuples(small_fractions, small_fractions, small_fractions).map(
-    lambda abc: nonzero({(1, 0): abc[0], (0, 1): abc[1], (0, 0): abc[2]})
-)
-# The second affine image is the first, its negative, or drawn on its own: a
-# tied pair sends terms of equal degree to the same power, where they cancel.
-affine_pairs = st.tuples(affine_images, st.sampled_from([1, -1, None]), affine_images).map(
-    lambda t: (t[0], t[2] if t[1] is None else {e: t[1] * c for e, c in t[0].items()})
-)
+SOURCE, TARGET = ("x1", "x2"), ("u", "v")
+# affine images a*u + b*v + c: a term names u, v or no variable
+affine = polynomials(TARGET, numerators=3, terms=3, degree=1, slots=1)
 
 
 @given(
-    mixed_terms(("x1", "x2")),
-    st.one_of(st.tuples(mixed_terms(TARGET), mixed_terms(TARGET)), affine_pairs),
+    polynomials(SOURCE),
+    st.one_of(pairs([TARGET]), st.tuples(affine, affine)),
+    # the second image is drawn on its own, or is the first or its negative:
+    # a tied pair sends terms of equal degree to the same power, where they cancel
+    st.sampled_from([None, None, 1, -1]),
 )
 # x1^2 - x2^2 at x2 = -x1 = -(u + 1/2) cancels to zero
 @example(
-    {(2, 0): Fraction(1), (0, 2): Fraction(-1)},
-    ({(1, 0): Fraction(1), (0, 0): Fraction(1, 2)}, {(1, 0): Fraction(-1), (0, 0): Fraction(-1, 2)}),
+    parse_polynomial("x1^2 - x2^2", SOURCE),
+    (parse_polynomial("u + 1/2", TARGET), parse_polynomial("-u - 1/2", TARGET)),
+    None,
 )
 @settings(max_examples=200, deadline=None)
-def test_substitute_matches_fraction_loop_across_denominators(a, images):
-    got = Polynomial(("x1", "x2"), a).substitute(
-        TARGET, {v: Polynomial(TARGET, img) for v, img in zip(("x1", "x2"), images)}
-    )
+def test_substitute_matches_fraction_loop_across_denominators(p, images, tie):
+    first, second = (fractions(img) for img in images)
+    if tie is not None:
+        second = {e: tie * c for e, c in first.items()}
+    got = p.substitute(TARGET, {v: Polynomial(TARGET, i) for v, i in zip(SOURCE, (first, second))})
     want = {}
-    for exps, c in a.items():
+    for exps, c in fractions(p).items():
         term = {(0, 0): c}
-        for img, e in zip(images, exps):
+        for img, e in zip((first, second), exps):
             for _ in range(e):
                 term = oracle_product(term, img)
         want = oracle_sum(want, term, 1)
@@ -880,7 +750,7 @@ def _rational_leaf(pair):
 
 leaves = st.one_of(
     st.tuples(st.integers(0, 30), st.sampled_from([1, 1, 2, 3, 7])).map(_rational_leaf),
-    st.sampled_from(VARS).map(lambda v: (v, Polynomial.variable(VARS, v), "atom")),
+    st.sampled_from([(v, Polynomial.variable(VARS, v), "atom") for v in VARS]),
 )
 
 
@@ -1009,7 +879,7 @@ def test_reader_keeps_the_digits_int_reads():
 
 
 @pytest.mark.parametrize("n", range(10))
-@given(st.one_of(polys, st.just(Polynomial.zero(VARS)), coeffs.map(lambda c: Polynomial.constant(VARS, c))))
+@given(st.one_of(polys, st.just(Polynomial.zero(VARS)), polynomials(VARS, terms=(1, 1), degree=0, **SMALL)))
 @settings(max_examples=15, deadline=None)
 def test_pow_matches_repeated_products(n, p):
     got = p**n
