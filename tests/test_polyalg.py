@@ -342,9 +342,9 @@ def pairs(rings, **shape):
     return st.one_of(*(st.tuples(polynomials(r, **shape), polynomials(r, **shape)) for r in rings))
 
 
-@given(pairs(RINGS, **KERNEL), st.integers(-(10**6), 10**6), st.sampled_from(KERNEL["denominators"]))
+@given(pairs(RINGS, **KERNEL))
 @settings(max_examples=200, deadline=None)
-def test_mul_matches_fraction_triple_loop(pair, n, d):
+def test_mul_matches_fraction_triple_loop(pair):
     p, q = pair
     pq = oracle_product(fractions(p), fractions(q))
     assert_terms(p * q, pq)
@@ -353,11 +353,20 @@ def test_mul_matches_fraction_triple_loop(pair, n, d):
     fused = polyalg._sum_of_products
     assert_terms(fused(p.variables, [(1, p, q)]), pq)
     assert_terms(fused(p.variables, [(-1, p, q), (1, q, None)]), oracle_sum(fractions(q), pq, -1))
+
+
+any_ring_polys = st.one_of(*(polynomials(ring, **KERNEL) for ring in RINGS))
+
+
+@given(any_ring_polys, st.integers(-(10**6), 10**6).filter(bool), st.sampled_from(KERNEL["denominators"]))
+@settings(max_examples=100, deadline=None)
+def test_mul_by_scalar_and_constant_matches_oracle(p, n, d):
     # a scalar factor on either side: a Fraction and an int
     for c in (Fraction(n, d), n):
-        want = nonzero({e: v * c for e, v in fractions(p).items()})
+        const = {(0,) * len(p.variables): Fraction(c)}
+        want = oracle_product(fractions(p), const)
         assert_terms(p * c, want)
-        assert_terms(c * p, want)
+        assert_terms(c * p, oracle_product(const, fractions(p)))
 
 
 # The kernel properties also draw rings of 4 to 6 variables, where the packed
@@ -417,9 +426,27 @@ def shared_calls(draw):
 _SHARED, _MONOMIAL, _RIGHT = P("x1 + 1/2"), P("2*x2"), P("x3 - 2")
 
 
-@given(fused_calls(), shared_calls())
+def assert_sum_of_products(ring, entries):
+    want = oracle_fused(entries)
+    results = [polyalg._sum_of_products(ring, entries)]
+    # both sides of the size rule, whichever side this call falls on
+    for packs in (False, True):
+        with mock.patch.object(polyalg, "_packs", lambda *counts, packs=packs: packs):
+            results.append(polyalg._sum_of_products(ring, entries))
+    for got in results:
+        assert_terms(got, want)
+        assert_canonical(got)
+
+
+@given(fused_calls())
+@example((VARS, [(1, ONES[VARS], ONES[VARS]), (-1, _SHARED, ONES[VARS])]))
+@settings(max_examples=30, deadline=None)
+def test_sum_of_products_matches_fraction_loop(call):
+    assert_sum_of_products(*call)
+
+
+@given(shared_calls())
 @example(
-    (VARS, [(1, ONES[VARS], ONES[VARS]), (-1, _SHARED, ONES[VARS])]),
     (
         VARS,
         [
@@ -431,20 +458,11 @@ _SHARED, _MONOMIAL, _RIGHT = P("x1 + 1/2"), P("2*x2"), P("x3 - 2")
             (1, P("x2^2 - x1"), _RIGHT),
             (1, P("x1*x3 + 3"), _RIGHT),
         ],
-    ),
+    )
 )
-@settings(max_examples=30, deadline=None)
-def test_sum_of_products_matches_fraction_loop(fused, shared):
-    for ring, entries in (fused, shared):
-        want = oracle_fused(entries)
-        results = [polyalg._sum_of_products(ring, entries)]
-        # both sides of the size rule, whichever side this call falls on
-        for packs in (False, True):
-            with mock.patch.object(polyalg, "_packs", lambda *counts, packs=packs: packs):
-                results.append(polyalg._sum_of_products(ring, entries))
-        for got in results:
-            assert_terms(got, want)
-            assert_canonical(got)
+@settings(max_examples=25, deadline=None)
+def test_factored_shared_operands_match_fraction_loop(call):
+    assert_sum_of_products(*call)
 
 
 def test_a_factor_one_returns_the_other_operand_itself():
@@ -479,11 +497,7 @@ def test_sum_of_products_size_rule_and_full_radix_slots():
     assert polyalg._sum_of_products((), []) == 0
 
 
-@given(st.one_of(*(polynomials(ring, **KERNEL) for ring in RINGS)))
-@settings(max_examples=100, deadline=None)
-def test_partial_matches_fraction_loop(p):
-    # small and wide numerators over denominators up to 60: the terms of
-    # one polynomial have different reduced denominators
+def assert_partials(p):
     a = fractions(p)
     for i, name in enumerate(p.variables):
         want = {}
@@ -493,6 +507,13 @@ def test_partial_matches_fraction_loop(p):
         got = p.partial(name)
         assert_terms(got, want)
         assert_canonical(got)
+
+
+@given(any_ring_polys)
+@settings(max_examples=100, deadline=None)
+def test_partial_matches_fraction_loop(p):
+    # small and wide numerators over denominators up to 60
+    assert_partials(p)
 
 
 def test_mul_cancels_to_zero_and_drops_zero_totals():
@@ -578,15 +599,20 @@ EMBED_CASES = st.one_of(
 )
 
 
-@given(EMBED_CASES, st.lists(st.sampled_from(PAIR + ("u",)), unique=True).map(tuple))
+@given(EMBED_CASES)
 @settings(max_examples=200, deadline=None)
-def test_embed_matches_substitute(case, ring):
+def test_embed_matches_substitute(case):
     p, variables, renames = case
     got = p.embed(variables, renames)
     assert got == _oracle_embed(p, variables, renames)
     assert got.variables == variables
     assert_canonical(got)
-    # into any ring, nothing renamed, embed refuses what substitute refuses
+
+
+@given(pair_polys, st.lists(st.sampled_from(PAIR + ("u",)), unique=True).map(tuple))
+@settings(max_examples=100, deadline=None)
+def test_embed_refuses_what_substitute_refuses(p, ring):
+    # into any ring, nothing renamed
     try:
         want = p.substitute(ring, {})
     except InputError:
@@ -636,6 +662,15 @@ def test_add_sub_neg_match_fraction_loops_across_denominators(pair):
     ):
         assert_terms(got, want)
         assert_canonical(got)
+
+
+@given(pairs(RINGS))
+@settings(max_examples=100, deadline=None)
+def test_partial_matches_fraction_loop_across_denominators(pair):
+    # the Fraction sum of two operands over their own denominators, whose
+    # terms reduce to different denominators
+    p, q = pair
+    assert_partials(Polynomial(p.variables, oracle_sum(fractions(p), fractions(q), 1)))
 
 
 # Rings up to 16 variables; a term names at most three of them, so most
