@@ -10,19 +10,20 @@ groupoid Poisson when the graph is coisotropic for pi (+) pi (+) (-pi).
 
 Submanifolds are restricted to affine coordinate constraints with rational
 coefficients, so tangent and conormal bases are exact kernels and row
-spaces, and restriction to the submanifold is ``substitute`` along a
-rational parametrization, whose images are genuine affine polynomials.
-Both certificates are pairings eta.M.v of a polynomial matrix M (N, or the
-matrix of pi sharp) with rational conormals eta and rational vectors v.
-Restriction is a ring homomorphism that fixes rationals, so
-``AffineSubmanifold.pairings`` restricts each entry of M once and sums the
-restricted entries times their rational weights in one call of the product
-kernel per pairing: the same polynomials as restricting every pairing.
+spaces. Restriction follows a rational parametrization: a map of exponent
+slots when each coordinate's image is one parameter with coefficient 1
+(the graph, y_1 = x_2, x_1 = x_3, y_2 = y_3, and the units, x = y), else
+``substitute`` along genuine affine images. Both certificates are pairings
+eta.M.v of a polynomial matrix M (N, or the matrix of pi sharp) with
+rational conormals eta and rational vectors v. Restriction is a ring
+homomorphism that fixes rationals, so ``AffineSubmanifold.pairings``
+restricts each entry of M once and sums them times integer weights over
+one denominator in one kernel call per pairing: the same polynomials as
+restricting every pairing.
 
 Every other change of ring only moves variables: the block lifts of pi and
-N to the pair and triple charts (``_block_bivector``, ``_block_tensor``),
-the source projection and the diagonal restriction to the units. Those are
-``Polynomial.embed``, a trusted map of exponent vectors with no arithmetic.
+N (``_block_bivector``, ``_block_tensor``, one ``polyalg._exponent_map``
+per block), the source projection and the units' diagonal (``embed``).
 """
 
 from __future__ import annotations
@@ -30,13 +31,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import poisson_nijenhuis as pn
 from .cartan import Chart, MultiVector
 from .errors import InputError, InternalError, PreconditionError
 from .linalg import kernel_basis, rref
-from .polyalg import Polynomial, _sum_of_products
+from .polyalg import Polynomial, _exponent_map, _over, _sum_of_products
 from .report import Verdict, prefixed
+
+
+def _integral(vec):
+    """A rational vector's nonzero entries as (index, int) over a common denominator."""
+    live = [(k, x) for k, x in enumerate(vec) if x]
+    den = lcm(*(x.denominator for _, x in live))
+    return [(k, x.numerator * (den // x.denominator)) for k, x in live], den
+
+
+def _differences(chart, pairs):
+    """The constraints x_a - x_b over ``chart``, one per index pair (a, b)."""
+    units = {i: tuple(int(i == j) for j in range(chart.dim)) for pair in pairs for i in pair}
+    return [Polynomial._trusted(chart.coords, {units[a]: 1, units[b]: -1}, 1) for a, b in pairs]
 
 
 class AffineSubmanifold:
@@ -48,20 +63,21 @@ class AffineSubmanifold:
     Construction row-reduces [rows | rhs] once. That one reduction refuses
     an inconsistent or dependent system and gives the base point x0, the
     tangent basis v_j and the parametrization x0 + sum_j s_j v_j that
-    ``restrict`` substitutes along; nothing is filled in later. ``pairings``
-    restricts each matrix entry once: restriction is a ring homomorphism
-    and the pairing vectors are rational, so restrict(eta.M.v) is
-    sum_ab eta_a v_b restrict(M_ab).
+    ``restrict`` follows; nothing is filled in later. When x0 is 0 and each
+    coordinate has one v_j[i] nonzero, equal to 1, the constraints identify
+    coordinates and restriction is an exponent map; otherwise it substitutes
+    the affine images, built only then. ``pairings`` restricts each matrix
+    entry once: restriction is a ring homomorphism and the pairing vectors
+    are rational, so restrict(eta.M.v) is sum_ab eta_a v_b restrict(M_ab).
     """
 
-    __slots__ = ("chart", "rows", "rhs", "_tangent", "_params", "_images")
+    __slots__ = ("chart", "rows", "rhs", "_tangent", "_weights", "_params", "_restriction")
 
     def __init__(self, chart, constraints):
         if not isinstance(chart, Chart):
             raise InputError(f"expected a Chart, got {chart!r}")
         n = chart.dim
-        rows = []
-        rhs = []
+        rows, rhs, conormals = [], [], []
         for raw in constraints:
             poly = chart.coerce(raw)
             row = [Fraction(0)] * n
@@ -76,6 +92,7 @@ class AffineSubmanifold:
                     raise InputError(f"constraint {poly} is not affine-linear")
             rows.append(tuple(row))
             rhs.append(-constant)
+            conormals.append(_integral(row))
         # A pivot in the rhs column means no solution. Independent rows never
         # have one, so a system both dependent and inconsistent is inconsistent.
         reduced, pivots = rref([row + (b,) for row, b in zip(rows, rhs)])
@@ -87,22 +104,33 @@ class AffineSubmanifold:
         for row, p in zip(reduced, pivots):
             x0[p] = row[n]
         tangent = tuple(kernel_basis(reduced, pivots, n))
+        tangents = tuple(map(_integral, tangent))
         params = Chart(tuple("s%d" % (j + 1) for j in range(len(tangent))))
-        images = {}
-        for i, name in enumerate(chart.coords):
-            terms = [(1, params.constant(x0[i]), None)]
-            terms += [
-                (1, params.var(s), Polynomial._scalar(params.coords, vec[i]))
-                for s, vec in zip(params.coords, tangent)
-                if vec[i]
-            ]
-            images[name] = _sum_of_products(params.coords, terms)
+        targets = {chart.coords[i]: s for s, (v, d) in zip(params.coords, tangents)
+                   for i, c in v if c == d == 1}
+        if not any(x0) and len(targets) == n == sum(len(v) for v, _ in tangents):
+            restriction = _exponent_map(chart.coords, params.coords, targets)
+        else:
+            images = {}
+            for i, name in enumerate(chart.coords):
+                terms = [(1, params.constant(x0[i]), None)]
+                terms += [
+                    (1, params.var(s), Polynomial._scalar(params.coords, vec[i]))
+                    for s, vec in zip(params.coords, tangent)
+                    if vec[i]
+                ]
+                images[name] = _sum_of_products(params.coords, terms)
+
+            def restriction(poly):
+                return poly.substitute(params.coords, images)
+
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "rhs", tuple(rhs))
         object.__setattr__(self, "_tangent", tangent)
+        object.__setattr__(self, "_weights", {"tangent": tangents, "conormal": tuple(conormals)})
         object.__setattr__(self, "_params", params)
-        object.__setattr__(self, "_images", images)
+        object.__setattr__(self, "_restriction", restriction)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineSubmanifold is immutable")
@@ -120,30 +148,31 @@ class AffineSubmanifold:
         return list(self.rows)
 
     def restrict(self, poly):
-        """Substitute a rational parametrization: the polynomial on S."""
-        poly = self.chart.coerce(poly)
-        return poly.substitute(self._params.coords, self._images)
+        """The polynomial on S, over the parameters s_j."""
+        return self._restriction(self.chart.coerce(poly))
 
-    def pairings(self, matrix, vectors):
-        """(i, j, restrict(eta_j.M.v_i)) over vectors v_i and conormals eta_j,
-        restricting each nonzero entry of the matrix M once."""
+    def pairings(self, matrix, basis):
+        """(i, j, restrict(eta_j.M.v_i)) over the conormals eta_j and the v_i of
+        ``basis``, "tangent" or "conormal", restricting each nonzero entry of
+        M once. A pairing sums integer weights eta_a v_b times restrict(M_ab)
+        and divides once by the product of the two vectors' denominators."""
         columns = [[] for _ in self.chart.coords]
         for a, row in enumerate(matrix):
             for b, entry in enumerate(row):
                 if not entry.is_zero():
                     columns[b].append((a, self.restrict(entry)))
         coords, zero = self._params.coords, self._params.zero()
+        conormals = self._weights["conormal"]
         out = []
-        for i, v in enumerate(vectors):
-            live = [(c, columns[b]) for b, c in enumerate(v) if c]
-            for j, eta in enumerate(self.rows):
-                terms = [
-                    (1, p, Polynomial._scalar(coords, eta[a] * c))
-                    for c, column in live
-                    for a, p in column
-                    if eta[a]
-                ]
-                out.append((i, j, _sum_of_products(coords, terms) if terms else zero))
+        for i, (v, den) in enumerate(self._weights[basis]):
+            image = {}  # a -> [(v_b, restrict(M_ab))]
+            for b, c in v:
+                for a, p in columns[b]:
+                    image.setdefault(a, []).append((c, p))
+            for j, (eta, eta_den) in enumerate(conormals):
+                terms = [(e * c, p, None) for a, e in eta for c, p in image.get(a, ())]
+                pairing = _over(_sum_of_products(coords, terms), den * eta_den) if terms else zero
+                out.append((i, j, pairing))
         return tuple(out)
 
     def __repr__(self):
@@ -183,12 +212,7 @@ class PairGroupoid:
     def unit_diagonal(self):
         """The unit space {x = y} as an affine submanifold of the total chart."""
         n = self.base.dim
-        rows = []
-        for a in range(n):
-            x = Polynomial.variable(self.total.coords, self.total.coords[a])
-            y = Polynomial.variable(self.total.coords, self.total.coords[n + a])
-            rows.append(x - y)
-        return AffineSubmanifold(self.total, rows)
+        return AffineSubmanifold(self.total, _differences(self.total, [(a, n + a) for a in range(n)]))
 
     def triple_chart(self):
         coords = tuple(
@@ -210,17 +234,9 @@ class PairGroupoid:
         """Gr(m) = {((x,y),(y,z),(x,z))} inside the triple product."""
         triple = self.triple_chart()
         n = self.base.dim
-
-        def var(copy, idx):
-            name = self.total.coords[idx] + "_%d" % copy
-            return Polynomial.variable(triple.coords, name)
-
-        rows = []
-        for a in range(n):
-            rows.append(var(1, n + a) - var(2, a))      # y_1 = x_2
-            rows.append(var(1, a) - var(3, a))          # x_1 = x_3
-            rows.append(var(2, n + a) - var(3, n + a))  # y_2 = y_3
-        return AffineSubmanifold(triple, rows)
+        # y_1 = x_2, x_1 = x_3, y_2 = y_3; x_a of copy k is slot 2n(k - 1) + a, y_a is n later
+        rows = [((n + a, 2 * n + a), (a, 4 * n + a), (3 * n + a, 5 * n + a)) for a in range(n)]
+        return AffineSubmanifold(triple, _differences(triple, [p for r in rows for p in r]))
 
 
 def _block_bivector(chart, pi, blocks):
@@ -232,24 +248,27 @@ def _block_bivector(chart, pi, blocks):
     m = pi.chart.dim
     comps = {}
     for k, (renames, sign) in enumerate(blocks):
+        move = _exponent_map(pi.chart.coords, chart.coords, renames)
         for (a, b), poly in pi.components.items():
-            moved = poly.embed(chart.coords, renames)
+            moved = move(poly)
             comps[(k * m + a, k * m + b)] = moved if sign > 0 else -moved
-    return MultiVector(chart, 2, comps)
+    return MultiVector._trusted(chart, 2, comps)
 
 
 def _block_tensor(chart, tensor, blocks):
-    """The tensor copied into consecutive diagonal blocks, one per renames."""
+    """The tensor's entries copied into consecutive diagonal blocks, one per
+    renames: a matrix over ``chart``, paired as it is and not revalidated."""
     m = tensor.chart.dim
     size = len(blocks) * m
     zero = chart.zero()
     entries = [[zero] * size for _ in range(size)]
     for k, renames in enumerate(blocks):
+        move = _exponent_map(tensor.chart.coords, chart.coords, renames)
         for a, row in enumerate(tensor.entries):
             for b, poly in enumerate(row):
                 if not poly.is_zero():
-                    entries[k * m + a][k * m + b] = poly.embed(chart.coords, renames)
-    return pn.TensorOneOne(chart, entries)
+                    entries[k * m + a][k * m + b] = move(poly)
+    return entries
 
 
 def pair_bivector(groupoid, pi):
@@ -268,7 +287,8 @@ def pair_tensor(groupoid, tensor):
         raise InputError("expected a (1,1)-tensor on the base")
     if tensor.chart != groupoid.base:
         raise InputError("tensor lives on a different chart")
-    return _block_tensor(groupoid.total, tensor, groupoid.pair_copies())
+    entries = _block_tensor(groupoid.total, tensor, groupoid.pair_copies())
+    return pn.TensorOneOne(groupoid.total, entries)
 
 
 @dataclass(frozen=True)
@@ -286,7 +306,7 @@ def invariant_check(tensor, sub):
         raise InputError("expected a (1,1)-tensor")
     if not isinstance(sub, AffineSubmanifold) or sub.chart != tensor.chart:
         raise InputError("submanifold lives on a different chart")
-    return InvariantVerdict(entries=sub.pairings(tensor.entries, sub.tangent_basis()))
+    return InvariantVerdict(entries=sub.pairings(tensor.entries, "tangent"))
 
 
 @dataclass(frozen=True)
@@ -305,7 +325,7 @@ def coisotropic_check(pi, sub):
     if not isinstance(sub, AffineSubmanifold) or sub.chart != pi.chart:
         raise InputError("submanifold lives on a different chart")
     return CoisotropicVerdict(
-        entries=sub.pairings(pn.sharp_matrix(pi), sub.conormal_basis())
+        entries=sub.pairings(pn.sharp_matrix(pi), "conormal")
     )
 
 
@@ -357,8 +377,9 @@ def multiplicativity_check_tensor(groupoid, tensor):
         raise InputError("expected a PairGroupoid")
     if not isinstance(tensor, pn.TensorOneOne) or tensor.chart != groupoid.total:
         raise InputError("expected a (1,1)-tensor on the total chart")
-    lift = _block_tensor(groupoid.triple_chart(), tensor, groupoid.triple_copies())
-    return invariant_check(lift, groupoid.multiplication_graph())
+    graph = groupoid.multiplication_graph()
+    lift = _block_tensor(graph.chart, tensor, groupoid.triple_copies())
+    return InvariantVerdict(entries=graph.pairings(lift, "tangent"))
 
 
 def poisson_groupoid_check(groupoid, pi):
@@ -394,12 +415,12 @@ def pn_groupoid_check(groupoid, pi, tensor):
     if not isinstance(tensor, pn.TensorOneOne) or tensor.chart != groupoid.total:
         raise InputError("expected a (1,1)-tensor on the total chart")
     graph = groupoid.multiplication_graph()
-    triple_tensor = _block_tensor(groupoid.triple_chart(), tensor, groupoid.triple_copies())
+    lift = _block_tensor(graph.chart, tensor, groupoid.triple_copies())
     pair_verdict = pn.is_pn_pair(pi, tensor)
     return PNGroupoidVerdict(
         pair_verdict=pair_verdict,
         graph_coisotropy=coisotropic_check(_graph_bivector(groupoid, pi), graph),
-        tensor_graph=invariant_check(triple_tensor, graph),
+        tensor_graph=InvariantVerdict(entries=graph.pairings(lift, "tangent")),
         unit_space=coisotropic_invariant_check(
             pi, tensor, groupoid.unit_diagonal(), npi=pair_verdict.npi
         ),

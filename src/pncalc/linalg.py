@@ -59,27 +59,31 @@ def rref(rows):
     """Reduced row echelon form over Fraction.
 
     Returns (reduced rows as tuples, pivot column indices). Zero rows are
-    dropped.
+    dropped. A pivot row is divided only when its pivot is not 1, and only
+    its nonzero entries update the other rows.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
+    work = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
     ncols = len(work[0]) if work else 0
     pivots = []
     r = 0
     for c in range(ncols):
         pivot = None
         for i in range(r, len(work)):
-            if work[i][c] != 0:
+            if work[i][c]:
                 pivot = i
                 break
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         scale = work[r][c]
-        work[r] = [x / scale for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        if scale != 1:
+            work[r] = [x / scale if x else x for x in work[r]]
+        live = [(j, x) for j, x in enumerate(work[r]) if x]
+        for i, row in enumerate(work):
+            factor = row[c]
+            if factor and i != r:
+                for j, y in live:
+                    row[j] -= factor * y
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -94,7 +98,7 @@ def kernel_basis(reduced, pivots, ncols):
     ``reduced`` and ``pivots`` are as :func:`rref` returns them, with every
     pivot below ncols; columns past ncols (an augmented right-hand side)
     are not read. One vector per free column f: 1 at f, -r[f] at the pivot
-    of each row r.
+    of each row r whose entry r[f] is not zero, and zero elsewhere.
     """
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -102,7 +106,8 @@ def kernel_basis(reduced, pivots, ncols):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for r, p in zip(reduced, pivots):
-            vec[p] = -r[f]
+            if r[f]:
+                vec[p] = -r[f]
         basis.append(tuple(vec))
     return basis
 

@@ -100,14 +100,13 @@ x86 host, Python 3.11):
   term products per operand term.
 
 Moving a polynomial to another ring by variable name (an embedding, a
-projection, a rename, or a diagonal restriction that sends two variables to
-one) is ``embed``, a map of exponent vectors. ``substitute`` is for genuine
-polynomial images, such as an affine parametrization or evaluation at a
-point. ``embed`` is the one sum outside the kernel: it adds the numerators
-of the terms that land on one exponent vector itself, because one monomial
-entry per term costs more than the move. Summed in the kernel, its lifts
-and diagonal restrictions took about twice as long per call (measured in
-:meth:`Polynomial.embed`).
+projection, a rename, or a restriction that sends variables to one) is
+``embed``, a map of exponent vectors; ``_exponent_map`` forms that map once
+for many polynomials. ``substitute`` is for genuine polynomial images, such
+as an affine parametrization or evaluation at a point. The exponent map is
+the one sum outside the kernel: it adds the numerators of the terms that
+land on one exponent vector itself, because one monomial entry per term
+costs more than the move (measured in :meth:`Polynomial.embed`).
 
 The text grammar accepted by :func:`parse_polynomial`:
 
@@ -230,6 +229,42 @@ def _reduced(variables, nums, den):
                 den //= g
                 nums = {exps: n // g for exps, n in nums.items()}
     return Polynomial._trusted(variables, nums, den)
+
+
+def _over(poly, den):
+    """``poly`` divided by the positive ``int`` ``den``, in canonical form."""
+    return poly if den == 1 else _reduced(poly.variables, poly._nums, poly._den * den)
+
+
+def _exponent_map(source, target, renames=None):
+    """A function moving polynomials over ``source`` to ``target`` as ``embed``
+    does, its slots matched once: exponents and numerators add only where two
+    variables share a target, and a variable with no image must not occur."""
+    index = {v: i for i, v in enumerate(target)}
+    renames = renames or {}
+    slots = [index.get(renames.get(v, v)) for v in source]
+    width = len(target)
+
+    def move(poly):
+        nums = {}
+        for exps, n in poly._nums.items():
+            moved = [0] * width
+            for pos, e in enumerate(exps):
+                if e:
+                    i = slots[pos]
+                    if i is None:
+                        raise InputError(f"variable {source[pos]!r} has no image in ring {target}")
+                    moved[i] += e
+            moved = tuple(moved)
+            if moved in nums:
+                n += nums[moved]
+                if not n:
+                    del nums[moved]
+                    continue
+            nums[moved] = n
+        return _reduced(target, nums, poly._den)
+
+    return move
 
 
 def _packs(products, operand_terms, width):
@@ -676,39 +711,19 @@ class Polynomial:
 
         Each variable goes to ``renames[v]``, or else to the target variable
         of the same name; a variable with neither must not occur. This is a
-        map of exponent slots with no arithmetic: exponents and coefficients
-        add, and may cancel, only where two variables share a target.
+        map of exponent slots with no arithmetic (:func:`_exponent_map`):
+        exponents and coefficients add, and may cancel, only where two
+        variables share a target.
 
-        The numerators that land on one exponent vector are added here, not
-        in :func:`_sum_of_products`. Summed there, one monomial entry per
-        term, pair-groupoid lifts and diagonal restrictions of 1-5-term
-        polynomials in 1-4 base variables took 6.3-6.4 us per call against
-        3.3 us here (best of 15 interleaved rounds, shared 2-core x86 host,
-        Python 3.11).
+        The numerators that land on one exponent vector are added there, not
+        in :func:`_sum_of_products`. Summed in the kernel, one monomial entry
+        per term, pair-groupoid lifts, projections and diagonal restrictions
+        of 1-5-term polynomials in 1-4 base variables took 6.5-6.7 us per
+        call against 4.2 us here; a lift to the triple chart takes 2.9 us with
+        its map formed once per block, against 6.0 us through ``embed`` (best
+        of 15 interleaved rounds, shared 2-core x86 host, Python 3.11).
         """
-        variables = _check_variables(variables)
-        index = {v: i for i, v in enumerate(variables)}
-        renames = renames or {}
-        slots = []
-        for pos, v in enumerate(self.variables):
-            i = index.get(renames.get(v, v))
-            if i is not None:
-                slots.append((pos, i))
-            elif any(exps[pos] for exps in self._nums):
-                raise InputError(f"variable {v!r} has no image in ring {variables}")
-        nums = {}
-        for exps, n in self._nums.items():
-            moved = [0] * len(variables)
-            for pos, i in slots:
-                moved[i] += exps[pos]
-            moved = tuple(moved)
-            if moved in nums:
-                n += nums[moved]
-                if not n:
-                    del nums[moved]
-                    continue
-            nums[moved] = n
-        return _reduced(variables, nums, self._den)
+        return _exponent_map(self.variables, _check_variables(variables), renames)(self)
 
     def substitute(self, target_variables, assignments):
         """Evaluate with each variable replaced by a polynomial over a new ring.
@@ -757,8 +772,7 @@ class Polynomial:
                         power = powers[v, e] = images[v] ** e
                     product = power if product is one else product * power
             entries.append((n, product, None))
-        total = _sum_of_products(target_variables, entries)
-        return _reduced(target_variables, total._nums, total._den * self._den)
+        return _over(_sum_of_products(target_variables, entries), self._den)
 
     # -- printing ----------------------------------------------------------
 

@@ -494,7 +494,9 @@ def test_passing_pn_groupoid_check_forces_a_target_free_source_block(entry, exps
 
 def test_only_restriction_substitutes(monkeypatch):
     # Lifts, projections and the diagonal restriction move variables with
-    # Polynomial.embed; substitute is left to the affine parametrization.
+    # Polynomial.embed. The graph and the unit diagonal only identify
+    # coordinates, so restricting to them moves exponent slots as well;
+    # substitute is left to a parametrization with a genuine affine image.
     _, pi, tensor = corpus.pn_pairs()[1]
     assert pi.chart.dim == 2
     G = PairGroupoid(pi.chart)
@@ -516,6 +518,13 @@ def test_only_restriction_substitutes(monkeypatch):
     piG, NG = pair_bivector(G, pi), pair_tensor(G, tensor)
     assert pn_groupoid_check(G, piG, NG).ok
     assert base_structure(G, piG, NG).ok
+    assert counts["restrict"] > 0
+    assert counts["substitute"] == 0
+
+    counts.update(substitute=0, restrict=0)
+    sub = AffineSubmanifold(R2, ["x1 - 2*x2 + 1"])
+    invariant_check(tensor, sub)
+    coisotropic_check(pi, sub)
     assert counts["restrict"] > 0
     assert counts["substitute"] == counts["restrict"]
 
@@ -550,10 +559,11 @@ def test_groupoid_pn_reduces_and_restricts_once(monkeypatch, capsys):
     # which reads the tangent basis off that reduction: 2 rref calls. Each nonzero
     # entry of the matrices paired on them is restricted once: 12 of the
     # lifted N and 12 of the graph bivector's sharp matrix on the graph; 4
-    # each of N, pi, N pi and N^2 pi on the units. 40 substitutions.
+    # each of N, pi, N pi and N^2 pi on the units. 40 restrictions, each a
+    # move of exponent slots: both submanifolds identify coordinates.
     from pncalc import cli, linalg
 
-    counts = {"rref": 0, "substitute": 0}
+    counts = {"rref": 0, "substitute": 0, "restrict": 0}
 
     def counting(name, original):
         def wrapped(*args):
@@ -568,8 +578,12 @@ def test_groupoid_pn_reduces_and_restricts_once(monkeypatch, capsys):
     monkeypatch.setattr(
         Polynomial, "substitute", counting("substitute", Polynomial.substitute)
     )
+    monkeypatch.setattr(
+        AffineSubmanifold, "restrict", counting("restrict", AffineSubmanifold.restrict)
+    )
     path = str(Path(__file__).resolve().parent.parent / "demos" / "documents" / "pair_groupoid.json")
     assert cli.main(["groupoid", "pn", "--input", path]) == 0
     capsys.readouterr()
     assert counts["rref"] == 2
-    assert counts["substitute"] <= 40
+    assert 0 < counts["restrict"] <= 40
+    assert counts["substitute"] == 0

@@ -14,7 +14,6 @@ from pncalc.cartan import (
     coordinate_vector,
     exterior_d,
     lie_derivative,
-    schouten,
     schouten_direct,
     vf_bracket,
     wedge,

@@ -7,6 +7,13 @@ forms eta.N.v, and eta'.sharp(eta) through ``pn.sharp`` on a 1-form, on the
 chart, and restricts the result. Restriction is a ring homomorphism, so the
 two must agree polynomial for polynomial, on every affine submanifold from
 the whole chart down to a point.
+
+A submanifold that only identifies coordinates restricts by a map of
+exponent slots instead of ``substitute``. Random identifications, with
+rational multiples of x_i - x_j as constraints, are checked against the
+same oracle, and their restriction against ``substitute`` along the tangent
+basis; pinning one coordinate to 3 as well sends restriction back to
+``substitute``.
 """
 
 import random
@@ -21,6 +28,7 @@ from pncalc import poisson_nijenhuis as pn
 from pncalc.cartan import Chart, DiffForm, MultiVector
 from pncalc.corpus import random_polynomial
 from pncalc.linalg import nullspace, rref
+from pncalc.polyalg import Polynomial
 
 CHARTS = {n: Chart(tuple("x%d" % (i + 1) for i in range(n))) for n in (2, 3, 4)}
 
@@ -130,3 +138,72 @@ def test_pairings_match_restricting_each_pairing(n, codim, seed):
     oracle = coisotropic_oracle(pi, sub)
     _same(verdict.entries, oracle)
     assert verdict.residuals() == gd.CoisotropicVerdict(entries=tuple(oracle)).residuals()
+
+
+def _nonzero(rng):
+    while True:
+        c = _fraction(rng, 3)
+        if c:
+            return c
+
+
+def _identification(rng, chart):
+    """c (x_i - x_j) along a chain through each class of a random partition of
+    the coordinates, each constraint with its own sign and nonzero rational c,
+    in random order."""
+    names = list(chart.coords)
+    rng.shuffle(names)
+    cuts = sorted(rng.sample(range(1, len(names)), rng.randint(0, len(names) - 1)))
+    classes = [names[a:b] for a, b in zip([0] + cuts, cuts + [len(names)])]
+    constraints = []
+    for members in classes:
+        for a, b in zip(members, members[1:]):
+            if rng.random() < 0.5:
+                a, b = b, a
+            constraints.append((chart.var(a) - chart.var(b)) * _nonzero(rng))
+    rng.shuffle(constraints)
+    return constraints, len(classes)
+
+
+def _substituted(sub, poly):
+    """poly with x_i replaced by sum_j s_j v_j[i], the tangent basis v_j."""
+    params = sub.restrict(sub.chart.zero()).variables
+    images = {}
+    for i, name in enumerate(sub.chart.coords):
+        image = Polynomial.zero(params)
+        for s, v in zip(params, sub.tangent_basis()):
+            if v[i]:
+                image = image + Polynomial.variable(params, s) * v[i]
+        images[name] = image
+    return poly.substitute(params, images)
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["identification", "x2=3"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=6, deadline=None)
+def test_identifications_match_restricting_each_pairing(n, pinned, seed):
+    rng = random.Random(seed)
+    chart = CHARTS[n]
+    constraints, classes = _identification(rng, chart)
+    if pinned:
+        constraints.insert(rng.randint(0, len(constraints)), chart.var("x2") - 3)
+    calls = []
+    original = Polynomial.substitute
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            Polynomial, "substitute", lambda self, *args: calls.append(1) or original(self, *args)
+        )
+        sub = gd.AffineSubmanifold(chart, constraints)
+        for constraint in constraints:
+            assert sub.restrict(constraint).is_zero()
+        tensor, pi = _tensor(rng, chart), _bivector(rng, chart)
+        invariant = gd.invariant_check(tensor, sub)
+        coisotropic = gd.coisotropic_check(pi, sub)
+    assert sub.dim == classes - pinned
+    assert bool(calls) == pinned
+    _same(invariant.entries, invariant_oracle(tensor, sub))
+    _same(coisotropic.entries, coisotropic_oracle(pi, sub))
+    if not pinned:
+        for poly in (random_polynomial(rng, chart, 3), *tensor.entries[0]):
+            assert sub.restrict(poly) == _substituted(sub, poly)
