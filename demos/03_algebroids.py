@@ -53,5 +53,5 @@ print(f"(so3, affine dual) is a bialgebroid:  {ab.bialgebroid_check(so3, affine)
 
 print()
 print("== compatible pair induces a bialgebroid ==")
-report = ab.pn_bialgebroid_check(pi, tensor, hierarchy_orders=2)
+report = ab.pn_bialgebroid_check(pi, tensor)
 print(f"tangent-deformed against cotangent: {report.ok}")

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import InputError, InternalError, PreconditionError
-from .polyalg import Polynomial, Rational, _sum_of_products, is_identifier
+from .polyalg import Polynomial, _sum_of_products, is_identifier
 from . import cartan
 from .cartan import Chart, MultiVector
 from . import poisson_nijenhuis as pn
@@ -466,21 +466,14 @@ def cotangent_algebroid(pi):
 
 
 def algebroid_sum(first, second):
-    """Pointwise sum of anchors and structure tables on a common frame."""
-    return algebroid_pencil(first, second, 1)
-
-
-def algebroid_pencil(first, second, weight):
-    """first + weight * second on a common base chart and frame."""
+    """Pointwise sum of anchors and structure tables on a common base chart and frame."""
     if first.base != second.base or first.rank != second.rank:
         raise InputError("algebroids must share base chart and rank")
     if first.basis != second.basis:
         raise InputError("algebroids must share basis names")
-    lam = weight if isinstance(weight, Rational) else Rational(weight)
 
     def plus(p, q):
-        # p + lam * q, forming no product by a zero q
-        return p if q.is_zero() else p + q * lam
+        return p if q.is_zero() else p + q  # no kernel call for a zero q
 
     cols = [tuple(map(plus, col1, col2)) for col1, col2 in zip(first.anchor, second.anchor)]
     table = {}
@@ -502,7 +495,7 @@ def build_dual_chart(algebroid, fiber_names=None):
     return Chart(algebroid.base.coords + fiber_names)
 
 
-def dual_linear_poisson(algebroid, fiber_names=None):
+def dual_linear_poisson(algebroid):
     """Fiber-linear Poisson bivector on the dual bundle chart.
 
     {xi_i, xi_j} = sum_k c^k_{ij} xi_k   and   {xi_i, x^a} = anchor[i][a];
@@ -510,7 +503,7 @@ def dual_linear_poisson(algebroid, fiber_names=None):
     result is re-checked as a guard.
     """
     algebroid_validate(algebroid).require("algebroid axioms fail")
-    return _linear_poisson(algebroid, fiber_names)
+    return _linear_poisson(algebroid)
 
 
 def _linear_poisson(algebroid, fiber_names=None):
@@ -756,14 +749,14 @@ class PNBialgebroidVerdict(Verdict):
             yield from prefixed("compat[%d,%d] " % (k, l), verdict.families())
 
 
-def pn_bialgebroid_check(pi, tensor, hierarchy_orders=2):
+def pn_bialgebroid_check(pi, tensor):
     """Desk check of the bialgebroid attached to a compatible pair.
 
     Stages: the tangent / cotangent pair forms a bialgebroid; the lifted
     structure on the dual bundle chart together with the lifted tensor is
     again a compatible pair; restricting the lift to zero fiber values
-    recovers the input pair; the tensor powers of the lift up to the given
-    order produce pairwise compatible algebroid structures on the frame of
+    recovers the input pair; the bivectors N^k pi of the lift, k = 0, 1, 2,
+    give pairwise compatible algebroid structures on the frame of
     coordinate differentials.
     """
     pn.is_pn_pair(pi, tensor).require("bivector and tensor are not a compatible pair")
@@ -812,7 +805,7 @@ def pn_bialgebroid_check(pi, tensor, hierarchy_orders=2):
     hierarchy = {}
     if lift_pair.ok:
         levels, biv = [], lift
-        for k in range(hierarchy_orders + 1):
+        for k in range(3):
             if k:
                 biv = lift_pair.npi if k == 1 else pn.n_bivector(biv, lifted_tensor)
             levels.append(linear_poisson_to_algebroid(biv, chart, dual.basis))

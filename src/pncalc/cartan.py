@@ -26,10 +26,10 @@ if its final key has distinct indices and avoids the peeled tail; the
 others are the ones :func:`_collect` would drop, so the same surviving
 terms meet the same sign.
 
-Which builders validate: the public constructor, ``from_terms``,
-:func:`vector_field` and :func:`one_form` take outside input, so they check
-the frame's type, the degree, every index and every coefficient, and bring
-the entries into canonical form (increasing index tuples of length
+Which builders validate: the public constructor, ``from_terms`` and
+:func:`vector_field` take outside input, so they check the frame's type,
+the degree, every index and every coefficient, and bring the entries into
+canonical form (increasing index tuples of length
 ``degree`` mapped to nonzero polynomials over ``frame.base``) through
 :func:`_normalize`. Which build unchecked: results pncalc computes itself
 from canonical operands of one frame. ``+``, ``-`` and scalar ``*``
@@ -369,13 +369,6 @@ def vector_field(chart, components):
     )
 
 
-def one_form(chart, components):
-    comps = list(components)
-    if len(comps) != chart.dim:
-        raise InputError(f"expected {chart.dim} components, got {len(comps)}")
-    return DiffForm.from_terms(chart, 1, (((i,), c) for i, c in enumerate(comps)))
-
-
 def _coordinate(cls, chart, i):
     if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < chart.dim:
         raise InputError(f"index {i!r} out of range for rank {chart.dim}")
@@ -527,9 +520,9 @@ def _lie_entries(X, Q, avoid, grads):
     return entries
 
 
-def _lie_multivector(X, Q, avoid=frozenset()):
+def _lie_multivector(X, Q):
     """[X, Q] for a vector field X: the entries of :func:`_lie_entries`, collected."""
-    entries = _lie_entries(X, Q, avoid, _gradients(Q))
+    entries = _lie_entries(X, Q, (), _gradients(Q))
     return MultiVector._trusted(X.chart, Q.degree, _collect(entries))
 
 
@@ -681,16 +674,3 @@ def schouten_direct(P, Q):
             term = wedge(left, right)
             out = out + (term if s2 > 0 else -term)
     return out
-
-
-def pairing(omega, P):
-    """Full contraction of a form with a multivector of the same degree."""
-    if not (isinstance(omega, DiffForm) and isinstance(P, MultiVector)):
-        raise InputError("pairing takes a form and a multivector")
-    if omega.chart != P.chart or omega.degree != P.degree:
-        raise InputError("pairing needs matching chart and degree")
-    mates = P.components
-    return _sum_of_products(
-        omega.chart.coords,
-        [(1, poly, mates[key]) for key, poly in omega.components.items() if key in mates],
-    )

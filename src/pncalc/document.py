@@ -389,7 +389,9 @@ def parse_document(data):
 def loads_document(text):
     try:
         data = json.loads(text, object_pairs_hook=_reject_duplicates)
-    except json.JSONDecodeError as exc:
+    except InputError:  # a duplicate key, refused with its own message
+        raise
+    except (ValueError, RecursionError) as exc:  # syntax, an over-long int, deep nesting
         raise InputError(f"invalid JSON: {exc}") from exc
     return parse_document(data)
 
@@ -398,7 +400,7 @@ def load_document(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return loads_document(text)
 

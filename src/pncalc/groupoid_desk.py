@@ -135,10 +135,6 @@ class AffineSubmanifold:
     def __setattr__(self, name, value):
         raise AttributeError("AffineSubmanifold is immutable")
 
-    @property
-    def dim(self):
-        return self.chart.dim - len(self.rows)
-
     def tangent_basis(self):
         """Rational basis of the tangent space (kernel of the rows)."""
         return list(self._tangent)
@@ -365,31 +361,42 @@ def coisotropic_invariant_check(pi, tensor, sub, npi=None):
     )
 
 
-def _graph_bivector(groupoid, pi):
-    """pi (+) pi (+) (-pi) on the triple product."""
+_UNCHECKED = object()
+
+
+def _graph(groupoid, pi=_UNCHECKED, tensor=_UNCHECKED):
+    """The multiplication graph of ``groupoid``, a PairGroupoid, once ``pi``
+    and ``tensor``, where passed, are checked to be a bivector and a
+    (1,1)-tensor on its total chart."""
+    if not isinstance(groupoid, PairGroupoid):
+        raise InputError("expected a PairGroupoid")
+    if pi is not _UNCHECKED:
+        if not isinstance(pi, MultiVector) or pi.chart != groupoid.total or pi.degree != 2:
+            raise InputError("expected a degree-2 multivector on the total chart")
+    if tensor is not _UNCHECKED:
+        if not isinstance(tensor, pn.TensorOneOne) or tensor.chart != groupoid.total:
+            raise InputError("expected a (1,1)-tensor on the total chart")
+    return groupoid.multiplication_graph()
+
+
+def _graph_bivector(triple, groupoid, pi):
+    """pi (+) pi (+) (-pi) on the triple product, whose chart is ``triple``."""
     blocks = tuple(zip(groupoid.triple_copies(), (1, 1, -1)))
-    return _block_bivector(groupoid.triple_chart(), pi, blocks)
+    return _block_bivector(triple, pi, blocks)
 
 
 def multiplicativity_check_tensor(groupoid, tensor):
     """Is the multiplication graph invariant under N (+) N (+) N?"""
-    if not isinstance(groupoid, PairGroupoid):
-        raise InputError("expected a PairGroupoid")
-    if not isinstance(tensor, pn.TensorOneOne) or tensor.chart != groupoid.total:
-        raise InputError("expected a (1,1)-tensor on the total chart")
-    graph = groupoid.multiplication_graph()
+    graph = _graph(groupoid, tensor=tensor)
     lift = _block_tensor(graph.chart, tensor, groupoid.triple_copies())
     return InvariantVerdict(entries=graph.pairings(lift, "tangent"))
 
 
 def poisson_groupoid_check(groupoid, pi):
     """Is the multiplication graph coisotropic for pi (+) pi (+) (-pi)?"""
-    if not isinstance(groupoid, PairGroupoid):
-        raise InputError("expected a PairGroupoid")
-    if not isinstance(pi, MultiVector) or pi.chart != groupoid.total or pi.degree != 2:
-        raise InputError("expected a degree-2 multivector on the total chart")
+    graph = _graph(groupoid, pi=pi)
     pn.is_poisson(pi).require("bivector is not Poisson")
-    return coisotropic_check(_graph_bivector(groupoid, pi), groupoid.multiplication_graph())
+    return coisotropic_check(_graph_bivector(graph.chart, groupoid, pi), graph)
 
 
 @dataclass(frozen=True)
@@ -408,18 +415,12 @@ class PNGroupoidVerdict(Verdict):
 
 def pn_groupoid_check(groupoid, pi, tensor):
     """Full desk check: PN pair, Poisson graph, multiplicative N, unit space."""
-    if not isinstance(groupoid, PairGroupoid):
-        raise InputError("expected a PairGroupoid")
-    if not isinstance(pi, MultiVector) or pi.chart != groupoid.total or pi.degree != 2:
-        raise InputError("expected a degree-2 multivector on the total chart")
-    if not isinstance(tensor, pn.TensorOneOne) or tensor.chart != groupoid.total:
-        raise InputError("expected a (1,1)-tensor on the total chart")
-    graph = groupoid.multiplication_graph()
+    graph = _graph(groupoid, pi, tensor)
     lift = _block_tensor(graph.chart, tensor, groupoid.triple_copies())
     pair_verdict = pn.is_pn_pair(pi, tensor)
     return PNGroupoidVerdict(
         pair_verdict=pair_verdict,
-        graph_coisotropy=coisotropic_check(_graph_bivector(groupoid, pi), graph),
+        graph_coisotropy=coisotropic_check(_graph_bivector(graph.chart, groupoid, pi), graph),
         tensor_graph=InvariantVerdict(entries=graph.pairings(lift, "tangent")),
         unit_space=coisotropic_invariant_check(
             pi, tensor, groupoid.unit_diagonal(), npi=pair_verdict.npi

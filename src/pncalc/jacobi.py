@@ -336,19 +336,18 @@ def first_jet_algebroid(pair):
     return jet
 
 
-def jacobi_differential(pair, section, jet=None):
+def jacobi_differential(pair, section, jet):
     """The twisted jet differential d omega = d_jet omega + E ^ omega.
 
     Acts on extended sections (the duals of jet-algebroid frames) and
     agrees with twisted_gerstenhaber((pi, e), section) in degrees 0 and 1.
-    Pass the prebuilt jet algebroid to skip revalidation.
+    ``jet`` is first_jet_algebroid(pair), which the caller builds once for
+    all its sections.
     """
     if not isinstance(section, ExtendedSection):
         raise InputError("expected an ExtendedSection")
     if section.chart != pair.chart:
         raise InputError("section lives on a different chart")
-    if jet is None:
-        jet = first_jet_algebroid(pair)
     # the jet frame and the extended frame share the chart and the index of u
     omega = _encode(jet, section)
     out = algebroid_differential(jet, omega)
@@ -357,21 +356,22 @@ def jacobi_differential(pair, section, jet=None):
     return _decode(jet, out)
 
 
-def homogenized_bivector(pair, name="t_h"):
+def homogenized_bivector(pair):
     """Poissonization one dimension up: t*pi + t^2 * dt ^ E.
 
-    On the chart extended by a final coordinate t, the pair is Jacobi
-    exactly when this bivector is Poisson; the test battery certifies the
-    equivalence, and callers can use it as an independent cross-check.
+    On the chart extended by a final coordinate t, named ``t_h``, the pair
+    is Jacobi exactly when this bivector is Poisson; the test battery
+    certifies the equivalence, and callers can use it as an independent
+    cross-check.
     """
     if not isinstance(pair, JacobiPair):
         raise InputError("expected a JacobiPair")
     chart = pair.chart
-    if name in chart.coords:
-        raise InputError("coordinate %r already taken" % name)
-    big = Chart(chart.coords + (name,))
+    if "t_h" in chart.coords:
+        raise InputError("coordinate 't_h' already taken")
+    big = Chart(chart.coords + ("t_h",))
     n = chart.dim
-    t = big.parse(name)
+    t = big.parse("t_h")
     comps = {}
     for (a, b), poly in pair.pi.components.items():
         comps[(a, b)] = poly.embed(big.coords) * t

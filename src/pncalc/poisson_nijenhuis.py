@@ -115,10 +115,6 @@ class TensorOneOne:
         return cls.scalar(chart, 1)
 
     @classmethod
-    def zero(cls, chart):
-        return cls.scalar(chart, 0)
-
-    @classmethod
     def diagonal(cls, chart, diag):
         diag = list(diag)
         if len(diag) != chart.dim:
@@ -169,14 +165,6 @@ class TensorOneOne:
         if not isinstance(other, TensorOneOne) or other.chart != self.chart:
             raise InputError("can only compose tensors on the same chart")
         return TensorOneOne(self.chart, mat_mul(self.entries, other.entries))
-
-    def power(self, k):
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-            raise InputError("tensor power must be a nonnegative int")
-        out = TensorOneOne.identity(self.chart)
-        for _ in range(k):
-            out = out.compose(self)
-        return out
 
     def __add__(self, other):
         if not isinstance(other, TensorOneOne) or other.chart != self.chart:
@@ -485,18 +473,15 @@ def require_n_bivector(sharp_residual, npi):
     return npi
 
 
-def magri_morosi(pi, N, alpha, beta, npi=None):
+def magri_morosi(pi, N, alpha, beta):
     """Concomitant C(pi,N)(alpha,beta) =
     [alpha,beta]_{Npi} - ([N*alpha,beta]_pi + [alpha,N*beta]_pi - N*[alpha,beta]_pi).
 
     The definition on any two 1-forms, one pair per call, through four
     Koszul brackets; the tests hold :func:`concomitant_map` to it on
-    coordinate pairs. ``npi`` is n_bivector(pi, N) when the caller already
-    has it.
+    coordinate pairs.
     """
-    if npi is None:
-        npi = n_bivector(pi, N)
-    return koszul_bracket(npi, alpha, beta) - (
+    return koszul_bracket(n_bivector(pi, N), alpha, beta) - (
         koszul_bracket(pi, N.dual_apply(alpha), beta)
         + koszul_bracket(pi, alpha, N.dual_apply(beta))
         - N.dual_apply(koszul_bracket(pi, alpha, beta))

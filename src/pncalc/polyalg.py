@@ -166,8 +166,6 @@ from operator import add, mul, or_
 
 from .errors import InputError, ParseError
 
-Rational = Fraction
-
 MAX_NESTING = 100
 
 # Input budgets (see the module docstring). Each is at least ten times the

@@ -147,22 +147,22 @@ class Report:
         return "\n".join(lines)
 
 
-def from_verdict(command, verdict, elapsed=None):
+def from_verdict(command, verdict):
     """Wrap a Verdict: pass, or fail with its nonzero residual families."""
     if verdict.ok:
-        return Report(command, "pass", {}, elapsed)
+        return Report(command, "pass", {})
     residuals = verdict.residuals()
     if not residuals:
         raise InternalError(f"{command}: verdict failed without residuals")
-    return Report(command, "fail", residuals, elapsed)
+    return Report(command, "fail", residuals)
 
 
-def from_values(command, values, elapsed=None):
+def from_values(command, values):
     """A computation that produced components rather than a yes or no."""
-    return Report(command, "pass", {k: str(v) for k, v in values.items()}, elapsed)
+    return Report(command, "pass", {k: str(v) for k, v in values.items()})
 
 
-def from_exception(command, exc, elapsed=None):
+def from_exception(command, exc):
     """Map the error taxonomy onto verdicts.
 
     Bad input is an ``error``, a failed hypothesis a ``fail``, and two
@@ -172,9 +172,9 @@ def from_exception(command, exc, elapsed=None):
         residuals = {"precondition": str(exc)}
         for key, value in exc.residuals.items():
             residuals[str(key)] = str(value)
-        return Report(command, "fail", residuals, elapsed)
+        return Report(command, "fail", residuals)
     if isinstance(exc, InputError):
-        return Report(command, "error", {"error": str(exc)}, elapsed)
+        return Report(command, "error", {"error": str(exc)})
     if isinstance(exc, InternalError):
-        return Report(command, "internal", {"internal error": str(exc)}, elapsed)
+        return Report(command, "internal", {"internal error": str(exc)})
     raise exc

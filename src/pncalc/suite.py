@@ -349,7 +349,7 @@ def criterion_7():
     """The tangent/cotangent construction passes all stages for corpus pairs."""
     failures = {}
     for label, pi, tensor in corpus.pn_pairs():
-        verdict = ab.pn_bialgebroid_check(pi, tensor, hierarchy_orders=2)
+        verdict = ab.pn_bialgebroid_check(pi, tensor)
         for key, value in verdict.residuals().items():
             failures[f"{label} {key}"] = value
         if not verdict.lift_pair.ok:

@@ -8,7 +8,7 @@ from pncalc import cartan
 from pncalc.algebroid import _anchor_reader, _anchored
 from pncalc.errors import InputError
 from pncalc.linalg import mat_is_zero
-from pncalc.poisson_nijenhuis import _sharp_product
+from pncalc.poisson_nijenhuis import TensorOneOne, _sharp_product
 from pncalc.polyalg import _sum_of_products
 
 
@@ -48,6 +48,40 @@ def from_function(cls, frame, poly):
 def codim(sub):
     """The codimension of an affine submanifold: its number of constraints."""
     return len(sub.rows)
+
+
+def dim(sub):
+    """The dimension of an affine submanifold: the chart's, less the codimension."""
+    return sub.chart.dim - codim(sub)
+
+
+def one_form(chart, components):
+    """The 1-form sum_i components[i] dx_i, one component per coordinate."""
+    comps = list(components)
+    if len(comps) != chart.dim:
+        raise InputError(f"expected {chart.dim} components, got {len(comps)}")
+    return cartan.DiffForm.from_terms(chart, 1, (((i,), c) for i, c in enumerate(comps)))
+
+
+def pairing(omega, P):
+    """Full contraction of a form with a multivector of the same degree."""
+    if not (isinstance(omega, cartan.DiffForm) and isinstance(P, cartan.MultiVector)):
+        raise InputError("pairing takes a form and a multivector")
+    if omega.chart != P.chart or omega.degree != P.degree:
+        raise InputError("pairing needs matching chart and degree")
+    mates = P.components
+    return _sum_of_products(
+        omega.chart.coords,
+        [(1, poly, mates[key]) for key, poly in omega.components.items() if key in mates],
+    )
+
+
+def power(N, k):
+    """N^k for a (1,1)-tensor N: the identity composed with N k times."""
+    out = TensorOneOne.identity(N.chart)
+    for _ in range(k):
+        out = out.compose(N)
+    return out
 
 
 def rho_function(algebroid, section, func):

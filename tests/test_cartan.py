@@ -15,8 +15,6 @@ from pncalc.cartan import (
     exterior_d,
     interior,
     lie_derivative,
-    one_form,
-    pairing,
     schouten,
     schouten_direct,
     vector_field,
@@ -35,7 +33,7 @@ from pncalc.corpus import (
 )
 from pncalc.errors import InputError
 from pncalc.polyalg import Polynomial, parse_polynomial
-from oracles import from_function
+from oracles import from_function, one_form, pairing
 from products import spy_products
 
 

@@ -204,6 +204,24 @@ class TestExitCodes:
         assert data["verdict"] == "error"
         assert "nested more than 100 deep" in data["residuals"]["error"]
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"chart": {"coordinates": ["x1", "x2"]}, "bivector": {"1,2": ' + b"9" * 5000 + b"}}",
+            b"\xff\xfe{",
+        ],
+        ids=["nested-100000-deep", "5000-digit-integer", "not-utf-8"],
+    )
+    def test_hostile_json_is_two(self, capsys, tmp_path, raw):
+        # the reader's own refusals: the message depends on the Python version
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        code, out = run_cli(capsys, ["check-poisson", "--input", str(path), "--json"])
+        assert code == 2
+        assert "Traceback" not in out
+        assert json.loads(out)["verdict"] == "error"
+
     @pytest.mark.parametrize("index", ["\u00b2", "1" * 5000], ids=["superscript", "5000-digit"])
     @pytest.mark.parametrize(
         "argv, block",
@@ -735,7 +753,7 @@ class TestDocumentRoundTrip:
 class TestDocumentValidation:
     def test_duplicate_key_rejected(self):
         text = '{"chart": {"coordinates": ["x1", "x2"]}, "bivector": {"1,2": "1", "1,2": "2"}}'
-        with pytest.raises(InputError, match="duplicate"):
+        with pytest.raises(InputError, match="^duplicate JSON key '1,2'$"):
             document.loads_document(text)
 
     def test_out_of_order_key_rejected(self):

@@ -25,7 +25,7 @@ from pncalc.groupoid_desk import (
     poisson_groupoid_check,
 )
 from pncalc.polyalg import Polynomial
-from oracles import codim
+from oracles import codim, dim, power
 
 
 def conformal_data():
@@ -86,7 +86,7 @@ class TestAffineSubmanifold:
 
     def test_line_bases(self):
         sub = AffineSubmanifold(R2, ["x2"])
-        assert sub.dim == 1
+        assert dim(sub) == 1
         assert sub.tangent_basis() == [(1, 0)]
         assert sub.conormal_basis() == [(0, 1)]
 
@@ -97,14 +97,14 @@ class TestAffineSubmanifold:
 
     def test_point_restricts_to_constant(self):
         sub = AffineSubmanifold(R2, ["x1 - 1", "x2"])
-        assert sub.dim == 0
+        assert dim(sub) == 0
         restricted = sub.restrict(R2.parse("x1 + x2 + 1"))
         assert restricted.is_constant()
         assert restricted.constant_value() == 2
 
     def test_no_constraints_is_everything(self):
         sub = AffineSubmanifold(R2, [])
-        assert sub.dim == 2
+        assert dim(sub) == 2
         assert sub.conormal_basis() == []
 
     def test_restrict_reuses_the_parametrization(self, monkeypatch):
@@ -181,7 +181,7 @@ class TestCoisotropicCheck:
         assert [k for k, _ in verdict.higher] == [1, 2]
 
     def test_higher_orders_check_the_tensor_powers(self, monkeypatch):
-        # order k is checked on N^k pi; N.power(k) is the independent route
+        # order k is checked on N^k pi; power(N, k) is the independent route
         pi, tensor = conformal_data()
         seen = []
         original = gd.coisotropic_check
@@ -192,7 +192,7 @@ class TestCoisotropicCheck:
 
         monkeypatch.setattr(gd, "coisotropic_check", spy)
         assert coisotropic_invariant_check(pi, tensor, AffineSubmanifold(R2, ["x2"])).ok
-        assert seen == [pn.n_bivector(pi, tensor.power(k)) for k in range(3)]
+        assert seen == [pn.n_bivector(pi, power(tensor, k)) for k in range(3)]
 
     def test_conjunction_fails_on_invariance(self):
         pi = MultiVector(R2, 2, {(0, 1): 1})
@@ -220,7 +220,7 @@ class TestPairGroupoid:
     def test_unit_diagonal(self):
         G = PairGroupoid(R2)
         sub = G.unit_diagonal()
-        assert sub.dim == 2
+        assert dim(sub) == 2
         # the diagonal direction (v, v) is tangent
         assert (1, 0, 1, 0) in sub.tangent_basis()
 
@@ -229,7 +229,7 @@ class TestPairGroupoid:
         graph = G.multiplication_graph()
         assert graph.chart.dim == 12
         assert codim(graph) == 6
-        assert graph.dim == 6
+        assert dim(graph) == 6
 
 
 class TestMultiplicativity:
@@ -442,8 +442,8 @@ class TestBaseStructure:
         G = PairGroupoid(R2)
         piG, NG = pair_bivector(G, pi), pair_tensor(G, tensor)
         for k in (1, 2):
-            lifted = pn.n_bivector(piG, NG.power(k))
-            expected = pn.n_bivector(pi, tensor.power(k))
+            lifted = pn.n_bivector(piG, power(NG, k))
+            expected = pn.n_bivector(pi, power(tensor, k))
             for (a, b), poly in expected.components.items():
                 assert lifted.component((a, b)) == poly.substitute(
                     G.total.coords, {}

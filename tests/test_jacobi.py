@@ -149,8 +149,10 @@ class TestIsJacobi:
         assert str(big.component((2, 3))) == "-t_h^2"
 
     def test_homogenized_name_collision(self):
-        with pytest.raises(InputError):
-            homogenized_bivector(contact_pair(), name="x1")
+        chart = Chart(("x1", "t_h"))
+        pair = JacobiPair(MultiVector(chart, 2, {(0, 1): 1}), MultiVector(chart, 1, {}))
+        with pytest.raises(InputError, match="'t_h' already taken"):
+            homogenized_bivector(pair)
 
 
 class TestCompat:
