@@ -40,7 +40,6 @@ Index conventions, fixed throughout:
   {xi_i, x^a} = anchor[i][a], and component (n+i, n+j) = sum_k c^k_{ij} xi_k.
 """
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import InputError, InternalError, PreconditionError
@@ -249,12 +248,10 @@ def section_bracket(algebroid, left, right, left_grads=None):
     return AlgebroidSection._trusted(algebroid, 1, cartan._collect(entries))
 
 
-@dataclass
 class AlgebroidVerdict(Verdict):
     """Jacobi residuals per basis triple, anchor residuals per basis pair."""
 
-    jacobi_residuals: dict
-    anchor_residuals: dict
+    __slots__ = ("jacobi_residuals", "anchor_residuals")
 
     def families(self):
         yield from labelled("jacobi", self.jacobi_residuals)
@@ -587,7 +584,6 @@ def linear_poisson_to_algebroid(pi, base, basis):
     return AlgebroidData(base, rank, basis, [tuple(col) for col in anchor_cols], table)
 
 
-@dataclass
 class CompatVerdict(Verdict):
     """Three certificates that the sum of two algebroid structures is one.
 
@@ -599,9 +595,7 @@ class CompatVerdict(Verdict):
     disagreement is an internal error raised upstream.
     """
 
-    sum_axioms: AlgebroidVerdict
-    differential_residuals: dict
-    dual_bracket: object
+    __slots__ = ("sum_axioms", "differential_residuals", "dual_bracket")
 
     @property
     def certificate_a(self):
@@ -664,12 +658,10 @@ def compat_check(first, second):
     return verdict
 
 
-@dataclass
 class BialgebroidVerdict(Verdict):
     """Derivation residuals on frame pairs and on (frame, coordinate) pairs."""
 
-    pair_residuals: dict
-    function_residuals: dict
+    __slots__ = ("pair_residuals", "function_residuals")
 
     def families(self):
         yield from labelled("derivation", self.pair_residuals)
@@ -728,7 +720,6 @@ def bialgebroid_check(primary, dual):
     return BialgebroidVerdict(pair_res, func_res)
 
 
-@dataclass
 class PNBialgebroidVerdict(Verdict):
     """Staged verdict for the tangent/cotangent bialgebroid of a compatible pair.
 
@@ -736,10 +727,7 @@ class PNBialgebroidVerdict(Verdict):
     (values, rendered with the rest), so any entry fails.
     """
 
-    bialgebroid: BialgebroidVerdict
-    lift_pair: object
-    recovery_residuals: dict
-    hierarchy_compat: dict
+    __slots__ = ("bialgebroid", "lift_pair", "recovery_residuals", "hierarchy_compat")
 
     def families(self):
         yield from prefixed("bialgebroid ", self.bialgebroid.families())

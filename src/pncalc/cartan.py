@@ -66,33 +66,46 @@ this kind of calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 from .polyalg import Polynomial, _sum_of_products, is_identifier, parse_polynomial
 
 
-@dataclass(frozen=True)
 class Chart:
     """An ordered tuple of distinct coordinate names modelling R^n.
 
     An empty tuple is allowed and models a point; algebroids over a point
-    (structure tables with constant entries) live on such a chart.
+    (structure tables with constant entries) live on such a chart. Charts
+    are immutable and compare and hash by their coordinates.
     """
 
-    coords: tuple
+    __slots__ = ("coords", "_zero")
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, coords):
+        coords = tuple(coords)
         if len(set(coords)) != len(coords):
             raise InputError(f"coordinate names must be distinct: {coords}")
         for name in coords:
             if not is_identifier(name):
                 raise InputError(f"bad coordinate name {name!r}")
+        object.__setattr__(self, "coords", coords)
         # one shared zero per chart; a Polynomial is immutable
         object.__setattr__(self, "_zero", Polynomial._trusted(coords, {}, 1))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Chart is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return self.coords == other.coords if other.__class__ is Chart else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __repr__(self):
+        return f"Chart(coords={self.coords!r})"
 
     @property
     def dim(self):
@@ -121,6 +134,8 @@ class Chart:
 
     def coerce(self, value):
         """A polynomial on this chart from an int, Fraction, string or Polynomial."""
+        if value.__class__ is Polynomial and value.variables == self.coords:
+            return value
         if isinstance(value, (int, Fraction)):
             return Polynomial.constant(self.coords, value)
         if isinstance(value, str):

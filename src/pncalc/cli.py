@@ -18,6 +18,12 @@ The parser tree, the one-leaf fast path of ``main`` and ``HANDLERS`` are
 all read from it, so a command is named and described in one place. The
 parser of each leaf command is built once per process (``_leaf_parser``);
 it holds options only, never a result, so no cached state reaches a check.
+
+Each process pays its imports, so ``main`` imports :mod:`pncalc.suite`, and
+with it :mod:`pncalc.corpus`, only when ``suite`` runs. ``algebroid``,
+``jacobi`` and ``groupoid_desk`` are imported here though each serves only
+some commands: ``import pncalc.cli`` makes them attributes of the package,
+where code that instruments pncalc from outside looks them up by name.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from . import groupoid_desk as gd
 from . import jacobi as jc
 from . import poisson_nijenhuis as pn
 from . import report as report_mod
-from . import suite as suite_mod
 from .errors import InputError, InternalError, PreconditionError
 from .report import Report
 
@@ -387,7 +392,9 @@ def main(argv=None):
     words, args = _parse_command(sys.argv[1:] if argv is None else list(argv))
     handler = COMMANDS[words][0]
     if handler is None:
-        return _emit_suite(suite_mod.run_all(), args.json)
+        from . import suite  # with the corpus, loaded only to run the battery
+
+        return _emit_suite(suite.run_all(), args.json)
 
     command = " ".join(words)
     started = time.perf_counter()

@@ -28,7 +28,6 @@ per block), the source projection and the units' diagonal (``embed``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -211,12 +210,7 @@ class PairGroupoid:
         return AffineSubmanifold(self.total, _differences(self.total, [(a, n + a) for a in range(n)]))
 
     def triple_chart(self):
-        coords = tuple(
-            c + "_%d" % k for k in (1, 2, 3) for c in self.total.coords
-        )
-        if len(set(coords)) != 6 * self.base.dim:
-            raise InputError("coordinate names collide across the triple product")
-        return Chart(coords)
+        return Chart(c + "_%d" % k for k in (1, 2, 3) for c in self.total.coords)
 
     def pair_copies(self):
         """Renamings of base coordinates into the source and target blocks."""
@@ -287,9 +281,8 @@ def pair_tensor(groupoid, tensor):
     return pn.TensorOneOne(groupoid.total, entries)
 
 
-@dataclass(frozen=True)
 class InvariantVerdict(Verdict):
-    entries: tuple  # (tangent index, conormal index, restricted polynomial)
+    __slots__ = ("entries",)  # (tangent index, conormal index, restricted polynomial)
 
     def families(self):
         for i, j, poly in self.entries:
@@ -305,9 +298,8 @@ def invariant_check(tensor, sub):
     return InvariantVerdict(entries=sub.pairings(tensor.entries, "tangent"))
 
 
-@dataclass(frozen=True)
 class CoisotropicVerdict(Verdict):
-    entries: tuple  # (conormal index, conormal index, restricted polynomial)
+    __slots__ = ("entries",)  # (conormal index, conormal index, restricted polynomial)
 
     def families(self):
         for i, j, poly in self.entries:
@@ -325,11 +317,8 @@ def coisotropic_check(pi, sub):
     )
 
 
-@dataclass(frozen=True)
 class CoisoInvariantVerdict(Verdict):
-    invariant: InvariantVerdict
-    coisotropic: CoisotropicVerdict
-    higher: tuple  # (order k, CoisotropicVerdict for N^k pi)
+    __slots__ = ("invariant", "coisotropic", "higher")  # higher: (k, CoisotropicVerdict of N^k pi)
 
     def families(self):
         yield from prefixed("invariant ", self.invariant.families())
@@ -399,12 +388,9 @@ def poisson_groupoid_check(groupoid, pi):
     return coisotropic_check(_graph_bivector(graph.chart, groupoid, pi), graph)
 
 
-@dataclass(frozen=True)
 class PNGroupoidVerdict(Verdict):
-    pair_verdict: object  # pn.PNVerdict on the total chart
-    graph_coisotropy: CoisotropicVerdict
-    tensor_graph: InvariantVerdict
-    unit_space: CoisoInvariantVerdict
+    # pair_verdict is the pn.PNVerdict of the pair on the total chart
+    __slots__ = ("pair_verdict", "graph_coisotropy", "tensor_graph", "unit_space")
 
     def families(self):
         yield from prefixed("pair ", self.pair_verdict.families())
@@ -428,13 +414,10 @@ def pn_groupoid_check(groupoid, pi, tensor):
     )
 
 
-@dataclass(frozen=True)
 class BaseStructure(Verdict):
-    pi: MultiVector
-    tensor: object  # pn.TensorOneOne on the base chart
-    pair_verdict: object  # pn.PNVerdict for the recovered pair
-    related_residuals: tuple  # (label, polynomial)
-    pushforward_residuals: tuple  # (label, polynomial)
+    # tensor is a pn.TensorOneOne on the base chart, pair_verdict the recovered
+    # pair's pn.PNVerdict; the two residual tuples hold (label, polynomial) pairs
+    __slots__ = ("pi", "tensor", "pair_verdict", "related_residuals", "pushforward_residuals")
 
     def families(self):
         yield from prefixed("base pair ", self.pair_verdict.families())

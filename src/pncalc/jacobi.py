@@ -25,7 +25,6 @@ uses as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebroid import (
@@ -220,10 +219,8 @@ def twisted_gerstenhaber(left, right):
     return _decode(alg, out)
 
 
-@dataclass(frozen=True)
 class JacobiVerdict(Verdict):
-    direct_residuals: tuple  # [pi,pi] - 2 e^pi, then [e,pi]
-    twisted_residual: ExtendedSection
+    __slots__ = ("direct_residuals", "twisted_residual")  # direct: [pi,pi] - 2 e^pi, [e,pi]
 
     @property
     def direct_ok(self):
@@ -260,10 +257,8 @@ def is_jacobi(pair):
     return verdict
 
 
-@dataclass(frozen=True)
 class JacobiCompatVerdict(Verdict):
-    sum_verdict: JacobiVerdict
-    mixed_bracket: ExtendedSection
+    __slots__ = ("sum_verdict", "mixed_bracket")
 
     @property
     def sum_ok(self):

@@ -67,8 +67,6 @@ canonical operands, so they wrap their components with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cartan
 from .cartan import (
     Chart,
@@ -280,21 +278,19 @@ def bivector_eval(pi, alpha, beta):
 # -- verdict containers ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PoissonVerdict(Verdict):
-    residual: MultiVector
+    __slots__ = ("residual",)
 
     def families(self):
         yield "[pi,pi]", self.residual
 
 
-@dataclass(frozen=True)
 class PNVerdict(Verdict):
-    poisson_residual: MultiVector
-    torsion_residual: dict
-    sharp_residual: tuple
-    concomitant_residual: dict
-    npi: MultiVector = None  # N pi when sharp compatibility holds; not a residual
+    # npi is N pi when sharp compatibility holds; not a residual
+    __slots__ = (
+        "poisson_residual", "torsion_residual", "sharp_residual", "concomitant_residual", "npi"
+    )
+    _defaults = {"npi": None}
 
     @property
     def sharp_ok(self):
@@ -445,7 +441,8 @@ def _sharp_product(pi, N):
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):  # the residual is symmetric: one sum per unordered pair
-            rows[i][j] = rows[j][i] = M[i][j] + M[j][i]
+            a, b = M[i][j], M[j][i]  # a zero side leaves the other, with no sum formed
+            rows[i][j] = rows[j][i] = b if a.is_zero() else a if b.is_zero() else a + b
     residual = tuple(map(tuple, rows))
     if not mat_is_zero(residual):
         return residual, None
@@ -568,10 +565,8 @@ def is_pn_pair(pi, N):
     )
 
 
-@dataclass(frozen=True)
 class HierarchyResult(Verdict):
-    bivectors: tuple
-    bracket_residuals: dict
+    __slots__ = ("bivectors", "bracket_residuals")
 
     def families(self):
         for (k, l), v in sorted(self.bracket_residuals.items()):
@@ -613,10 +608,8 @@ def hierarchy(pi, N, kmax):
     return HierarchyResult(tuple(bivectors), residuals)
 
 
-@dataclass(frozen=True)
 class ComplementaryResult(Verdict):
-    tensor: TensorOneOne
-    verdict: PNVerdict
+    __slots__ = ("tensor", "verdict")
 
     def families(self):
         return self.verdict.families()
@@ -670,10 +663,8 @@ def complementary_build(pi, omega):
     return ComplementaryResult(N, is_pn_pair(pi, N))
 
 
-@dataclass(frozen=True)
 class HolomorphicVerdict(Verdict):
-    pn: PNVerdict
-    relation_residual: tuple
+    __slots__ = ("pn", "relation_residual")
 
     def families(self):
         yield from self.pn.families()

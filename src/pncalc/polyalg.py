@@ -31,11 +31,12 @@ denominator; ``gradient`` makes one pass over the terms for every partial
 that does not vanish; ``**`` squares repeatedly. A result whose
 denominator is not 1 is divided by the gcd of its denominator and
 numerators, which restores the canonical form. ``Fraction`` appears only at
-the boundary: the validating constructor, ``constant_value``, printing,
-and ``terms``, a read-only map from exponent vectors to ``Fraction``
-coefficients that makes each coefficient when it is read and keeps none;
-its ``len`` and truth read the numerators. Code that needs only the
-exponents reads ``exponents()``.
+the boundary: the validating constructor, ``constant_value`` and ``terms``,
+a read-only map from exponent vectors to ``Fraction`` coefficients that
+makes each coefficient when it is read and keeps none; its ``len`` and
+truth read the numerators. Code that needs only the exponents reads
+``exponents()``; printing reduces each numerator by its gcd with the
+denominator.
 
 Every numerator sum is one call of one function, parsing and the
 validating constructor included: the private
@@ -782,22 +783,23 @@ class Polynomial:
             key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])),
         )
         pieces = []
+        den = self._den
         for exps, n in ordered:
-            coeff = Fraction(n, self._den)
             factors = []
             for v, e in zip(self.variables, exps):
                 if e == 1:
                     factors.append(v)
                 elif e > 1:
                     factors.append(f"{v}^{e}")
-            mag = abs(coeff)
-            if factors and mag == 1:
+            g = gcd(n, den)  # the coefficient n/den in lowest terms, as str(Fraction) prints it
+            mag = str(abs(n) // g) if den == g else f"{abs(n) // g}/{den // g}"
+            if factors and mag == "1":
                 body = "*".join(factors)
             elif factors:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([mag] + factors)
             else:
-                body = str(mag)
-            pieces.append(("-" if coeff < 0 else "+", body))
+                body = mag
+            pieces.append(("-" if n < 0 else "+", body))
         sign, body = pieces[0]
         out = body if sign == "+" else "-" + body
         for sign, body in pieces[1:]:

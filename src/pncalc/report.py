@@ -10,9 +10,12 @@ The JSON rendering is byte-stable: keys are sorted, separators are
 fixed, and the elapsed time is nulled out, so identical input always
 produces identical bytes.
 
-Every check returns a :class:`Verdict`. A verdict class keeps its own
-fields and writes one method, ``families()``, which yields ``(label,
-value)`` pairs in report order. A value is an algebraic residual with
+Every check returns a :class:`Verdict`. A verdict class names its fields
+in ``__slots__``, in constructor order, and writes one method,
+``families()``, which yields ``(label, value)`` pairs in report order. The
+base constructor fills the fields, by position or keyword (from the class's
+``_defaults`` when left out), and a verdict is immutable: setting an
+attribute raises ``AttributeError``. A value is an algebraic residual with
 ``is_zero()`` and ``str()`` (a polynomial, multivector, form, section or
 extended section), or a plain ``str`` that stands for a failure already
 rendered, such as a stage that was skipped. A verdict built on others
@@ -73,7 +76,23 @@ def rendered(families):
 
 
 class Verdict:
-    """Base of every check's result; subclasses define ``families()``."""
+    """Base of every check's result; subclasses define ``__slots__`` and ``families()``."""
+
+    __slots__ = ()
+    _defaults = {}  # field -> value for a field the caller may leave out
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls.__slots__
+        values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+        repeated = kwargs.keys() & names[: len(args)]
+        if len(args) > len(names) or repeated or values.keys() != set(names):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def families(self):
         raise NotImplementedError

@@ -129,6 +129,16 @@ def test_chart_zero_is_one_shared_constant():
     assert Chart(("x1", "x2")) == R2 and hash(Chart(("x1", "x2"))) == hash(R2)
 
 
+def test_chart_is_immutable_and_reads_as_its_coordinates():
+    chart = Chart(["x1", "x2"])
+    assert chart.coords == ("x1", "x2") and chart == Chart(coords=("x1", "x2"))
+    assert repr(chart) == "Chart(coords=('x1', 'x2'))"
+    assert chart != ("x1", "x2") and chart != Chart(("x2", "x1"))
+    for name in ("coords", "dim"):
+        with pytest.raises(AttributeError):
+            setattr(chart, name, ("y1",))
+
+
 def _reads_as_itself(name):
     # the oracle: a polynomial text can name the coordinate
     try:

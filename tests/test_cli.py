@@ -70,12 +70,15 @@ def run_cli(capsys, argv):
 
 
 def test_import_leaves_mock_and_asyncio_out():
-    # unittest.mock pulls in asyncio; only the criterion-9 patches need it
+    # unittest.mock pulls in asyncio; only the criterion-9 patches need it.
+    # dataclasses pulls in inspect, ast, dis and tokenize, and no class uses
+    # it; the suite and its corpus load only for `pncalc suite`
     package_root = Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(package_root))
     code = (
-        "import sys, pncalc.cli; "
-        "print(sorted(m for m in ('unittest.mock', 'asyncio') if m in sys.modules))"
+        "import sys, pncalc.cli; print(sorted(m for m in ('unittest.mock', 'asyncio', "
+        "'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'pncalc.suite', 'pncalc.corpus') "
+        "if m in sys.modules))"
     )
     child = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60

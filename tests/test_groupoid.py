@@ -529,6 +529,21 @@ def test_only_restriction_substitutes(monkeypatch):
     assert counts["substitute"] == counts["restrict"]
 
 
+def test_n_bivector_on_a_base_dim_1_pair_groupoid_forms_no_sum(monkeypatch):
+    # On a base of dim 1 the pair bivector is zero, so every entry of the
+    # sharp residual M + M^T has a zero side and is that other side: no sum
+    # is formed, where one sum per unordered pair formed 3
+    base = Chart(("x",))
+    G = PairGroupoid(base)
+    piG = pair_bivector(G, MultiVector(base, 2, {}))
+    NG = pair_tensor(G, pn.TensorOneOne(base, [["1 + x"]]))
+    calls = []
+    original = Polynomial.__add__
+    monkeypatch.setattr(Polynomial, "__add__", lambda a, b: calls.append(b) or original(a, b))
+    assert pn.n_bivector(piG, NG).is_zero()
+    assert calls == []
+
+
 def test_groupoid_commands_reuse_the_pairs_n_pi(monkeypatch, capsys):
     # N.pisharp is formed once per pair: pn_groupoid_check hands the total
     # pair's N pi to the unit-space check, and base_structure reads the base

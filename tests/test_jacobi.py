@@ -2,13 +2,9 @@ import random
 
 import pytest
 
-from pncalc import cartan, jacobi, poisson_nijenhuis as pn
-from pncalc.algebroid import (
-    AlgebroidSection,
-    algebroid_validate,
-    cotangent_algebroid,
-)
-from pncalc.cartan import Chart, MultiVector, schouten, wedge
+from pncalc import cartan, poisson_nijenhuis as pn
+from pncalc.algebroid import algebroid_validate, cotangent_algebroid
+from pncalc.cartan import Chart, MultiVector, wedge
 from pncalc.corpus import R2, R3, random_multivector, so3_bivector
 from pncalc.errors import InputError, PreconditionError
 from pncalc.jacobi import (

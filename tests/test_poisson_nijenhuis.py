@@ -793,7 +793,9 @@ def test_concomitant_map_differentiates_each_entry_of_n_once(monkeypatch):
 
 
 def test_sharp_residual_sums_each_unordered_pair_once(monkeypatch):
-    # M + M^T is symmetric: n(n+1)/2 = 21 sums on dim 6, mirrored, not 36
+    # M + M^T is symmetric, so one entry per unordered pair, mirrored; an
+    # entry with a zero side is the other side. Of the n(n+1)/2 = 21 pairs on
+    # dim 6, the 3 pairs (l_i, m_i) have two nonzero sides: 3 sums, not 21
     from pncalc import linalg
 
     pi, N = _darboux_nijenhuis_dim6()
@@ -809,7 +811,7 @@ def test_sharp_residual_sums_each_unordered_pair_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "__add__", counting)
     residual, npi = _sharp_product(pi, N)
     assert residual == want
-    assert len(calls) == 21
+    assert len(calls) == 3
     assert npi == n_bivector(pi, N)
 
 

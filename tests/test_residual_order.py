@@ -7,6 +7,9 @@ one failing input of each kind of check. After a deliberate change of
 order or wording, rewrite the file with
 
     PYTHONPATH=src python tests/test_residual_order.py --write
+
+The last tests hold the contract of every verdict class: its fields, by
+position or keyword, and no assignment after construction.
 """
 
 import json
@@ -23,6 +26,7 @@ from pncalc import poisson_nijenhuis as pn
 from pncalc.cartan import MultiVector
 from pncalc.corpus import R2, R3
 from pncalc.polyalg import Polynomial
+from pncalc.report import Verdict
 
 GOLDEN = Path(__file__).resolve().parent / "golden_residuals.json"
 
@@ -133,6 +137,31 @@ def test_ok_renders_nothing(verdicts, monkeypatch):
     monkeypatch.setattr(Polynomial, "__str__", refuse)
     for name, verdict in verdicts.items():
         assert not verdict.ok, name
+
+
+@pytest.mark.parametrize("cls", Verdict.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_verdict_fields_by_position_or_keyword_and_immutable(cls):
+    names = cls.__slots__
+    values = [object() for _ in names]
+    for verdict in (cls(*values), cls(**dict(zip(names, values)))):
+        assert [getattr(verdict, name) for name in names] == values
+        for name in (names[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(verdict, name, None)
+    for args, kwargs in (
+        (values + [None], {}),
+        ((), dict(zip(names[1:], values[1:]))),
+        (values, {names[0]: None}),
+        (values, {"extra": None}),
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_only_n_pi_has_a_default():
+    assert len(Verdict.__subclasses__()) == 16
+    assert [cls.__name__ for cls in Verdict.__subclasses__() if cls._defaults] == ["PNVerdict"]
+    assert pn.PNVerdict(1, 2, 3, 4).npi is None
 
 
 if __name__ == "__main__":
